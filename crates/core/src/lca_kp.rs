@@ -8,9 +8,7 @@ use crate::LcaError;
 use lcakp_knapsack::iky::{EpsSequence, Epsilon, TildeInstance};
 use lcakp_knapsack::{Item, ItemId};
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
-use lcakp_reproducible::{
-    naive_quantile, rquantile, Domain, RQuantileConfig, ReproParams, SampleBudget,
-};
+use lcakp_reproducible::{naive_quantile, Domain, QuantileScratch, ReproParams, SampleBudget};
 use rand::Rng;
 use std::fmt;
 
@@ -50,10 +48,13 @@ pub enum ReproProfile {
 /// Reusable per-worker sampling workspace for [`LcaKp`] queries.
 ///
 /// Algorithm 2 buffers two sample sets per query: the distinct large
-/// items of R (line 2) and the efficiency keys of Q (line 7). Both are
-/// dead once the query's [`SolutionRule`] exists, so a serving loop can
-/// hand the same scratch to every query and amortise the allocations to
-/// zero — the buffers keep their high-water capacity across queries.
+/// items of R (line 2) and the efficiency keys of Q (line 7). The EPS
+/// thresholds (lines 9–10) then run up to ⌈1/ε⌉ rQuantiles over those
+/// keys, which share one sort and the working buffers of a
+/// [`QuantileScratch`]. All of it is dead once the query's
+/// [`SolutionRule`] exists, so a serving loop can hand the same scratch
+/// to every query and amortise the allocations to zero — the buffers
+/// keep their high-water capacity across queries.
 /// A fresh (empty) scratch gives byte-identical answers: the buffers
 /// are cleared at each use, so only capacity persists, never contents.
 #[derive(Debug, Default)]
@@ -62,6 +63,8 @@ pub struct QueryScratch {
     large: Vec<(ItemId, Item)>,
     /// Small-item efficiency keys sampled from Q (lines 6–8).
     efficiencies: Vec<u128>,
+    /// The sorted keys and rQuantile's working buffers (lines 9–10).
+    quantiles: QuantileScratch,
 }
 
 /// How `LCA-KP` reacts to transient oracle faults: each failing access
@@ -410,7 +413,7 @@ impl LcaKp {
                 seed,
                 residual as f64 / total_profit as f64,
                 retries,
-                &mut scratch.efficiencies,
+                scratch,
             )?
         } else {
             EpsSequence::empty()
@@ -433,7 +436,8 @@ impl LcaKp {
     }
 
     /// Lines 5–15: sample Q, estimate the quantile thresholds, apply the
-    /// `t' = t − 1` adjustment.
+    /// `t' = t − 1` adjustment. The reproducible engine sorts the keys
+    /// once and serves all t thresholds from that sort.
     fn estimate_eps<O, R>(
         &self,
         oracle: &O,
@@ -441,7 +445,7 @@ impl LcaKp {
         seed: &Seed,
         residual_fraction: f64,
         retries: &mut u64,
-        efficiencies: &mut Vec<u128>,
+        scratch: &mut QueryScratch,
     ) -> Result<EpsSequence, LcaError>
     where
         O: ItemOracle + WeightedSampler,
@@ -466,42 +470,44 @@ impl LcaKp {
         // Sample Q, drop large items, keep efficiency keys (line 6–8).
         let norms = oracle.norms();
         let eps_sq = self.eps.squared();
-        efficiencies.clear();
-        efficiencies.reserve(a as usize);
+        scratch.efficiencies.clear();
+        scratch.efficiencies.reserve(a as usize);
         // lcakp-lint: loop-bound(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
         for _ in 0..a {
             let (id, item) = self.sample_with_retry(oracle, rng, retries)?;
             if norms.nprofit_of(item.profit) <= eps_sq {
-                efficiencies.push(norms.tie_broken_efficiency_key(id, item) as u128);
+                scratch
+                    .efficiencies
+                    .push(norms.tie_broken_efficiency_key(id, item) as u128);
             }
         }
-        if efficiencies.is_empty() {
+        if scratch.efficiencies.is_empty() {
             // Degenerate: no small/garbage mass was seen; proceed with no
             // thresholds (the paper's failure event, probability ≤ ε/3).
             return Ok(EpsSequence::empty());
         }
 
         // Lines 9–10: ẽ_k = rQuantile(E, 1 − kq), made non-increasing.
+        let domain = Domain::new(64).map_err(LcaError::from)?;
+        let mut sorted = match self.engine {
+            QuantileEngine::Reproducible => {
+                Some(scratch.quantiles.sort(&scratch.efficiencies, domain)?)
+            }
+            QuantileEngine::Naive => None,
+        };
         // lcakp-lint: allow(D011) reason="the t ≤ ⌈1/ε⌉ threshold keys are the query's output: EpsSequence must own them, so they cannot live in the scratch"
         let mut keys: Vec<u64> = Vec::with_capacity(t);
         let mut previous = u64::MAX;
         // lcakp-lint: loop-bound(eps-thresholds) reason="one rQuantile per EPS threshold: t ≤ ⌈1/ε⌉ by construction (Algorithm 2 line 9)"
         for k in 1..=t {
             let p = (1.0 - k as f64 * q).max(0.0);
-            let value = match self.engine {
-                QuantileEngine::Reproducible => {
-                    let config = RQuantileConfig {
-                        domain: Domain::new(64).map_err(LcaError::from)?,
-                        p,
-                        tau: params.tau.min(0.5),
-                    };
-                    rquantile(
-                        efficiencies,
-                        &config,
-                        &seed.derive("lca-kp/rquantile", k as u64),
-                    )?
-                }
-                QuantileEngine::Naive => naive_quantile(efficiencies, p),
+            let value = match sorted.as_mut() {
+                Some(sorted) => sorted.rquantile(
+                    p,
+                    params.tau.min(0.5),
+                    &seed.derive("lca-kp/rquantile", k as u64),
+                )?,
+                None => naive_quantile(&scratch.efficiencies, p),
             };
             // Saturating u128 → u64 without unwrap: quantiles above the
             // key domain clamp to the maximum key.

@@ -19,6 +19,12 @@ pub enum ReproducibleError {
         /// Requested bits.
         bits: u32,
     },
+    /// rQuantile's padded sample (`2·len` positions) does not fit the
+    /// `u32` position permutation.
+    SampleTooLarge {
+        /// The real sample's length.
+        len: usize,
+    },
     /// An accuracy / reproducibility / probability parameter was outside
     /// its valid range.
     InvalidParameter {
@@ -39,6 +45,9 @@ impl fmt::Display for ReproducibleError {
             ReproducibleError::DomainTooWide { bits } => {
                 write!(f, "domain of {bits} bits exceeds the supported maximum")
             }
+            ReproducibleError::SampleTooLarge { len } => {
+                write!(f, "sample of {len} values is too large to pad and permute")
+            }
             ReproducibleError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} = {value} is out of range")
             }
@@ -58,6 +67,7 @@ mod tests {
             ReproducibleError::EmptySample,
             ReproducibleError::ValueOutOfDomain { value: 9, bits: 3 },
             ReproducibleError::DomainTooWide { bits: 200 },
+            ReproducibleError::SampleTooLarge { len: 1 << 31 },
             ReproducibleError::InvalidParameter {
                 name: "tau",
                 value: -1.0,

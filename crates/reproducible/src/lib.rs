@@ -25,6 +25,10 @@
 //! * [`rquantile`] — Algorithm 1 of the paper: reduce the `p`-quantile to
 //!   a median by padding the sample with `(1−p)·n` copies of `−∞` and
 //!   `p·n` copies of `+∞` over an extended domain.
+//! * [`QuantileScratch`] / [`SortedSample`] — sort a sample once and
+//!   serve many quantiles and medians over it from reusable buffers; the
+//!   padding is rank arithmetic and a permutation of positions, never a
+//!   padded copy.
 //! * [`naive_quantile`] — the non-reproducible empirical quantile, kept as
 //!   the ablation baseline (experiment E11: the paper's Section 4.1
 //!   observes that using it directly "will lead to inconsistent answers").
@@ -44,12 +48,15 @@
 #![warn(missing_docs)]
 
 mod budget;
+#[cfg(test)]
+mod differential;
 mod domain;
 mod error;
 pub mod harness;
 mod naive;
 mod rmedian;
 mod rquantile;
+mod scratch;
 
 pub use budget::{ReproParams, SampleBudget};
 pub use domain::{log_star, log_star_of_bits, Domain};
@@ -58,3 +65,4 @@ pub use lcakp_oracle::Seed;
 pub use naive::naive_quantile;
 pub use rmedian::{rmedian, RMedianConfig};
 pub use rquantile::{rquantile, RQuantileConfig};
+pub use scratch::{QuantileScratch, SortedSample};

@@ -33,12 +33,21 @@
 //!    width and re-snap. In the limit `i = 0` the output is `m̂` itself,
 //!    so the loop terminates and the output always satisfies Definition
 //!    2.6 empirically; the random slack gives hysteresis so that two
-//!    runs rarely descend different amounts.
+//!    runs rarely descend different amounts. Both counts come from
+//!    arithmetic, not from a sorted copy of the padded sample: two binary
+//!    searches in the once-sorted real sample plus rQuantile's known pad
+//!    counts and codes (see [`Multiset`]).
+//!
+//! Every order statistic above — the base-case rank, `m̂`, and the 32
+//! batch medians — is a single value of the multiset, so it is read off
+//! the once-sorted sample or found by linear-time selection; no step
+//! sorts a padded sample, a half, or a batch.
 //!
 //! Reproducibility and accuracy are validated empirically by the tests
 //! below and experiment E7, as promised in `DESIGN.md`.
 
 use crate::domain::Domain;
+use crate::scratch::{QuantileScratch, SortedSample};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 use rand::Rng;
@@ -50,6 +59,9 @@ const BASE_BITS: u32 = 8;
 const SCALE_MARGIN: u32 = 3;
 /// Number of batches used for the scale statistic.
 const BATCHES: usize = 32;
+/// Sample length below which the base case runs. At or above it half A
+/// holds at least `BATCHES` values, so every batch is nonempty.
+const MIN_RECURSIVE_LEN: usize = 2 * BATCHES;
 /// Accuracy used for the recursive scale-selection call.
 const SCALE_TAU: f64 = 0.25;
 
@@ -71,6 +83,9 @@ pub struct RMedianConfig {
 /// * `seed` — the shared randomness `r` (the reproducibility channel).
 ///   Two runs with the same seed and independent samples return the same
 ///   value with high probability.
+///
+/// This is [`SortedSample::rmedian`] over a fresh [`QuantileScratch`];
+/// reuse a scratch to run several calls on one sample.
 ///
 /// # Errors
 ///
@@ -96,94 +111,214 @@ pub fn rmedian(
     config: &RMedianConfig,
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
-    if !(config.tau > 0.0 && config.tau <= 0.5) {
-        return Err(ReproducibleError::InvalidParameter {
-            name: "tau",
-            value: config.tau,
-        });
-    }
-    config.domain.check_sample(sample)?;
-    Ok(solve(
-        sample,
-        config.domain.bits(),
-        config.tau,
-        0.5,
-        seed,
-        0,
-    ))
+    check_tau(config.tau)?;
+    QuantileScratch::default()
+        .sort(sample, config.domain)?
+        .rmedian(config.tau, seed)
 }
 
-/// Recursive worker. `raw` keeps the caller's (i.i.d.) order: the batch
-/// statistic needs genuinely random batches, which a sorted sample would
-/// destroy. `target` is the quantile to aim for: 1/2 at the top level,
-/// an *upper* quantile for the internal scale selection (a conservative,
-/// stable choice when the scale distribution is bimodal — larger cells
-/// only cost descent steps, which the accuracy guard bounds).
+impl SortedSample<'_> {
+    /// [`rmedian`] over this sample at accuracy `tau`, from the shared
+    /// sort and the scratch's buffers.
+    ///
+    /// # Errors
+    ///
+    /// [`ReproducibleError::InvalidParameter`] if `tau ∉ (0, 1/2]`.
+    pub fn rmedian(&mut self, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
+        check_tau(tau)?;
+        let multiset = Multiset::plain(self.sample, self.sorted);
+        Ok(solve(
+            &multiset,
+            self.domain.bits(),
+            tau,
+            0.5,
+            seed,
+            0,
+            self.values,
+        ))
+    }
+}
+
+/// Rejects an accuracy outside `(0, 1/2]`.
+pub(crate) fn check_tau(tau: f64) -> Result<(), ReproducibleError> {
+    if tau > 0.0 && tau <= 0.5 {
+        Ok(())
+    } else {
+        Err(ReproducibleError::InvalidParameter {
+            name: "tau",
+            value: tau,
+        })
+    }
+}
+
+/// Whether [`solve`] answers a sample of `len` values over `[0, 2^bits)`
+/// from the base case, which needs only the sorted values and never the
+/// arrival order.
+pub(crate) fn is_base_case(bits: u32, len: usize) -> bool {
+    bits <= BASE_BITS || len < MIN_RECURSIVE_LEN
+}
+
+/// The multiset rMedian runs over, never materialized: the real sample
+/// shifted up by `offset`, then `lows` copies of `0` and `highs` copies of
+/// `high_code` — rQuantile's `±∞` padding. Positions `0..len()` are laid
+/// out in that order and visited in arrival order `order` (a permutation
+/// of the positions), or in layout order when `order` is `None`.
+///
+/// Every padded value sorts at or beyond the ends of the shifted real
+/// values (`0 < x + 1 ≤ high_code` for real `x`), so the sorted multiset
+/// is the lows, then the sorted real sample, then the highs: order
+/// statistics and rank counts are arithmetic over `sorted`.
+pub(crate) struct Multiset<'a> {
+    /// The real values in the caller's order.
+    pub(crate) sample: &'a [u128],
+    /// The real values in ascending order.
+    pub(crate) sorted: &'a [u128],
+    /// Added to every real value (1 under rQuantile's extended domain).
+    pub(crate) offset: u128,
+    /// Copies of the `−∞` code `0`.
+    pub(crate) lows: usize,
+    /// Copies of the `+∞` code `high_code`.
+    pub(crate) highs: usize,
+    /// The `+∞` code.
+    pub(crate) high_code: u128,
+    /// Arrival order over the positions, identity when `None`.
+    pub(crate) order: Option<&'a [u32]>,
+}
+
+impl<'a> Multiset<'a> {
+    /// The unpadded sample in its own order.
+    fn plain(sample: &'a [u128], sorted: &'a [u128]) -> Self {
+        Multiset {
+            sample,
+            sorted,
+            offset: 0,
+            lows: 0,
+            highs: 0,
+            high_code: 0,
+            order: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sample.len() + self.lows + self.highs
+    }
+
+    /// The value arriving at position `arrival`.
+    fn at(&self, arrival: usize) -> u128 {
+        let position = match self.order {
+            Some(order) => order[arrival] as usize,
+            None => arrival,
+        };
+        match self.sample.get(position) {
+            Some(&value) => value + self.offset,
+            None if position < self.sample.len() + self.lows => 0,
+            None => self.high_code,
+        }
+    }
+
+    /// The value of 0-based rank `rank` in ascending order.
+    fn kth(&self, rank: usize) -> u128 {
+        if rank < self.lows {
+            0
+        } else {
+            match self.sorted.get(rank - self.lows) {
+                Some(&value) => value + self.offset,
+                None => self.high_code,
+            }
+        }
+    }
+
+    /// `#{x ≤ v}`.
+    fn count_at_most(&self, v: u128) -> usize {
+        let real = match v.checked_sub(self.offset) {
+            Some(bound) => self.sorted.partition_point(|&x| x <= bound),
+            None => 0,
+        };
+        let highs = if self.high_code <= v { self.highs } else { 0 };
+        self.lows + real + highs
+    }
+
+    /// `#{x < v}`.
+    fn count_below(&self, v: u128) -> usize {
+        let lows = if v > 0 { self.lows } else { 0 };
+        let real = match v.checked_sub(self.offset) {
+            Some(bound) => self.sorted.partition_point(|&x| x < bound),
+            None => 0,
+        };
+        let highs = if self.high_code < v { self.highs } else { 0 };
+        lows + real + highs
+    }
+}
+
+/// Recursive worker over `multiset`, visited in its arrival order: the
+/// batch statistic needs genuinely random batches, which a sorted sample
+/// would destroy. `target` is the quantile to aim for: 1/2 at the top
+/// level, an *upper* quantile for the internal scale selection (a
+/// conservative, stable choice when the scale distribution is bimodal —
+/// larger cells only cost descent steps, which the accuracy guard
+/// bounds). `values` is selection scratch; its contents are dead between
+/// uses.
 // lcakp-lint: recursion-bound(log* bits) reason="each recursive call compresses the domain from 2^bits values to bits+2 scale codes (Algorithm 1's 2^d -> d step), so the depth is the iterated logarithm of the domain size"
-fn solve(raw: &[u128], bits: u32, tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
-    debug_assert!(!raw.is_empty());
-    // lcakp-lint: allow(D011) reason="sorting needs an owned copy; per-level samples shrink geometrically from the budget-bounded root sample (arena pooling tracked in ROADMAP)"
-    let mut sorted = raw.to_vec();
-    sorted.sort_unstable();
-    if bits <= BASE_BITS || raw.len() < 64 {
-        return base_case(&sorted, tau, target, seed, depth);
+pub(crate) fn solve(
+    multiset: &Multiset<'_>,
+    bits: u32,
+    tau: f64,
+    target: f64,
+    seed: &Seed,
+    depth: u64,
+    values: &mut Vec<u128>,
+) -> u128 {
+    let len = multiset.len();
+    debug_assert!(len > 0);
+    if is_base_case(bits, len) {
+        return base_case(multiset, tau, target, seed, depth);
     }
 
     let mask = (1u128 << bits) - 1;
     let shift = seed.derive("rmedian/shift", depth).rng().gen::<u128>() & mask;
 
     // Halves (by parity of arrival index, so both are i.i.d. samples):
-    // A estimates the fluctuation scale, B the median position.
-    // lcakp-lint: allow(D011) reason="half-split of the budget-bounded sample (arena pooling tracked in ROADMAP)"
-    let half_a: Vec<u128> = raw.iter().copied().step_by(2).collect();
-    // lcakp-lint: allow(D011) reason="half-split of the budget-bounded sample (arena pooling tracked in ROADMAP)"
-    let mut half_b: Vec<u128> = raw.iter().copied().skip(1).step_by(2).collect();
-    if half_b.is_empty() {
-        half_b.clone_from(&half_a);
-    }
-    half_b.sort_unstable();
+    // A (even arrivals) estimates the fluctuation scale, B (odd) the
+    // median position. Empirical median of B, by selection.
+    values.clear();
+    values.extend((1..len).step_by(2).map(|arrival| multiset.at(arrival)));
+    let middle = (values.len() - 1) / 2;
+    let m_hat = *values.select_nth_unstable(middle).1;
 
-    // Batch medians of A → pairwise separation scales. Each batch is a
-    // strided subsequence of the raw order (an i.i.d. subsample); the
-    // separation of two independent batch medians upper-bounds the
+    // Batch medians of A → pairwise separation scales. Batch `b` is the
+    // strided subsequence b, b + BATCHES, … of A (an i.i.d. subsample);
+    // the separation of two independent batch medians upper-bounds the
     // fluctuation of the (larger) half-B median, conservatively.
-    let batch_count = BATCHES.min(half_a.len()).max(2);
-    let batch_medians: Vec<u128> = (0..batch_count)
-        .map(|batch| {
-            let mut members: Vec<u128> = half_a
-                .iter()
-                .copied()
-                .skip(batch)
-                .step_by(batch_count)
-                // lcakp-lint: allow(D011) reason="one strided batch of half A; batches partition the budget-bounded sample"
-                .collect();
-            members.sort_unstable();
-            members[(members.len() - 1) / 2]
-        })
-        // lcakp-lint: allow(D011) reason="at most BATCHES batch medians - a compile-time constant"
-        .collect();
-    let scales: Vec<u128> = batch_medians
-        .chunks_exact(2)
-        .map(|pair| bit_length((pair[0] + shift) ^ (pair[1] + shift)) as u128)
-        // lcakp-lint: allow(D011) reason="at most BATCHES/2 separation scales - a compile-time constant"
-        .collect();
-    // lcakp-lint: allow(D011) reason="a one-element fallback vector for the degenerate empty-scales case"
-    let scales = if scales.is_empty() { vec![0] } else { scales };
+    let mut batch_medians = [0u128; BATCHES];
+    for (batch, median) in batch_medians.iter_mut().enumerate() {
+        values.clear();
+        values.extend(
+            (2 * batch..len)
+                .step_by(2 * BATCHES)
+                .map(|arrival| multiset.at(arrival)),
+        );
+        let middle = (values.len() - 1) / 2;
+        *median = *values.select_nth_unstable(middle).1;
+    }
+    let mut scales = [0u128; BATCHES / 2];
+    for (scale, pair) in scales.iter_mut().zip(batch_medians.chunks_exact(2)) {
+        *scale = u128::from(bit_length((pair[0] + shift) ^ (pair[1] + shift)));
+    }
+    let mut sorted_scales = scales;
+    sorted_scales.sort_unstable();
 
     // Recursive reproducible median over the scale domain [0, bits+1] ⊆
     // [0, 2^7): the 2^d → d compression that yields log* depth.
     let selected = solve(
-        &scales,
+        &Multiset::plain(&scales, &sorted_scales),
         7,
         SCALE_TAU,
         0.75,
         &seed.derive("rmedian/scale", depth),
         depth + 1,
+        values,
     );
     let mut scale = (u32::try_from(selected).unwrap_or(bits) + SCALE_MARGIN).min(bits);
-
-    // Empirical median of B.
-    let m_hat = half_b[(half_b.len() - 1) / 2];
 
     // Scale descent with a shared random slack θ ∈ [τ/4, τ/2]: accept the
     // snapped point only if it is an empirical θ-approximate median of
@@ -195,7 +330,7 @@ fn solve(raw: &[u128], bits: u32, tau: f64, target: f64, seed: &Seed, depth: u64
     let theta = tau * (0.25 + 0.25 * gap_fraction);
     loop {
         let out = snap(m_hat, shift, scale, mask);
-        if is_empirical_median(&sorted, out, theta) || scale == 0 {
+        if is_empirical_median(multiset, out, theta) || scale == 0 {
             return out;
         }
         scale -= 1;
@@ -204,21 +339,22 @@ fn solve(raw: &[u128], bits: u32, tau: f64, target: f64, seed: &Seed, depth: u64
 
 /// Whether `v` is a θ-approximate median of the *empirical* distribution:
 /// `#{x ≤ v} ≥ (1/2 − θ)·n` and `#{x ≥ v} ≥ (1/2 − θ)·n`.
-fn is_empirical_median(sorted: &[u128], v: u128, theta: f64) -> bool {
-    let n = sorted.len() as f64;
-    let leq = sorted.partition_point(|&x| x <= v) as f64;
-    let geq = n - sorted.partition_point(|&x| x < v) as f64;
+fn is_empirical_median(multiset: &Multiset<'_>, v: u128, theta: f64) -> bool {
+    let n = multiset.len() as f64;
+    let leq = multiset.count_at_most(v) as f64;
+    let geq = n - multiset.count_below(v) as f64;
     let floor = (0.5 - theta) * n;
     leq >= floor && geq >= floor
 }
 
 /// Base case: random-threshold empirical quantile over a constant-size
 /// domain, centered on `target`.
-fn base_case(sorted: &[u128], tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
+fn base_case(multiset: &Multiset<'_>, tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
     let fraction: f64 = seed.derive("rmedian/base-theta", depth).rng().gen();
     let theta = target + (fraction - 0.5) * tau;
-    let rank = ((theta * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    let len = multiset.len();
+    let rank = ((theta * len as f64).ceil() as usize).clamp(1, len);
+    multiset.kth(rank - 1)
 }
 
 /// Centre of the scale-`i` shifted grid cell containing `value`, clamped
@@ -427,21 +563,61 @@ mod tests {
     #[test]
     fn empirical_median_check_is_two_sided() {
         let sorted = vec![1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert!(is_empirical_median(&sorted, 5, 0.1));
-        assert!(is_empirical_median(&sorted, 6, 0.1));
-        assert!(!is_empirical_median(&sorted, 1, 0.1));
-        assert!(!is_empirical_median(&sorted, 10, 0.1));
+        let plain = Multiset::plain(&sorted, &sorted);
+        assert!(is_empirical_median(&plain, 5, 0.1));
+        assert!(is_empirical_median(&plain, 6, 0.1));
+        assert!(!is_empirical_median(&plain, 1, 0.1));
+        assert!(!is_empirical_median(&plain, 10, 0.1));
         // A value past every sample fails the ≥ side even though the ≤
         // side is saturated.
-        assert!(!is_empirical_median(&sorted, 11, 0.1));
+        assert!(!is_empirical_median(&plain, 11, 0.1));
         // Heavy atom: the point just past the atom fails.
-        let atom = vec![5u128; 8]
+        let mut atom = vec![5u128; 8]
             .into_iter()
             .chain([9, 10])
             .collect::<Vec<_>>();
-        let mut atom = atom;
         atom.sort_unstable();
+        let atom = Multiset::plain(&atom, &atom);
         assert!(is_empirical_median(&atom, 5, 0.1));
         assert!(!is_empirical_median(&atom, 6, 0.1));
+    }
+
+    /// Rank arithmetic over a padded multiset agrees with counting in
+    /// the materialized, sorted padded sample.
+    #[test]
+    fn padded_counts_match_a_materialized_sample() {
+        let sample = vec![7u128, 0, 3, 3, 15, 9];
+        let mut sorted = sample.clone();
+        sorted.sort_unstable();
+        let high_code = 31;
+        for lows in 0..=sample.len() {
+            let highs = sample.len() - lows;
+            let multiset = Multiset {
+                sample: &sample,
+                sorted: &sorted,
+                offset: 1,
+                lows,
+                highs,
+                high_code,
+                order: None,
+            };
+            let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
+            padded.extend(std::iter::repeat_n(0, lows));
+            padded.extend(std::iter::repeat_n(high_code, highs));
+            for (arrival, &value) in padded.iter().enumerate() {
+                assert_eq!(multiset.at(arrival), value);
+            }
+            padded.sort_unstable();
+            assert_eq!(multiset.len(), padded.len());
+            for (rank, &value) in padded.iter().enumerate() {
+                assert_eq!(multiset.kth(rank), value);
+            }
+            for v in 0..=high_code + 1 {
+                let at_most = padded.iter().filter(|&&x| x <= v).count();
+                let below = padded.iter().filter(|&&x| x < v).count();
+                assert_eq!(multiset.count_at_most(v), at_most, "lows {lows}, v {v}");
+                assert_eq!(multiset.count_below(v), below, "lows {lows}, v {v}");
+            }
+        }
     }
 }

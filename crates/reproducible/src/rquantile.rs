@@ -12,11 +12,22 @@
 //! `−∞` and `+∞` are encoded in the one-bit-extended domain
 //! ([`Domain::extended`]): real values shift up by one, `0` encodes `−∞`
 //! and the extended maximum encodes `+∞`; outputs are clamped back.
+//!
+//! The padded sample is never built. Its `2n` positions are the `n` real
+//! values followed by the lows and the highs; a shared-seed Fisher–Yates
+//! shuffle permutes those *positions* (a `u32` index per position), and
+//! rMedian decodes a position to its value when it gathers a half or a
+//! batch. The shuffle's draws depend only on the length, so this is the
+//! same permutation a shuffle of the padded values would apply. Ranks and
+//! counts over the padded multiset are arithmetic over the once-sorted
+//! real sample (see [`crate::rmedian`]).
 
 use crate::domain::Domain;
-use crate::rmedian::{rmedian, RMedianConfig};
+use crate::rmedian::{check_tau, is_base_case, solve, Multiset};
+use crate::scratch::{QuantileScratch, SortedSample};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
+use rand::seq::SliceRandom;
 
 /// Configuration of a reproducible-quantile call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,14 +44,19 @@ pub struct RQuantileConfig {
 
 /// Computes a reproducible τ-approximate `p`-quantile.
 ///
+/// This is [`SortedSample::rquantile`] over a fresh [`QuantileScratch`];
+/// reuse a scratch to run several quantiles on one sample.
+///
 /// # Errors
 ///
 /// * [`ReproducibleError::InvalidParameter`] if `p ∉ [0, 1]` or
 ///   `tau ∉ (0, 1/2]`;
 /// * [`ReproducibleError::EmptySample`] / `ValueOutOfDomain` as in
-///   [`rmedian`];
+///   [`rmedian`](crate::rmedian());
 /// * [`ReproducibleError::DomainTooWide`] if the extended domain exceeds
-///   the supported width.
+///   the supported width;
+/// * [`ReproducibleError::SampleTooLarge`] if the padded sample has more
+///   than `u32::MAX` positions.
 ///
 /// ```
 /// use lcakp_reproducible::{rquantile, Domain, RQuantileConfig, Seed};
@@ -59,51 +75,79 @@ pub fn rquantile(
     config: &RQuantileConfig,
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
-    if !(0.0..=1.0).contains(&config.p) {
+    check_quantile_parameters(config.p, config.tau)?;
+    QuantileScratch::default()
+        .sort(sample, config.domain)?
+        .rquantile(config.p, config.tau, seed)
+}
+
+impl SortedSample<'_> {
+    /// [`rquantile`] of this sample at quantile `p` and accuracy `tau`,
+    /// from the shared sort and the scratch's buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`rquantile`], less the sample checks already made by
+    /// [`QuantileScratch::sort`].
+    pub fn rquantile(&mut self, p: f64, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
+        check_quantile_parameters(p, tau)?;
+        let extended = Domain::new(self.domain.bits() + 1)?;
+
+        let n = self.sample.len();
+        // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
+        let lows = (((1.0 - p) * n as f64).round() as usize).min(n);
+        let highs = n - lows;
+
+        // Permute with *shared* randomness: rmedian's internal index-based
+        // splits (halves, batches) assume exchangeable order, which a
+        // deterministic values-then-padding layout would break; a fixed
+        // seed-derived permutation restores it identically across runs.
+        // The base case reads only ranks, so it needs no permutation.
+        let order = if is_base_case(extended.bits(), 2 * n) {
+            None
+        } else {
+            let len =
+                u32::try_from(2 * n).map_err(|_| ReproducibleError::SampleTooLarge { len: n })?;
+            self.order.clear();
+            self.order.extend(0..len);
+            let mut shuffle_rng = seed.derive("rquantile/shuffle", 0).rng();
+            self.order.shuffle(&mut shuffle_rng);
+            Some(&self.order[..])
+        };
+
+        let multiset = Multiset {
+            sample: self.sample,
+            sorted: self.sorted,
+            offset: 1,
+            lows,
+            highs,
+            high_code: extended.max_value(),
+            order,
+        };
+        let out = solve(
+            &multiset,
+            extended.bits(),
+            tau / 2.0,
+            0.5,
+            &seed.derive("rquantile/median", 0),
+            0,
+            self.values,
+        );
+        // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
+        // above the real values) to the maximum.
+        Ok(out.saturating_sub(1).min(self.domain.max_value()))
+    }
+}
+
+/// Rejects `p ∉ [0, 1]`, then `tau ∉ (0, 1/2]`.
+fn check_quantile_parameters(p: f64, tau: f64) -> Result<(), ReproducibleError> {
+    if !(0.0..=1.0).contains(&p) {
         return Err(ReproducibleError::InvalidParameter {
             name: "p",
-            value: config.p,
+            value: p,
         });
     }
-    if !(config.tau > 0.0 && config.tau <= 0.5) {
-        return Err(ReproducibleError::InvalidParameter {
-            name: "tau",
-            value: config.tau,
-        });
-    }
-    config.domain.check_sample(sample)?;
-    let extended = Domain::new(config.domain.bits() + 1)?;
-
-    let n = sample.len();
-    // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
-    let lows = (((1.0 - config.p) * n as f64).round() as usize).min(n);
-    let highs = n - lows;
-
-    let low_code = 0u128;
-    let high_code = extended.max_value();
-    // lcakp-lint: allow(D011) reason="2n is the padded-sample size, bounded by the per-query sample budget n_rq"
-    let mut padded: Vec<u128> = Vec::with_capacity(2 * n);
-    padded.extend(sample.iter().map(|&value| value + 1));
-    padded.extend(std::iter::repeat_n(low_code, lows));
-    padded.extend(std::iter::repeat_n(high_code, highs));
-    // Permute with *shared* randomness: rmedian's internal index-based
-    // splits (halves, batches) assume exchangeable order, which a
-    // deterministic values-then-padding layout would break; a fixed
-    // seed-derived permutation restores it identically across runs.
-    {
-        use rand::seq::SliceRandom;
-        let mut shuffle_rng = seed.derive("rquantile/shuffle", 0).rng();
-        padded.shuffle(&mut shuffle_rng);
-    }
-
-    let median_config = RMedianConfig {
-        domain: extended,
-        tau: config.tau / 2.0,
-    };
-    let out = rmedian(&padded, &median_config, &seed.derive("rquantile/median", 0))?;
-    // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
-    // above the real values) to the maximum.
-    Ok(out.saturating_sub(1).min(config.domain.max_value()))
+    check_tau(tau)
 }
 
 #[cfg(test)]
