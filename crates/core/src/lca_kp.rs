@@ -313,30 +313,52 @@ impl LcaKp {
         self.build_rule_counted(oracle, rng, seed, &mut retries, scratch)
     }
 
-    /// One weighted sample with bounded retry of transient faults; every
-    /// exhausted retry budget surfaces as [`LcaError::Oracle`].
-    fn sample_with_retry<O, R>(
+    /// Draws `count` weighted samples into `deliver` through the oracle's
+    /// batch call, with bounded retry of transient faults: every sample
+    /// slot gets `1 + max_retries` attempts, and an exhausted slot
+    /// surfaces as [`LcaError::Oracle`].
+    ///
+    /// The `try_sample_weighted` calls are those of a per-slot retry
+    /// loop: a failed batch reports how many samples it delivered, the
+    /// next batch starts at the failed slot, and the attempt count
+    /// carries over only while that slot is still the one failing.
+    fn sample_many_with_retry<O, R, F>(
         &self,
         oracle: &O,
         rng: &mut R,
+        count: u64,
         retries: &mut u64,
-    ) -> Result<(ItemId, Item), LcaError>
+        mut deliver: F,
+    ) -> Result<(), LcaError>
     where
         O: WeightedSampler,
         R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
     {
-        let mut attempts = 0u32;
-        // lcakp-lint: loop-bound(retry-attempts) reason="every non-returning iteration increments attempts, and the retryable guard admits at most max_retries of them, so the body runs at most 1 + max_retries times"
-        loop {
-            match oracle.try_sample_weighted(rng) {
-                Ok(sample) => return Ok(sample),
-                Err(error) if error.is_retryable() && attempts < self.retry.max_retries => {
-                    attempts += 1;
-                    *retries += 1;
-                }
-                Err(error) => return Err(LcaError::Oracle(error)),
-            }
+        #[cfg(test)]
+        if per_slot_reference::enabled() {
+            return per_slot_reference::sample_each(self, oracle, rng, count, retries, deliver);
         }
+        let mut remaining = count;
+        let mut attempts = 0u32;
+        // lcakp-lint: loop-bound(batch-count * retry-attempts) reason="every iteration but the last spends one retry, and each of the count slots admits at most max_retries of them"
+        while remaining > 0 {
+            // lcakp-lint: probe-total(batch-count * retry-attempts) reason="amortized over the loop: each slot is drawn at most 1 + max_retries times across all batches, so the batches together make at most count * retry-attempts single draws"
+            let outcome = oracle.try_sample_weighted_many(rng, remaining, &mut deliver);
+            let Err((delivered, error)) = outcome else {
+                return Ok(());
+            };
+            remaining -= delivered;
+            if delivered > 0 {
+                attempts = 0;
+            }
+            if !error.is_retryable() || attempts >= self.retry.max_retries {
+                return Err(LcaError::Oracle(error));
+            }
+            attempts += 1;
+            *retries += 1;
+        }
+        Ok(())
     }
 
     /// One point query with bounded retry of transient faults.
@@ -391,13 +413,12 @@ impl LcaKp {
             });
         }
         scratch.large.clear();
-        // lcakp-lint: loop-bound(coupon-samples) reason="m = coupon_samples() exactly; the symbolic name keeps the certificate readable across call sites"
-        for _ in 0..m {
-            let (id, item) = self.sample_with_retry(oracle, rng, retries)?;
+        // lcakp-lint: batch-count(coupon-samples) reason="m = coupon_samples() exactly; the symbolic name keeps the certificate readable across call sites"
+        self.sample_many_with_retry(oracle, rng, m, retries, |id, item| {
             if norms.nprofit_of(item.profit) > eps_sq {
                 scratch.large.push((id, item));
             }
-        }
+        })?;
         scratch.large.sort_by_key(|&(id, _)| id);
         scratch.large.dedup_by_key(|&mut (id, _)| id);
         let large = &scratch.large;
@@ -472,15 +493,14 @@ impl LcaKp {
         let eps_sq = self.eps.squared();
         scratch.efficiencies.clear();
         scratch.efficiencies.reserve(a as usize);
-        // lcakp-lint: loop-bound(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
-        for _ in 0..a {
-            let (id, item) = self.sample_with_retry(oracle, rng, retries)?;
+        // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
+        self.sample_many_with_retry(oracle, rng, a, retries, |id, item| {
             if norms.nprofit_of(item.profit) <= eps_sq {
                 scratch
                     .efficiencies
                     .push(norms.tie_broken_efficiency_key(id, item) as u128);
             }
-        }
+        })?;
         if scratch.efficiencies.is_empty() {
             // Degenerate: no small/garbage mass was seen; proceed with no
             // thresholds (the paper's failure event, probability ≤ ε/3).
@@ -659,6 +679,77 @@ impl fmt::Display for LcaKp {
             "LCA-KP(ε={}, engine={:?}, profile={:?}, budget={:?})",
             self.eps, self.engine, self.profile, self.budget
         )
+    }
+}
+
+/// The per-slot retry loop that drew LCA-KP's samples before the batch
+/// call, kept as the reference the batched path is tested against: a
+/// test turns it on for its own thread and runs the same queries both
+/// ways.
+#[cfg(test)]
+mod per_slot_reference {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn enabled() -> bool {
+        ENABLED.with(Cell::get)
+    }
+
+    /// Runs `body` with every `sample_many_with_retry` on this thread
+    /// replaced by the per-slot loop.
+    pub(super) fn run<T>(body: impl FnOnce() -> T) -> T {
+        ENABLED.with(|flag| flag.set(true));
+        let out = body();
+        ENABLED.with(|flag| flag.set(false));
+        out
+    }
+
+    /// One weighted sample with bounded retry of transient faults.
+    fn sample_with_retry<O, R>(
+        lca: &LcaKp,
+        oracle: &O,
+        rng: &mut R,
+        retries: &mut u64,
+    ) -> Result<(ItemId, Item), LcaError>
+    where
+        O: WeightedSampler,
+        R: Rng + ?Sized,
+    {
+        let mut attempts = 0u32;
+        loop {
+            match oracle.try_sample_weighted(rng) {
+                Ok(sample) => return Ok(sample),
+                Err(error) if error.is_retryable() && attempts < lca.retry.max_retries => {
+                    attempts += 1;
+                    *retries += 1;
+                }
+                Err(error) => return Err(LcaError::Oracle(error)),
+            }
+        }
+    }
+
+    pub(super) fn sample_each<O, R, F>(
+        lca: &LcaKp,
+        oracle: &O,
+        rng: &mut R,
+        count: u64,
+        retries: &mut u64,
+        mut deliver: F,
+    ) -> Result<(), LcaError>
+    where
+        O: WeightedSampler,
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
+    {
+        for _ in 0..count {
+            let (id, item) = sample_with_retry(lca, oracle, rng, retries)?;
+            deliver(id, item);
+        }
+        Ok(())
     }
 }
 
@@ -932,5 +1023,126 @@ mod tests {
         assert_eq!(answer.reason, DecisionReason::DegradedFallback);
         assert_eq!(audit.degraded, Some(DegradationReason::RetriesExhausted));
         assert_eq!(audit.retries_used, 0);
+    }
+
+    /// One audited query per item through `oracle`, plus where the
+    /// caller's RNG ended up and what the oracle counted.
+    fn audited_run<O>(
+        lca: &LcaKp,
+        oracle: &O,
+        items: &[usize],
+    ) -> (
+        Vec<(LcaAnswer, QueryAudit)>,
+        u64,
+        lcakp_oracle::AccessSnapshot,
+    )
+    where
+        O: ItemOracle + WeightedSampler,
+    {
+        let seed = Seed::from_entropy_u64(81);
+        let mut rng = Seed::from_entropy_u64(82).rng();
+        let mut scratch = QueryScratch::default();
+        let answers = items
+            .iter()
+            .map(|&index| {
+                lca.query_with_audit_in(oracle, &mut rng, ItemId(index), &seed, &mut scratch)
+                    .unwrap()
+            })
+            .collect();
+        (answers, rng.gen::<u64>(), oracle.stats())
+    }
+
+    fn small_and_large_instances() -> Vec<NormalizedInstance> {
+        [
+            WorkloadSpec::new(Family::SmallDominated, 240, 7),
+            WorkloadSpec::new(
+                Family::LargeDominated {
+                    heavy: 3,
+                    heavy_profit: 6_000,
+                },
+                240,
+                8,
+            ),
+        ]
+        .iter()
+        .map(|spec| spec.generate_normalized().unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn batched_sampling_matches_the_per_slot_loop_under_transient_faults() {
+        use lcakp_oracle::{FaultPlan, FaultyOracle};
+
+        let items = [0usize, 17, 101, 239];
+        for norm in small_and_large_instances() {
+            // Rate 0.3 with 2 retries exhausts some slots (degraded
+            // queries); rate 0.05 with 3 retries recovers every one.
+            for (rate, max_retries) in [(0.05, 3), (0.3, 2), (0.3, 0)] {
+                let lca = quick_lca(Epsilon::new(1, 3).unwrap())
+                    .with_retry_policy(RetryPolicy { max_retries });
+                let run = |reference: bool| {
+                    let inner = InstanceOracle::new(&norm);
+                    let faulty = FaultyOracle::new(
+                        &inner,
+                        FaultPlan::transient(rate),
+                        Seed::from_entropy_u64(83),
+                    );
+                    let out = if reference {
+                        per_slot_reference::run(|| audited_run(&lca, &faulty, &items))
+                    } else {
+                        audited_run(&lca, &faulty, &items)
+                    };
+                    (out, faulty.fault_report())
+                };
+                let (batched, batched_faults) = run(false);
+                let (reference, reference_faults) = run(true);
+                assert_eq!(batched, reference, "rate {rate}, {max_retries} retries");
+                assert_eq!(batched_faults, reference_faults);
+                assert!(batched_faults.transient_faults > 0, "faults must fire");
+                if max_retries == 0 {
+                    assert!(batched.0.iter().all(|(_, audit)| audit.degraded.is_some()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_sampling_matches_the_per_slot_loop_when_the_budget_runs_out() {
+        use lcakp_oracle::BudgetedOracle;
+
+        let lca = quick_lca(Epsilon::new(1, 3).unwrap());
+        let m = lca.coupon_samples();
+        let items = [3usize, 40, 200];
+        for norm in small_and_large_instances() {
+            // Caps inside coupon sampling, at its end, inside the
+            // estimation, and past a whole query.
+            for cap in [0, 10, m, m + 1, m + 500, 3 * m + 7, 50 * m] {
+                let run = |reference: bool| {
+                    let inner = InstanceOracle::new(&norm);
+                    let budgeted = BudgetedOracle::new(&inner, cap);
+                    if reference {
+                        per_slot_reference::run(|| audited_run(&lca, &budgeted, &items))
+                    } else {
+                        audited_run(&lca, &budgeted, &items)
+                    }
+                };
+                assert_eq!(run(false), run(true), "cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_instance_oracle_matches_the_per_slot_loop() {
+        // The bare oracle takes the two-phase override; the reference
+        // draws one `try_sample_weighted` at a time.
+        let lca = quick_lca(Epsilon::new(1, 4).unwrap());
+        for norm in small_and_large_instances() {
+            let items = [1usize, 77, 150];
+            let batched = audited_run(&lca, &InstanceOracle::new(&norm), &items);
+            let reference =
+                per_slot_reference::run(|| audited_run(&lca, &InstanceOracle::new(&norm), &items));
+            assert_eq!(batched, reference);
+            assert!(batched.0.iter().all(|(_, audit)| audit.degraded.is_none()));
+        }
     }
 }

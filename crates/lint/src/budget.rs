@@ -17,6 +17,18 @@
 //!   `BudgetedOracle::try_query` forwarding to an inner oracle
 //!   charges one logical access, not two, and a rejection-sampling
 //!   loop *inside* `try_sample_weighted` stays inside its unit cost.
+//! - A call to a fn named `try_sample_weighted_many` is a *batch* of
+//!   single samples. Its body is intrinsic too, and a batch root
+//!   certifies `batch-count` probes (its count argument). At a call
+//!   site the batch costs the site's `probe-total(<expr>)` annotation:
+//!   the total over one invocation of the calling fn, amortized over
+//!   the enclosing loops (a retry loop re-issues the *rest* of a
+//!   batch, so loop trips times count would overstate it
+//!   quadratically). A batch call with no `probe-total` is unbounded
+//!   (D016). A fn whose summary forwards `batch-count` is charged at
+//!   each call site with the symbol bound by a `batch-count(<expr>)`
+//!   annotation; an unbound `batch-count` reaching a root exceeds any
+//!   budget that does not name it (D015).
 //! - Every D011-style allocation site costs one transient allocation
 //!   (`alloc_site_what`, shared with D011 so the two rules can never
 //!   disagree about what allocates).
@@ -48,16 +60,46 @@ use crate::callgraph::{
     alloc_site_what, bounded_receivers, extract_calls, in_scope, via, CallGraph,
 };
 use crate::cfg::{enclosing_loops, extract_loops, LoopSite};
-use crate::dataflow::{int_consts, loop_trip_bound, parse_bound, Bound};
+use crate::dataflow::{
+    int_consts, line_annotation, loop_trip_bound, parse_bound, Bound, BATCH_COUNT_DIRECTIVE,
+    PROBE_TOTAL_DIRECTIVE,
+};
 use crate::engine::{unix_path, Diagnostic, Workspace};
 use crate::rules::Finding;
 
 /// Fn names whose calls are intrinsic unit oracle accesses.
 pub const PROBE_INTRINSICS: &[&str] = &["try_query", "try_sample_weighted"];
 
-/// True when a fn (or call-site) name is an oracle-access intrinsic.
+/// Fn names whose calls are intrinsic *batches* of weighted samples.
+pub const BATCH_PROBE_INTRINSICS: &[&str] = &["try_sample_weighted_many"];
+
+/// The symbol a batch intrinsic's count argument is certified as, and
+/// the one a `batch-count(<expr>)` call-site annotation binds.
+pub const BATCH_COUNT_SYMBOL: &str = "batch-count";
+
+/// True when a fn (or call-site) name is a unit oracle-access
+/// intrinsic.
 pub fn is_probe_name(name: &str) -> bool {
     PROBE_INTRINSICS.contains(&name)
+}
+
+/// True when a fn (or call-site) name is a batch oracle-access
+/// intrinsic.
+pub fn is_batch_probe_name(name: &str) -> bool {
+    BATCH_PROBE_INTRINSICS.contains(&name)
+}
+
+/// The certified per-invocation probes of an intrinsic fn — `1` for a
+/// unit access, `batch-count` for a batch — or `None` for an ordinary
+/// fn, whose body is folded.
+fn intrinsic_probes(name: &str) -> Option<Bound> {
+    if is_probe_name(name) {
+        Some(Bound::constant(1))
+    } else if is_batch_probe_name(name) {
+        Some(Bound::symbol(BATCH_COUNT_SYMBOL))
+    } else {
+        None
+    }
 }
 
 /// A per-function worst-case cost summary.
@@ -96,7 +138,8 @@ pub struct RootBudget {
     /// Certified worst-case transient-allocation bound.
     pub allocs: Bound,
     /// Declared budget: a `probe-budget(…)` annotation, or the
-    /// implicit `1` for the `try_*` intrinsics themselves.
+    /// implicit `1` (`batch-count` for a batch) for the `try_*`
+    /// intrinsics themselves.
     pub declared: Option<Bound>,
     /// Whether the certified probe bound is within the declared
     /// budget (vacuously true for zero-probe roots with no
@@ -132,6 +175,12 @@ struct CallSite {
     /// Candidate callee fn indices (from the resolved call graph),
     /// with the edge's precision flag.
     targets: Vec<(usize, bool)>,
+    /// A `probe-total(<expr>)` annotation on the call or an enclosing
+    /// loop: the amortized total charged for a batch intrinsic call.
+    probe_total: Option<Bound>,
+    /// A `batch-count(<expr>)` annotation on the call: the value of
+    /// the callee summary's `batch-count` symbol at this site.
+    batch_count: Option<Bound>,
 }
 
 /// Extracted per-fn site data.
@@ -201,6 +250,16 @@ impl<'a> Analyzer<'a> {
             }
             for raw in extract_calls(ctx, open, close) {
                 let mult = self.multiplicity(&out, raw.idx);
+                let probe_total =
+                    line_annotation(ctx, raw.line, PROBE_TOTAL_DIRECTIVE).or_else(|| {
+                        enclosing_loops(&out.loops, raw.idx)
+                            .into_iter()
+                            .rev()
+                            .find_map(|lp| {
+                                line_annotation(ctx, out.loops[lp].line, PROBE_TOTAL_DIRECTIVE)
+                            })
+                    });
+                let batch_count = line_annotation(ctx, raw.line, BATCH_COUNT_DIRECTIVE);
                 out.calls.push(CallSite {
                     name: raw.name,
                     idx: raw.idx,
@@ -211,6 +270,8 @@ impl<'a> Analyzer<'a> {
                         .get(&(raw.line, raw.col))
                         .cloned()
                         .unwrap_or_default(),
+                    probe_total,
+                    batch_count,
                 });
             }
             let bounded = bounded_receivers(ctx, def);
@@ -255,9 +316,9 @@ impl<'a> Analyzer<'a> {
         if let Some(cost) = &self.memo[fn_idx] {
             return cost.clone();
         }
-        if is_probe_name(&self.graph.fns[fn_idx].name) {
+        if let Some(probes) = intrinsic_probes(&self.graph.fns[fn_idx].name) {
             let cost = FnCost {
-                probes: Bound::constant(1),
+                probes,
                 allocs: Bound::zero(),
             };
             self.memo[fn_idx] = Some(cost.clone());
@@ -309,6 +370,13 @@ impl<'a> Analyzer<'a> {
                 probes = probes.add(&call.mult);
                 continue;
             }
+            if is_batch_probe_name(&call.name) {
+                // Amortized: the annotation already totals every trip
+                // of the enclosing loops.
+                let total = call.probe_total.clone().unwrap_or_else(Bound::unbounded);
+                probes = probes.add(&total);
+                continue;
+            }
             // Probes join every candidate target — the access count
             // must be conservative under name-based dispatch. Allocs
             // join only precise targets, mirroring D011's hot-path
@@ -336,11 +404,15 @@ impl<'a> Analyzer<'a> {
                     });
                 }
             }
+            let bind = |joined: Bound| match &call.batch_count {
+                Some(count) => joined.substitute(BATCH_COUNT_SYMBOL, count),
+                None => joined,
+            };
             if let Some(joined) = probes_joined {
-                probes = probes.add(&call.mult.mul(&joined));
+                probes = probes.add(&call.mult.mul(&bind(joined)));
             }
             if let Some(joined) = allocs_joined {
-                allocs = allocs.add(&call.mult.mul(&joined));
+                allocs = allocs.add(&call.mult.mul(&bind(joined)));
             }
         }
         for (_, mult) in &sites.allocs {
@@ -367,7 +439,7 @@ impl<'a> Analyzer<'a> {
             .cloned()
             .collect();
         for call in inside {
-            if is_probe_name(&call.name) {
+            if is_probe_name(&call.name) || is_batch_probe_name(&call.name) {
                 return true;
             }
             for (target, _) in call.targets {
@@ -392,12 +464,12 @@ pub fn analyze(ws: &Workspace) -> BudgetAnalysis {
         if !graph.hot[fn_idx] || def.body.is_none() {
             continue;
         }
-        let intrinsic = is_probe_name(&def.name);
+        let intrinsic = intrinsic_probes(&def.name);
         let scoped = in_scope(def);
         // D014 / D016 skip intrinsic bodies: their cost is the unit
         // access by definition, so internal retry loops (rejection
         // sampling) live inside that unit.
-        if scoped && !intrinsic {
+        if scoped && intrinsic.is_none() {
             let sites = az.sites_for(fn_idx);
             let suffix = via(graph, fn_idx);
             for (loop_idx, bound) in sites.loop_bounds.iter().enumerate() {
@@ -423,10 +495,33 @@ pub fn analyze(ws: &Workspace) -> BudgetAnalysis {
             }
             let cycle_mult = az.cycle_multiplier(fn_idx);
             for call in &sites.calls {
-                if !is_probe_name(&call.name) {
+                if is_batch_probe_name(&call.name) && call.probe_total.is_none() {
+                    analysis.d016.push(Diagnostic {
+                        path: def.path.clone(),
+                        finding: Finding {
+                            rule: "D016",
+                            line: call.line,
+                            col: call.col,
+                            message: format!(
+                                "batch oracle access `{}` in hot-path fn `{}`{suffix} has no \
+                                 probe total — one call draws many samples, so a per-call \
+                                 charge would under-count it; annotate the call or its loop \
+                                 with `lcakp-lint: probe-total(<expr>) reason=\"…\"`",
+                                call.name,
+                                def.display()
+                            ),
+                        },
+                    });
                     continue;
                 }
-                if call.mult.mul(&cycle_mult).is_unbounded() {
+                let mult = if is_batch_probe_name(&call.name) {
+                    Bound::constant(1)
+                } else if is_probe_name(&call.name) {
+                    call.mult.clone()
+                } else {
+                    continue;
+                };
+                if mult.mul(&cycle_mult).is_unbounded() {
                     analysis.d016.push(Diagnostic {
                         path: def.path.clone(),
                         finding: Finding {
@@ -453,8 +548,7 @@ pub fn analyze(ws: &Workspace) -> BudgetAnalysis {
         let declared_text = def.probe_budget.clone();
         let declared = match &declared_text {
             Some(text) => parse_bound(text),
-            None if intrinsic => Some(Bound::constant(1)),
-            None => None,
+            None => intrinsic,
         };
         let within = match &declared {
             Some(budget) => cost.probes.leq(budget),

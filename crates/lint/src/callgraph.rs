@@ -444,7 +444,7 @@ fn is_builtin_root(qualifier: Option<&str>, name: &str) -> bool {
         Some("LcaKp") => name.starts_with("query"),
         Some("WorkerCore") => name == "serve_step",
         Some("Cluster") => name == "route",
-        _ => name == "try_query" || name == "try_sample_weighted",
+        _ => crate::budget::is_probe_name(name) || crate::budget::is_batch_probe_name(name),
     }
 }
 

@@ -36,6 +36,14 @@ use crate::lexer::TokenKind;
 /// whitelist).
 pub const LOOP_BOUND_DIRECTIVE: &str = "lcakp-lint: loop-bound(";
 
+/// The `probe-total` directive prefix: the amortized total of a batch
+/// oracle call's probes over one invocation of its enclosing fn.
+pub const PROBE_TOTAL_DIRECTIVE: &str = "lcakp-lint: probe-total(";
+
+/// The `batch-count` directive prefix: binds the `batch-count` symbol
+/// of a callee's summary at one call site.
+pub const BATCH_COUNT_DIRECTIVE: &str = "lcakp-lint: batch-count(";
+
 /// One product term: `coeff * sym_1 * … * sym_k`, symbols kept as a
 /// sorted multiset so equal products compare equal.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -272,6 +280,31 @@ impl Bound {
         Some(total)
     }
 
+    /// The bound with every occurrence of `sym` replaced by `with`: a
+    /// term `c · sym^k · rest` becomes `c · with^k · rest`. Sound
+    /// because the bound is monotone in each symbol.
+    #[must_use]
+    pub fn substitute(&self, sym: &str, with: &Bound) -> Bound {
+        if self.unbounded {
+            return Bound::unbounded();
+        }
+        let mut out = Bound::zero();
+        for term in &self.terms {
+            let mut product = Bound {
+                terms: vec![Term {
+                    coeff: term.coeff,
+                    syms: term.syms.iter().filter(|s| *s != sym).cloned().collect(),
+                }],
+                unbounded: false,
+            };
+            for _ in term.syms.iter().filter(|s| *s == sym) {
+                product = product.mul(with);
+            }
+            out = out.add(&product);
+        }
+        out
+    }
+
     /// Every distinct symbol mentioned by the bound, sorted.
     pub fn symbols(&self) -> Vec<String> {
         let mut out: Vec<String> = self
@@ -486,6 +519,13 @@ pub fn int_literal_value(text: &str) -> Option<u64> {
 /// the line, or the line directly above), parsed; requires a
 /// non-empty reason.
 pub fn loop_bound_annotation(ctx: &FileCtx, line: u32) -> Option<Bound> {
+    line_annotation(ctx, line, LOOP_BOUND_DIRECTIVE)
+}
+
+/// A bound-valued directive (`loop-bound`, `probe-total`,
+/// `batch-count`) anchored to a source line — on the line or the line
+/// directly above — parsed; requires a non-empty reason.
+pub fn line_annotation(ctx: &FileCtx, line: u32, directive: &str) -> Option<Bound> {
     for c in &ctx.comments {
         if c.line != line && c.line + 1 != line {
             continue;
@@ -493,7 +533,7 @@ pub fn loop_bound_annotation(ctx: &FileCtx, line: u32) -> Option<Bound> {
         if !c.text.starts_with("//") || c.text.starts_with("///") || c.text.starts_with("//!") {
             continue;
         }
-        if let Some(expr) = crate::callgraph::parse_expr_directive(&c.text, LOOP_BOUND_DIRECTIVE) {
+        if let Some(expr) = crate::callgraph::parse_expr_directive(&c.text, directive) {
             return parse_bound(&expr);
         }
     }
@@ -618,6 +658,22 @@ mod tests {
         assert_eq!(value, Some(31));
         assert_eq!(bound.eval(&|_| None), None);
         assert_eq!(Bound::unbounded().eval(&|_| Some(1)), None);
+    }
+
+    #[test]
+    fn substitute_replaces_every_power_of_the_symbol() {
+        let b =
+            parse_bound("batch-count * retry-attempts + batch-count * batch-count + 2").unwrap();
+        let with = parse_bound("coupon-samples + 1").unwrap();
+        assert_eq!(
+            b.substitute("batch-count", &with).render(),
+            "coupon-samples * coupon-samples + coupon-samples * retry-attempts + \
+             2 * coupon-samples + retry-attempts + 3"
+        );
+        assert_eq!(b.substitute("absent", &with), b);
+        assert!(Bound::unbounded()
+            .substitute("batch-count", &with)
+            .is_unbounded());
     }
 
     #[test]

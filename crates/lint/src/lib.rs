@@ -36,8 +36,8 @@ pub mod rules;
 pub mod sarif;
 
 pub use budget::{
-    analyze, is_probe_name, render_budget_json, BudgetAnalysis, FnCost, RootBudget,
-    PROBE_INTRINSICS,
+    analyze, is_batch_probe_name, is_probe_name, render_budget_json, BudgetAnalysis, FnCost,
+    RootBudget, BATCH_COUNT_SYMBOL, BATCH_PROBE_INTRINSICS, PROBE_INTRINSICS,
 };
 pub use callgraph::{
     build_callgraph, render_callgraph_json, CallEdge, CallGraph, CallKind, Cycle, FnDef,
@@ -45,7 +45,10 @@ pub use callgraph::{
 };
 pub use cfg::{enclosing_loops, extract_loops, LoopKind, LoopSite};
 pub use context::{crate_name_for, AllowEntry, ConstStr, FileCtx};
-pub use dataflow::{int_consts, loop_trip_bound, parse_bound, Bound, Term, LOOP_BOUND_DIRECTIVE};
+pub use dataflow::{
+    int_consts, line_annotation, loop_trip_bound, parse_bound, Bound, Term, BATCH_COUNT_DIRECTIVE,
+    LOOP_BOUND_DIRECTIVE, PROBE_TOTAL_DIRECTIVE,
+};
 pub use engine::{
     lint_ctx, lint_file, lint_workspace, render_json, render_text, walk_all_sources,
     walk_production_sources, Diagnostic, EngineError, Workspace,

@@ -96,6 +96,20 @@ fn budget_ws() -> Workspace {
     Workspace::from_ctxs(ctxs)
 }
 
+/// Builds the batch-sampling fixture workspace: a batch intrinsic, a
+/// retry wrapper with an amortized `probe-total`, roots binding its
+/// `batch-count` (or forgetting to), a loop-anchored total, and a
+/// batch call with no total at all.
+fn batch_ws() -> Workspace {
+    let ctxs = vec![FileCtx::from_source(
+        "crates/core/src/batch.rs",
+        "core",
+        include_str!("fixtures/batch_ws/core_batch.rs"),
+    )
+    .unwrap()];
+    Workspace::from_ctxs(ctxs)
+}
+
 fn rendered(ws: &Workspace) -> Vec<String> {
     ws.diagnostics().iter().map(ToString::to_string).collect()
 }
@@ -479,5 +493,88 @@ fn planned_fixes_cover_d008_and_d009_but_not_const_labels() {
             ("crates/beta/src/main.rs", "D008"),
         ],
         "{fixes:#?}"
+    );
+}
+
+#[test]
+fn batch_ws_diagnostics_snapshot() {
+    let got = rendered(&batch_ws());
+    assert_eq!(
+        got,
+        vec![
+            "crates/core/src/batch.rs:45:33: [D016] batch oracle access \
+             `try_sample_weighted_many` in hot-path fn `LcaKp::draw_unannotated` (hot via \
+             `LcaKp::query_unannotated`) has no probe total — one call draws many samples, so a \
+             per-call charge would under-count it; annotate the call or its loop with \
+             `lcakp-lint: probe-total(<expr>) reason=\"…\"`",
+            "crates/core/src/batch.rs:58:9: [D015] certified worst-case probe bound \
+             `batch-count * retry-attempts` of hot-path root `LcaKp::query_unbound` exceeds \
+             its declared probe-budget `coupon-samples * retry-attempts`",
+            "crates/core/src/batch.rs:79:9: [D015] certified worst-case probe bound \
+             `unbounded` of hot-path root `LcaKp::query_unannotated` exceeds its declared \
+             probe-budget `coupon-samples`",
+        ],
+        "{got:#?}"
+    );
+}
+
+#[test]
+fn batch_ws_certificate_matches_golden() {
+    let first = render_budget_json(batch_ws().budget());
+    assert_eq!(first, render_budget_json(batch_ws().budget()));
+    // Regenerate with:
+    //   LCAKP_LINT_REGEN_GOLDEN=1 cargo test -p lcakp-lint --test crossfile
+    if std::env::var_os("LCAKP_LINT_REGEN_GOLDEN").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/batch_ws_certificate.json"
+        );
+        std::fs::write(path, &first).expect("golden writes");
+        return;
+    }
+    let golden = include_str!("golden/batch_ws_certificate.json");
+    assert_eq!(first, golden, "batch certificate drifted from the golden");
+}
+
+#[test]
+fn batch_calls_are_charged_their_amortized_totals() {
+    let ws = batch_ws();
+    let analysis = ws.budget();
+    let probes = |name: &str| {
+        let root = analysis
+            .roots
+            .iter()
+            .find(|r| r.root == name)
+            .unwrap_or_else(|| panic!("root `{name}` missing from the certificate"));
+        (root.probes.render(), root.within)
+    };
+    // The batch intrinsic certifies its count; the unit one its 1.
+    assert_eq!(
+        probes("Oracle::try_sample_weighted_many"),
+        ("batch-count".to_string(), true)
+    );
+    assert_eq!(
+        probes("Oracle::try_sample_weighted"),
+        ("1".to_string(), true)
+    );
+    // The wrapper's amortized total, with batch-count bound at the call
+    // — not loop trips × count, and not the per-call 1 that silently
+    // under-counted before batches were modelled.
+    assert_eq!(
+        probes("LcaKp::query_batched"),
+        ("coupon-samples * retry-attempts + 1".to_string(), true)
+    );
+    assert_eq!(
+        probes("LcaKp::query_unbound"),
+        ("batch-count * retry-attempts".to_string(), false)
+    );
+    assert_eq!(probes("LcaKp::query_direct"), ("16".to_string(), true));
+    assert_eq!(
+        probes("LcaKp::query_loop_total"),
+        ("rounds".to_string(), true)
+    );
+    assert_eq!(
+        probes("LcaKp::query_unannotated"),
+        ("unbounded".to_string(), false)
     );
 }

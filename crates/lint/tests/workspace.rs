@@ -195,6 +195,7 @@ fn budget_certificate_matches_golden_and_certifies_every_root() {
         "Cluster::route",
         "InstanceOracle::try_query",
         "InstanceOracle::try_sample_weighted",
+        "InstanceOracle::try_sample_weighted_many",
     ] {
         assert!(
             by_root(expected).within,

@@ -147,6 +147,11 @@ impl ItemOracle for InstanceOracle<'_> {
     }
 }
 
+/// Samples per chunk of [`InstanceOracle`]'s batch draw: enough that a
+/// chunk's table and item loads overlap in flight, few enough that the
+/// chunk lives on the stack (3 KiB of pairs, ids and items).
+const SAMPLE_CHUNK: usize = 64;
+
 impl WeightedSampler for InstanceOracle<'_> {
     fn try_sample_weighted<R: Rng + ?Sized>(
         &self,
@@ -155,6 +160,48 @@ impl WeightedSampler for InstanceOracle<'_> {
         self.stats.record_weighted_sample();
         let id = self.alias.sample(rng);
         Ok((id, self.norm.item(id)))
+    }
+
+    /// Two-phase chunks: first every (bucket, roll) pair of the chunk, in
+    /// the order the per-sample path draws them; then the pairs resolve
+    /// to ids and the ids to items. The draws never read the table, so
+    /// the second phase's loads are independent. Each resolving pass is
+    /// its own small loop, so many of its cache misses are in flight at
+    /// once, where the per-sample path waits on one sample's misses
+    /// before it draws the next. One counter add covers the whole chunk.
+    fn try_sample_weighted_many<R, F>(
+        &self,
+        rng: &mut R,
+        count: u64,
+        mut deliver: F,
+    ) -> Result<(), (u64, OracleError)>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
+    {
+        let mut pairs = [(0usize, 0u64); SAMPLE_CHUNK];
+        let mut ids = [ItemId(0); SAMPLE_CHUNK];
+        let mut items = [Item::new(0, 0); SAMPLE_CHUNK];
+        let mut left = count;
+        while left > 0 {
+            let len = left.min(SAMPLE_CHUNK as u64) as usize;
+            let (pairs, ids, items) = (&mut pairs[..len], &mut ids[..len], &mut items[..len]);
+            for pair in pairs.iter_mut() {
+                *pair = self.alias.draw_bucket_roll(rng);
+            }
+            self.stats.record_weighted_samples(len as u64);
+            for (id, &(bucket, roll)) in ids.iter_mut().zip(pairs.iter()) {
+                *id = self.alias.bucket_or_alias(bucket, roll);
+            }
+            for (item, &id) in items.iter_mut().zip(ids.iter()) {
+                *item = self.norm.item(id);
+            }
+            for (&id, &item) in ids.iter().zip(items.iter()) {
+                deliver(id, item);
+            }
+            left -= len as u64;
+        }
+        Ok(())
     }
 }
 

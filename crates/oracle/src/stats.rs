@@ -35,6 +35,12 @@ impl AccessStats {
         self.weighted_samples.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `count` profit-proportional samples in one add (a batch).
+    #[inline]
+    pub(crate) fn record_weighted_samples(&self, count: u64) {
+        self.weighted_samples.fetch_add(count, Ordering::Relaxed);
+    }
+
     /// A consistent snapshot of the counters.
     pub fn snapshot(&self) -> AccessSnapshot {
         AccessSnapshot {

@@ -32,6 +32,42 @@ pub trait WeightedSampler {
         rng: &mut R,
     ) -> Result<(ItemId, lcakp_knapsack::Item), OracleError>;
 
+    /// Draws `count` samples, handing each to `deliver` in draw order —
+    /// the same items, the same caller entropy and the same counted
+    /// samples as `count` calls of
+    /// [`try_sample_weighted`](Self::try_sample_weighted).
+    ///
+    /// The provided default *is* that loop, so metering and
+    /// fault-injecting decorators keep their per-sample call sequence. An
+    /// oracle may override it to batch the work (see
+    /// [`InstanceOracle`](crate::InstanceOracle), which draws a chunk's
+    /// bucket/roll pairs before it reads the table), provided every
+    /// observable effect stays that of the per-sample loop.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failed sample and returns
+    /// `Err((delivered, error))`: `delivered` samples reached `deliver`
+    /// before the failure, and the failed draw is not delivered.
+    fn try_sample_weighted_many<R, F>(
+        &self,
+        rng: &mut R,
+        count: u64,
+        mut deliver: F,
+    ) -> Result<(), (u64, OracleError)>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, lcakp_knapsack::Item),
+    {
+        for delivered in 0..count {
+            match self.try_sample_weighted(rng) {
+                Ok((id, item)) => deliver(id, item),
+                Err(error) => return Err((delivered, error)),
+            }
+        }
+        Ok(())
+    }
+
     /// Infallible convenience wrapper around
     /// [`try_sample_weighted`](Self::try_sample_weighted) for call sites
     /// that assume the seed model's perfect sampler.
@@ -136,8 +172,24 @@ impl AliasTable {
 
     /// Draws one item id with probability `pᵢ / P`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ItemId {
+        let (bucket, roll) = self.draw_bucket_roll(rng);
+        self.bucket_or_alias(bucket, roll)
+    }
+
+    /// The two uniform draws of one sample: a bucket, then a roll in
+    /// `[0, P)`. Neither depends on the table's contents, so a batch can
+    /// draw all its pairs before it reads the table.
+    #[inline]
+    pub(crate) fn draw_bucket_roll<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, u64) {
         let bucket = rng.gen_range(0..self.prob.len());
         let roll = rng.gen_range(0..self.total);
+        (bucket, roll)
+    }
+
+    /// Resolves a drawn pair: the bucket's own item if `roll` falls below
+    /// its threshold, its alias otherwise.
+    #[inline]
+    pub(crate) fn bucket_or_alias(&self, bucket: usize, roll: u64) -> ItemId {
         if roll < self.prob[bucket] {
             ItemId(bucket)
         } else {
