@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cluster;
 pub mod consistency;
 mod convert_greedy;
 mod error;
@@ -49,7 +48,6 @@ mod lca_kp;
 pub mod solution_audit;
 mod trivial;
 
-pub use cluster::{serve_queries, ClusterConfig, ClusterRun};
 pub use consistency::ConsistencyReport;
 pub use convert_greedy::{convert_greedy, ConvertGreedyOutput};
 pub use error::LcaError;

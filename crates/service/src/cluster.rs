@@ -54,12 +54,13 @@
 //! catch this (divergence from the twin plus a shed audit showing a
 //! reachable replica) and shrink it to a minimal repro.
 //!
-//! # The traffic-driven cluster (experiment E18)
+//! # The traffic-driven cluster (experiments E17 and E18)
 //!
 //! [`serve_cluster_traffic`] replaces the closed-loop batch above with
-//! the open-loop arrival engine of [`crate::traffic`]: every node runs
-//! its own [`SignalWindow`] and [`AdaptiveAdmission`] controller over
-//! the queries routed to it, and when a node's [`LoadSignal`] crosses
+//! the crate's one arrival-driven engine, serving an open-loop trace
+//! from [`crate::traffic`]: every node runs its own [`SignalWindow`]
+//! and [`AdaptiveAdmission`] controller over the queries routed to it,
+//! and when a node's [`LoadSignal`] crosses
 //! the overload threshold while a live standby replica sits
 //! under-loaded, the [`RebalanceController`] promotes that standby to
 //! acting owner of the node's hottest shard through an epoch-versioned
@@ -76,6 +77,12 @@
 //! [`RebalanceDiscipline::StaleEpoch`]: a router frozen on the boot
 //! view, whose misroutes shed [`ShedReason::StaleRingEpoch`] with both
 //! epochs on record.
+//!
+//! E17's [`run_open_loop`](crate::traffic::run_open_loop) is the same
+//! engine on a dedicated view — shard `s` alone on node `s`,
+//! replication 1, no rebalancing, no node events — which is exactly a
+//! set of independent single-server shards: with one shard per node,
+//! the node's busy horizon is the shard's clock.
 
 use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
@@ -1038,6 +1045,16 @@ impl ClusterTrafficReport {
             .count()
     }
 
+    /// Deepest in-flight queue observed on any node.
+    #[must_use]
+    pub fn max_queue_depth(&self) -> u32 {
+        self.nodes
+            .iter()
+            .map(|node| node.max_queue_depth)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Sheds carrying [`ShedReason::Overload`] — per-node adaptive
     /// admission refusals.
     #[must_use]
@@ -1256,6 +1273,42 @@ where
     assert!(config.shards >= 1, "shards must be at least 1");
     assert!(config.vnodes >= 1, "vnodes must be at least 1");
 
+    let ring = Ring::new(config.nodes, config.vnodes);
+    let boot_view = RingView::from_ring(&ring, config.shards, config.replication)
+        .expect("a non-empty membership always routes");
+    serve_traffic(
+        lca,
+        oracle,
+        shared_seed,
+        service_root,
+        arrivals,
+        config,
+        boot_view,
+        config.nodes,
+        node_events,
+    )
+}
+
+/// The arrival-driven engine behind [`serve_cluster_traffic`] and
+/// [`run_open_loop`](crate::traffic::run_open_loop). The topology is
+/// `boot_view` over nodes `0..node_count` (the view's shard count is the
+/// engine's); `config` contributes only its serving, admission,
+/// rebalance, and routing policies.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serve_traffic<O>(
+    lca: &LcaKp,
+    oracle: &O,
+    shared_seed: &Seed,
+    service_root: &Seed,
+    arrivals: &[Arrival],
+    config: &ClusterTrafficConfig,
+    boot_view: RingView,
+    node_count: usize,
+    node_events: &[NodeEvent],
+) -> Result<ClusterTrafficReport, LcaError>
+where
+    O: ItemOracle + WeightedSampler,
+{
     let ctx = SharedCtx {
         lca,
         oracle,
@@ -1266,14 +1319,11 @@ where
         cached: None,
     };
     let discipline = config.discipline.unwrap_or_default();
-
-    let ring = Ring::new(config.nodes, config.vnodes);
-    let boot_view = RingView::from_ring(&ring, config.shards, config.replication)
-        .expect("a non-empty membership always routes");
+    let shard_count = boot_view.shards();
     let mut view = boot_view.clone();
 
     let cap = config.service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut cores: Vec<ShardTrafficCore<'_, O>> = (0..config.shards)
+    let mut cores: Vec<ShardTrafficCore<'_, O>> = (0..shard_count)
         .map(|_| ShardTrafficCore {
             clock: TickClock::new(),
             breaker: CircuitBreaker::new(config.service.breaker),
@@ -1281,10 +1331,10 @@ where
             scratch: QueryScratch::default(),
         })
         .collect();
-    let mut nodes: Vec<NodeRt> = (0..config.nodes)
+    let mut nodes: Vec<NodeRt> = (0..node_count)
         .map(|_| NodeRt::new(config.admission, discipline))
         .collect();
-    let mut shards: Vec<ShardOwnership> = (0..config.shards)
+    let mut shards: Vec<ShardOwnership> = (0..shard_count)
         .map(|shard| ShardOwnership {
             shard,
             owners: vec![view.primary(shard)],
@@ -1294,7 +1344,7 @@ where
         .collect();
     let mut controller = config
         .rebalance
-        .map(|rebalance| RebalanceController::new(rebalance, config.shards));
+        .map(|rebalance| RebalanceController::new(rebalance, shard_count));
 
     let (mut partitions, mut pending_cuts, ops) = flatten_node_events(node_events);
 
@@ -1308,7 +1358,7 @@ where
     let mut shed_count = 0u64;
     let mut missed_count = 0u64;
     // Per-shard in-flight counts, rebuilt per hottest-shard scan.
-    let mut heat = vec![0u32; config.shards];
+    let mut heat = vec![0u32; shard_count];
 
     let mut next_op = 0usize;
     let mut fire_ops_through = |tick: u64,
@@ -1370,7 +1420,7 @@ where
             &view,
             &mut next_op,
         );
-        let shard = arrival.shard.min(config.shards - 1);
+        let shard = arrival.shard.min(shard_count - 1);
         let outcome_shed = |reason: ShedReason| TrafficOutcome {
             index,
             item: arrival.item,

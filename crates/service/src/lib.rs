@@ -31,9 +31,12 @@
 //!   simulated cluster nodes.
 //! * [`cluster`] — [`serve_cluster`], the simulated multi-node runtime:
 //!   replica failover via journal shipping, partition tolerance, and
-//!   node-level fault events (experiment E16).
-//! * [`traffic`] — seed-derived open-loop arrival processes and the
-//!   discrete-event engine serving them (experiment E17).
+//!   node-level fault events (experiment E16); and
+//!   [`serve_cluster_traffic`], the one arrival-driven serving engine
+//!   behind both E17 and E18.
+//! * [`traffic`] — seed-derived open-loop arrival processes, and
+//!   [`run_open_loop`]: the arrival-driven engine on a dedicated
+//!   topology, one node per shard (experiment E17).
 //! * [`slo`] — virtual-time latency percentiles, availability SLOs, and
 //!   the windowed load signal the adaptive controller reacts to.
 //! * [`rebalance`] — the admission-coupled ring-rebalance controller
@@ -95,6 +98,6 @@ pub use service::{
 };
 pub use slo::{LatencyHistogram, LoadSignal, SignalWindow, SloReport};
 pub use traffic::{
-    generate_trace, run_open_loop, AdmissionTransition, Arrival, OpenLoopConfig, OpenLoopReport,
-    TrafficConfig, TrafficDisposition, TrafficOutcome, TrafficShape,
+    generate_trace, run_open_loop, Arrival, OpenLoopConfig, TrafficConfig, TrafficDisposition,
+    TrafficOutcome, TrafficShape,
 };

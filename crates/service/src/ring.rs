@@ -288,6 +288,22 @@ impl RingView {
         })
     }
 
+    /// The boot view of a membership where every shard has a node of
+    /// its own: shard `s` lives alone on [`NodeId`]`(s)`, replication 1.
+    /// This is the topology of independent single-server shards (the
+    /// E17 open loop) expressed as a cluster.
+    pub(crate) fn dedicated(shards: usize) -> RingView {
+        RingView {
+            epoch: RingEpoch::BOOT,
+            sets: (0..shards)
+                .map(|shard| ReplicaSet {
+                    shard,
+                    nodes: vec![NodeId(shard)],
+                })
+                .collect(),
+        }
+    }
+
     /// The view's version.
     pub fn epoch(&self) -> RingEpoch {
         self.epoch
@@ -415,6 +431,18 @@ mod tests {
                 view.primary(shard),
                 ring.replicas(shard, 3).unwrap().primary()
             );
+        }
+    }
+
+    #[test]
+    fn dedicated_view_puts_each_shard_alone_on_its_own_node() {
+        let view = RingView::dedicated(5);
+        assert_eq!(view.epoch(), RingEpoch::BOOT);
+        assert_eq!(view.shards(), 5);
+        for shard in 0..5 {
+            assert_eq!(view.replica_set(shard).shard(), shard);
+            assert_eq!(view.replica_set(shard).nodes(), &[NodeId(shard)]);
+            assert_eq!(view.primary_count(NodeId(shard)), 1);
         }
     }
 

@@ -46,8 +46,9 @@ use std::fmt;
 
 /// Seed domain for per-query sampling entropy.
 const QUERY_DOMAIN: &str = "service/query";
-/// Seed domain for per-query fault streams (shared with the open-loop
-/// traffic engine so an arrival's fault stream matches its batch twin).
+/// Seed domain for per-query fault streams (shared with the
+/// arrival-driven engine so an arrival's fault stream matches its batch
+/// twin).
 pub(crate) const FAULT_DOMAIN: &str = "service/fault";
 /// Seed domain for the cached-rule construction stream.
 const CACHE_DOMAIN: &str = "service/cache";
@@ -962,9 +963,11 @@ where
 }
 
 /// Serves one admitted query through the degradation ladder. Also the
-/// serving kernel of the open-loop traffic engine
-/// ([`crate::traffic`]), which drives it arrival-by-arrival instead of
-/// through a pre-filled shard.
+/// serving kernel of the arrival-driven engine in [`crate::cluster`]
+/// (behind both [`serve_cluster_traffic`](crate::serve_cluster_traffic)
+/// and [`run_open_loop`](crate::run_open_loop)) and of its standalone
+/// shard replay, which drive it arrival-by-arrival instead of through a
+/// pre-filled shard.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_one<O, F>(
     ctx: &SharedCtx<'_, O>,

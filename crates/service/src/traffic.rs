@@ -1,6 +1,14 @@
 //! Open-loop traffic: seed-derived arrival processes on virtual time,
-//! and the discrete-event engine that serves them through the adaptive
-//! admission controller (experiment E17).
+//! and [`run_open_loop`], which serves a trace as independent
+//! single-server shards through the adaptive admission controller
+//! (experiment E17).
+//!
+//! The per-arrival engine is not here: it lives in [`crate::cluster`].
+//! Because every LCA-KP answer is a function of the shared seed and the
+//! query alone (Definition 2.4), independent shards are exactly the
+//! traffic-driven cluster with each shard alone on a node of its own —
+//! replication 1, no rebalancing, no node faults — so [`run_open_loop`]
+//! runs that cluster and returns its [`ClusterTrafficReport`].
 //!
 //! # Why open-loop
 //!
@@ -41,17 +49,14 @@
 //!   a `worst_case_accesses`-scale extra service cost, stalling the
 //!   server it lands on.
 
-use crate::admission::{
-    AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
-    ShedReason,
-};
-use crate::breaker::CircuitBreaker;
-use crate::clock::{TickClock, VirtualClock};
-use crate::service::{serve_one, Answered, ServiceConfig, SharedCtx, FAULT_DOMAIN};
-use crate::slo::{LatencyHistogram, SignalWindow, SloReport};
-use lcakp_core::{LcaError, LcaKp, QueryScratch};
+use crate::admission::{AdmissionConfig, AdmissionDiscipline, ShedReason};
+use crate::cluster::{serve_traffic, ClusterTrafficConfig, ClusterTrafficReport};
+use crate::rebalance::RebalanceDiscipline;
+use crate::ring::RingView;
+use crate::service::{Answered, ServiceConfig};
+use lcakp_core::{LcaError, LcaKp};
 use lcakp_knapsack::ItemId;
-use lcakp_oracle::{BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, Seed, WeightedSampler};
+use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use rand::Rng;
 use std::fmt;
 
@@ -154,9 +159,9 @@ pub struct Arrival {
     pub extra_cost_ticks: u64,
 }
 
-/// Shard placement by key residue — the one routing rule shared by the
-/// open-loop engine and the cluster's admission path, so a "shard" means
-/// the same thing in both.
+/// Shard placement by key residue — the one routing rule shared by
+/// trace generation and the closed-batch cluster's admission path, so a
+/// "shard" means the same thing in both.
 pub(crate) fn shard_of(key: usize, shards: usize) -> usize {
     key % shards
 }
@@ -297,91 +302,12 @@ pub struct TrafficOutcome {
     pub disposition: TrafficDisposition,
 }
 
-/// One admission-controller state flip, for the simulator's hysteresis
-/// invariant (two flips on one shard closer than the hysteresis window
-/// is flapping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionTransition {
-    /// The shard whose controller flipped.
-    pub shard: usize,
-    /// The arrival tick the flip happened at.
-    pub at_tick: u64,
-    /// The state it flipped to.
-    pub to: AdmissionState,
-}
-
-/// The verdict of one open-loop run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[must_use]
-pub struct OpenLoopReport {
-    /// Every arrival's fate, in trace order.
-    pub outcomes: Vec<TrafficOutcome>,
-    /// Every controller state flip, in decision order.
-    pub transitions: Vec<AdmissionTransition>,
-    /// The availability/latency verdict.
-    pub slo: SloReport,
-    /// Deepest admission queue observed on any shard.
-    pub max_queue_depth: u32,
-    /// The latest shard clock when the trace drained.
-    pub end_tick: u64,
-}
-
-impl OpenLoopReport {
-    /// Sheds carrying [`ShedReason::Overload`] — the adaptive
-    /// controller's own refusals (the liveness invariant demands zero
-    /// of these when offered load sits below capacity).
-    #[must_use]
-    pub fn overload_sheds(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|outcome| {
-                matches!(
-                    outcome.disposition,
-                    TrafficDisposition::Shed(ShedReason::Overload { .. })
-                )
-            })
-            .count()
-    }
-}
-
-/// One shard's live serving state. The shard clock doubles as the
-/// server-busy horizon: it sits at the completion tick of the last
-/// served query, and idles forward to the next arrival when the queue
-/// drains.
-struct ShardServer<'a, O> {
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
-    scratch: QueryScratch,
-    controller: AdaptiveAdmission,
-    window: SignalWindow,
-    /// `(completion_tick, deadline_met)` of every admitted query, in
-    /// service order; entries at or before the current arrival tick are
-    /// drained into the signal window.
-    completions: Vec<(u64, bool)>,
-    /// How many `completions` entries the window has absorbed.
-    drained: usize,
-}
-
-impl<'a, O> ShardServer<'a, O> {
-    /// Queries admitted but not yet complete at `at_tick`, after
-    /// absorbing finished ones into the signal window.
-    fn queue_depth_at(&mut self, at_tick: u64) -> u32 {
-        while self.drained < self.completions.len() {
-            let (completion, met) = self.completions[self.drained];
-            if completion > at_tick {
-                break;
-            }
-            self.window.record_answered(met);
-            self.drained += 1;
-        }
-        u32::try_from(self.completions.len() - self.drained).unwrap_or(u32::MAX)
-    }
-}
-
-/// Runs one trace through sharded single-server queues with (or, for
-/// the twin, without) adaptive admission.
+/// Runs one trace through independent single-server shards with (or,
+/// for the twin, without) adaptive admission.
 ///
+/// This is the cluster engine on a dedicated topology: shard `s` alone
+/// on node `s` ([`NodeId`](crate::ring::NodeId)`(s)` in the report),
+/// replication 1, no rebalancing, faithful routing, and no node events.
 /// Per arrival, in decision order: finished completions fold into the
 /// shard's signal window; the controller decides on the current
 /// [`LoadSignal`](crate::slo::LoadSignal); an admitted query idles the
@@ -390,6 +316,10 @@ impl<'a, O> ShardServer<'a, O> {
 /// [`serve_batch`](crate::service::serve_batch)'s serving kernel under
 /// the same per-index seed derivations — so an open-loop answer is
 /// byte-identical to the batch answer for the same index.
+///
+/// # Errors
+///
+/// Propagates hard configuration errors ([`LcaError`]).
 pub fn run_open_loop<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -397,142 +327,39 @@ pub fn run_open_loop<O>(
     service_root: &Seed,
     arrivals: &[Arrival],
     config: &OpenLoopConfig,
-) -> Result<OpenLoopReport, LcaError>
+) -> Result<ClusterTrafficReport, LcaError>
 where
     O: ItemOracle + WeightedSampler,
 {
     let shards = config.shards.max(1);
-    let ctx = SharedCtx {
+    let dedicated = ClusterTrafficConfig {
+        nodes: shards,
+        replication: 1,
+        shards,
+        vnodes: 1,
+        service: config.service.clone(),
+        admission: config.admission,
+        discipline: config.discipline,
+        rebalance: None,
+        routing: RebalanceDiscipline::Faithful,
+    };
+    serve_traffic(
         lca,
         oracle,
         shared_seed,
         service_root,
-        config: &config.service,
-        chaos: None,
-        cached: None,
-    };
-    let cap = config.service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut servers: Vec<ShardServer<'_, O>> = (0..shards)
-        .map(|_| ShardServer {
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(config.service.breaker),
-            budgeted: BudgetedOracle::new(oracle, cap),
-            scratch: QueryScratch::default(),
-            controller: AdaptiveAdmission::new(
-                config.admission,
-                config.discipline.unwrap_or_default(),
-            ),
-            window: SignalWindow::new(),
-            completions: Vec::new(),
-            drained: 0,
-        })
-        .collect();
-
-    let mut outcomes = Vec::with_capacity(arrivals.len());
-    let mut transitions = Vec::new();
-    let mut histogram = LatencyHistogram::new();
-    let mut answered_count = 0u64;
-    let mut shed_count = 0u64;
-    let mut missed_count = 0u64;
-    let mut max_queue_depth = 0u32;
-
-    for (index, arrival) in arrivals.iter().enumerate() {
-        let shard = arrival.shard.min(shards - 1);
-        let server = &mut servers[shard];
-
-        let depth = server.queue_depth_at(arrival.at_tick);
-        max_queue_depth = max_queue_depth.max(depth);
-
-        if config.discipline.is_some() {
-            let signal = server.window.signal(depth);
-            let before = server.controller.state();
-            let decision = server.controller.decide(arrival.at_tick, signal);
-            if server.controller.state() != before {
-                transitions.push(AdmissionTransition {
-                    shard,
-                    at_tick: arrival.at_tick,
-                    to: server.controller.state(),
-                });
-            }
-            if let AdmissionDecision::Shed(reason) = decision {
-                server.window.record_shed();
-                shed_count += 1;
-                outcomes.push(TrafficOutcome {
-                    index,
-                    item: arrival.item,
-                    shard,
-                    at_tick: arrival.at_tick,
-                    disposition: TrafficDisposition::Shed(reason),
-                });
-                continue;
-            }
-        }
-
-        // Idle the server forward to the arrival if the queue is empty.
-        if arrival.at_tick > server.clock.now() {
-            server.clock.advance(arrival.at_tick - server.clock.now());
-        }
-        server.clock.advance(config.service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &server.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &server.clock,
-            &mut server.breaker,
-            &faulty,
-            &server.budgeted,
-            &mut server.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        server.clock.advance(arrival.extra_cost_ticks);
-
-        let completion_tick = server.clock.now();
-        let latency_ticks = completion_tick - arrival.at_tick;
-        let deadline_met = latency_ticks <= config.service.deadline_ticks;
-        server.completions.push((completion_tick, deadline_met));
-        histogram.record(latency_ticks);
-        answered_count += 1;
-        if !deadline_met {
-            missed_count += 1;
-        }
-        outcomes.push(TrafficOutcome {
-            index,
-            item: arrival.item,
-            shard,
-            at_tick: arrival.at_tick,
-            disposition: TrafficDisposition::Answered {
-                completion_tick,
-                latency_ticks,
-                deadline_met,
-                answer,
-            },
-        });
-    }
-
-    let end_tick = servers.iter().map(|s| s.clock.now()).max().unwrap_or(0);
-    Ok(OpenLoopReport {
-        outcomes,
-        transitions,
-        slo: SloReport::from_counts(
-            arrivals.len() as u64,
-            answered_count,
-            shed_count,
-            missed_count,
-            &histogram,
-        ),
-        max_queue_depth,
-        end_tick,
-    })
+        arrivals,
+        &dedicated,
+        RingView::dedicated(shards),
+        shards,
+        &[],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::{NodeId, RingEpoch};
     use lcakp_knapsack::iky::Epsilon;
     use lcakp_oracle::InstanceOracle;
     use lcakp_reproducible::SampleBudget;
@@ -634,6 +461,15 @@ mod tests {
             first.slo.offered,
             "every arrival must be answered or explicitly shed"
         );
+        // The dedicated topology: every arrival lands on its shard's own
+        // node, and nothing ever moves.
+        for routed in &first.outcomes {
+            assert_eq!(routed.node, Some(NodeId(routed.outcome.shard)));
+        }
+        assert_eq!(first.final_epoch, RingEpoch::BOOT);
+        assert!(first.rebalance_audits.is_empty());
+        assert!(first.shed_audits.is_empty());
+        assert!(first.epoch_replays.is_empty());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 
 use lcakp_service::{
     AdmissionConfig, BatchReport, ClusterReport, ClusterTrafficReport, DecodeMode, Disposition,
-    Journal, JournalRecord, OpenLoopReport, QueryOutcome, RebalanceConfig, RecoveryError,
-    RingEpoch, ShedReason, TrafficDisposition,
+    Journal, JournalRecord, QueryOutcome, RebalanceConfig, RecoveryError, RingEpoch, ShedReason,
+    TrafficDisposition,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -465,14 +465,14 @@ pub fn check_cluster_run(
 ///   deadline), the controller must not have shed a single arrival with
 ///   `Overload`.
 pub fn check_slo_run(
-    twin: &OpenLoopReport,
-    controlled: &OpenLoopReport,
+    twin: &ClusterTrafficReport,
+    controlled: &ClusterTrafficReport,
     admission: &AdmissionConfig,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     // Admission honesty.
-    for outcome in &controlled.outcomes {
+    for outcome in controlled.outcomes.iter().map(|routed| &routed.outcome) {
         let TrafficDisposition::Shed(ShedReason::Overload { signal }) = outcome.disposition else {
             continue;
         };
@@ -487,11 +487,12 @@ pub fn check_slo_run(
     }
 
     // Hysteresis: consecutive transitions per shard must be at least
-    // the hysteresis window apart.
+    // the hysteresis window apart. Each shard runs alone on its own
+    // node, so a node's flips are its shard's.
     let shards = controlled
         .transitions
         .iter()
-        .map(|transition| transition.shard + 1)
+        .map(|transition| transition.node.0 + 1)
         .max()
         .unwrap_or(0);
     for shard in 0..shards {
@@ -499,7 +500,7 @@ pub fn check_slo_run(
         for transition in controlled
             .transitions
             .iter()
-            .filter(|transition| transition.shard == shard)
+            .filter(|transition| transition.node.0 == shard)
         {
             if let Some(previous) = last {
                 let gap = transition.at_tick.saturating_sub(previous);
@@ -516,16 +517,16 @@ pub fn check_slo_run(
 
     // Liveness: under-capacity offered load must shed nothing.
     let under_capacity =
-        twin.slo.deadline_missed == 0 && twin.max_queue_depth < admission.exit_queue_depth;
+        twin.slo.deadline_missed == 0 && twin.max_queue_depth() < admission.exit_queue_depth;
     if under_capacity {
-        if let Some(outcome) = controlled.outcomes.iter().find(|outcome| {
+        if let Some(routed) = controlled.outcomes.iter().find(|routed| {
             matches!(
-                outcome.disposition,
+                routed.outcome.disposition,
                 TrafficDisposition::Shed(ShedReason::Overload { .. })
             )
         }) {
             violations.push(Violation::OverloadShedUnderCapacity {
-                index: outcome.index,
+                index: routed.outcome.index,
             });
         }
     }

@@ -35,7 +35,7 @@ use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
     generate_trace, run_open_loop, seed_to_u64, AdmissionConfig, AdmissionDiscipline, Arrival,
-    BreakerConfig, OpenLoopConfig, OpenLoopReport, ServiceConfig, TrafficConfig, TrafficShape,
+    BreakerConfig, OpenLoopConfig, ServiceConfig, TrafficConfig, TrafficShape,
 };
 use lcakp_workloads::{Family, WorkloadSpec};
 use std::fmt::Write as _;
@@ -348,39 +348,12 @@ impl SloWorld {
             deadline_missed: controlled.slo.deadline_missed,
             availability_permille: controlled.slo.availability_permille,
             p99_ticks: controlled.slo.p99_ticks,
-            max_queue_depth: controlled.max_queue_depth,
+            max_queue_depth: controlled.max_queue_depth(),
             transitions: controlled.transitions.len(),
             slo_target_permille: target,
             meets_slo: controlled.slo.meets(target),
         };
         Ok((stats, violations))
-    }
-
-    /// The controlled run alone (no twin, no checks) — what the bench
-    /// bin prints availability tables from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard serving errors from [`run_open_loop`].
-    pub fn run_controlled(
-        &self,
-        discipline: AdmissionDiscipline,
-        events: &[SimEvent],
-    ) -> Result<OpenLoopReport, LcaError> {
-        let trace = self.build_trace(events);
-        run_open_loop(
-            &self.lca,
-            &InstanceOracle::new(&self.norm),
-            &self.shared_seed,
-            &self.service_root,
-            &trace,
-            &OpenLoopConfig {
-                service: self.service.clone(),
-                admission: self.admission,
-                discipline: Some(discipline),
-                shards: self.shards,
-            },
-        )
     }
 
     /// Convenience for shrink loops: violations only, with hard errors

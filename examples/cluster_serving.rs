@@ -1,18 +1,20 @@
-//! A simulated serving fleet: a bounded work queue, N workers, each an
-//! independent `LCA-KP` instance holding only the shared seed — the
-//! "hugely distributed" deployment of the paper's introduction, with
-//! load accounting and a duplicate-consistency check.
+//! A serving fleet: N workers, each an independent `LCA-KP` instance
+//! holding only the shared seed, each draining its own bounded queue —
+//! the "hugely distributed" deployment of the paper's introduction,
+//! with load accounting and a duplicate-consistency check.
 //!
 //! ```sh
 //! cargo run --release --example cluster_serving
 //! ```
 
-use lca_knapsack::lca::cluster::{serve_queries, ClusterConfig};
 use lca_knapsack::prelude::*;
 use lca_knapsack::workloads::{Family, WorkloadSpec};
+use lcakp_service::{serve_batch, ServiceConfig};
+use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 300;
+    let workers = 8;
     let spec = WorkloadSpec::new(
         Family::LargeDominated {
             heavy: 6,
@@ -29,6 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // lcakp-lint: allow(D005) reason="the example's single root seed constant"
     let root = Seed::from_entropy_u64(0xC1_0531);
     let seed = root.derive("cluster-serving/shared-seed", 0);
+    let service_root = root.derive("cluster-serving/service", 0);
 
     // A realistic query log: every item once, plus a hot set queried
     // five times (by whichever workers get them).
@@ -37,33 +40,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         queries.extend((0..n).step_by(50).map(ItemId));
     }
 
-    let run = serve_queries(
+    let report = serve_batch(
         &lca,
         &oracle,
         &seed,
+        &service_root,
         &queries,
-        ClusterConfig {
-            workers: 8,
-            queue_depth: 32,
-            entropy_root: 0xFEED,
+        &ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
         },
+        None,
     )?;
 
-    println!("served {} queries across 8 workers", run.answers.len());
-    println!("per-worker load: {:?}", run.worker_loads);
+    let mut loads = vec![0usize; workers];
+    let mut by_item: BTreeMap<ItemId, Vec<bool>> = BTreeMap::new();
+    for outcome in &report.outcomes {
+        if let Some(answered) = outcome.disposition.answered() {
+            loads[answered.worker] += 1;
+            by_item
+                .entry(outcome.item)
+                .or_default()
+                .push(answered.include);
+        }
+    }
+    let duplicated: Vec<&Vec<bool>> = by_item.values().filter(|a| a.len() > 1).collect();
+    let agreeing = duplicated
+        .iter()
+        .filter(|answers| answers.iter().all(|&x| x == answers[0]))
+        .count();
+
     println!(
-        "hot-set duplicate agreement (same item, different workers): {:.3}",
-        run.duplicate_agreement()
+        "served {} of {} queries across {workers} workers",
+        loads.iter().sum::<usize>(),
+        queries.len()
+    );
+    println!("per-worker load: {loads:?}");
+    println!(
+        "hot-set duplicate agreement (same item, different workers): {agreeing}/{} items",
+        duplicated.len()
     );
 
-    let selection = run.to_selection(n);
+    let selection = report.to_selection(n);
     let audit = selection.audit(norm.as_instance());
     println!("assembled solution: {audit}");
     assert!(audit.feasible, "the fleet must serve one feasible solution");
     println!(
         "total oracle accesses: {} (~{} per query)",
-        oracle.stats().total(),
-        oracle.stats().total() / run.answers.len() as u64
+        report.accesses_used(),
+        report.accesses_used() / queries.len() as u64
     );
     Ok(())
 }

@@ -1,13 +1,13 @@
-//! Integration tests for the workspace extensions: the simulated serving
-//! cluster (the paper's distributed deployment story) and the
-//! average-case rejection-sampling access mode (Section 5 / [BCPR24]).
+//! Integration tests for the workspace extensions: the serving fleet
+//! (the paper's distributed deployment story) and the average-case
+//! rejection-sampling access mode (Section 5 / [BCPR24]).
 
-use lca_knapsack::lca::cluster::{serve_queries, ClusterConfig};
 use lca_knapsack::lca::solution_audit::{audit_selection, exact_optimum};
 use lca_knapsack::oracle::RejectionSamplingOracle;
 use lca_knapsack::prelude::*;
 use lca_knapsack::reproducible::SampleBudget;
 use lca_knapsack::workloads::{Family, WorkloadSpec};
+use lcakp_service::{serve_batch, ServiceConfig};
 
 fn fast_lca(eps: Epsilon) -> LcaKp {
     LcaKp::new(eps)
@@ -34,20 +34,23 @@ fn cluster_fleet_serves_a_feasible_solution() {
     let lca = fast_lca(eps);
     let seed = Seed::from_entropy_u64(22);
     let queries: Vec<ItemId> = (0..n).map(ItemId).collect();
-    let run = serve_queries(
+    let report = serve_batch(
         &lca,
         &oracle,
         &seed,
+        &Seed::from_entropy_u64(23),
         &queries,
-        ClusterConfig {
+        &ServiceConfig {
             workers: 8,
             queue_depth: 16,
-            entropy_root: 23,
+            ..ServiceConfig::default()
         },
+        None,
     )
     .unwrap();
-    assert_eq!(run.answers.len(), n);
-    let selection = run.to_selection(n);
+    assert_eq!(report.outcomes.len(), n);
+    assert_eq!(report.shed_count(), 0, "every query must be answered");
+    let selection = report.to_selection(n);
     assert!(selection.is_feasible(norm.as_instance()));
 
     let optimum = exact_optimum(&norm).unwrap();
