@@ -50,13 +50,13 @@ pub enum ReproProfile {
 /// Algorithm 2 buffers two sample sets per query: the distinct large
 /// items of R (line 2) and the efficiency keys of Q (line 7). The EPS
 /// thresholds (lines 9–10) then run up to ⌈1/ε⌉ rQuantiles over those
-/// keys, which share one sort and the working buffers of a
-/// [`QuantileScratch`]. All of it is dead once the query's
-/// [`SolutionRule`] exists, so a serving loop can hand the same scratch
-/// to every query and amortise the allocations to zero — the buffers
-/// keep their high-water capacity across queries.
-/// A fresh (empty) scratch gives byte-identical answers: the buffers
-/// are cleared at each use, so only capacity persists, never contents.
+/// keys, which share one sort and the buffers of a [`QuantileScratch`].
+/// A serving loop can hand the same scratch to every query: the buffers
+/// keep their high-water capacity, and a threshold skips its shuffle when
+/// its map's key (shared seed, key count) repeats — on every query after
+/// the first when no sampled item is large, almost never when some are.
+/// A fresh (empty) scratch gives byte-identical answers: the buffers are
+/// cleared at each use, and a map whose key differs is rebuilt.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Distinct large items sampled from R (Algorithm 2 lines 1–3).
@@ -679,6 +679,16 @@ impl fmt::Display for LcaKp {
             "LCA-KP(ε={}, engine={:?}, profile={:?}, budget={:?})",
             self.eps, self.engine, self.profile, self.budget
         )
+    }
+}
+
+impl QueryScratch {
+    /// How many rQuantile arrival-group maps this scratch has built (see
+    /// [`QuantileScratch::map_builds`]). Under one shared seed a
+    /// threshold reuses its map only when the query kept as many
+    /// efficiency keys as the last query that reached it.
+    pub fn quantile_map_builds(&self) -> u64 {
+        self.quantiles.map_builds()
     }
 }
 

@@ -1,6 +1,7 @@
-//! `QueryScratch` keeps only capacity between queries, never contents: a
-//! scratch reused across queries of different shapes and sizes builds
-//! exactly the rule a fresh scratch builds.
+//! A `QueryScratch` reused across queries of different shapes, sizes,
+//! accuracies and shared seeds builds exactly the rule a fresh scratch
+//! builds: its buffers keep only capacity, and its memoized rQuantile
+//! arrival-group maps are re-keyed on every use.
 
 use lcakp_core::{LcaKp, QueryScratch};
 use lcakp_knapsack::iky::Epsilon;
@@ -17,9 +18,12 @@ fn instance(family: Family, n: usize) -> NormalizedInstance {
 
 /// Interleaves SmallDominated queries, which run the full EPS estimation
 /// (t rQuantiles over one sorted key sample), with LargeDominated ones,
-/// which skip it, at two n. The reused scratch therefore meets key
-/// samples of several lengths and queries that leave its quantile buffers
-/// untouched.
+/// which skip it, at two n, two ε and two shared seeds. The reused
+/// scratch therefore meets key samples of several lengths, thresholds
+/// under another shared seed, a different number of thresholds per
+/// query, and queries that leave its quantile buffers untouched: its
+/// arrival-group maps must be found when their key matches and rebuilt
+/// when it does not.
 #[test]
 fn reused_scratch_builds_the_rules_of_a_fresh_one() {
     let heavy = Family::LargeDominated {
@@ -36,29 +40,35 @@ fn reused_scratch_builds_the_rules_of_a_fresh_one() {
         .iter()
         .map(|(norm, _)| InstanceOracle::new(norm))
         .collect();
-    let lca = LcaKp::new(Epsilon::new(1, 6).unwrap())
-        .unwrap()
-        .with_budget(SampleBudget::Calibrated { factor: 0.0001 });
-    let shared = Seed::from_entropy_u64(41);
+    let lcas = [(1, 6), (1, 7)].map(|(num, den)| {
+        LcaKp::new(Epsilon::new(num, den).unwrap())
+            .unwrap()
+            .with_budget(SampleBudget::Calibrated { factor: 0.0001 })
+    });
+    let shared_seeds = [Seed::from_entropy_u64(41), Seed::from_entropy_u64(42)];
 
     let mut reused = QueryScratch::default();
     let mut estimated = 0;
-    for query in 0..16u64 {
+    for query in 0..24u64 {
         // Visit the instances in an order that mixes both n and both
-        // branches: 0, 3, 2, 1, 0, 3, …
+        // branches: 0, 3, 2, 1, 0, 3, …; switch ε every six queries and
+        // the shared seed on a period of five, so consecutive estimating
+        // queries sometimes share both and sometimes not.
         let index = (query * 3 % 4) as usize;
         let (_, estimates) = instances[index];
         let oracle = &oracles[index];
+        let lca = &lcas[(query / 6 % 2) as usize];
+        let shared = &shared_seeds[(query % 5 % 2) as usize];
         let stream = Seed::from_entropy_u64(1_000 + query);
 
         let with_reused = lca
-            .build_rule_in(oracle, &mut stream.rng(), &shared, &mut reused)
+            .build_rule_in(oracle, &mut stream.rng(), shared, &mut reused)
             .unwrap();
         let with_fresh = lca
             .build_rule_in(
                 oracle,
                 &mut stream.rng(),
-                &shared,
+                shared,
                 &mut QueryScratch::default(),
             )
             .unwrap();
@@ -72,5 +82,63 @@ fn reused_scratch_builds_the_rules_of_a_fresh_one() {
             assert!(!with_reused.large_selected.is_empty(), "query {query}");
         }
     }
-    assert_eq!(estimated, 8);
+    assert_eq!(estimated, 12);
+}
+
+/// The map of a threshold is keyed by (shared seed, padded length `2n`),
+/// where `n` counts the estimation draws that were not large. Under one
+/// shared seed, an instance with no large items keeps every draw, so `n`
+/// repeats and only the first query builds maps. An instance whose large
+/// items hold part of the profit, yet leave enough residual profit for
+/// estimation to run, keeps a fresh binomial count of draws per query, so
+/// every threshold rebuilds its map on every query.
+#[test]
+fn maps_are_reused_only_while_the_kept_key_count_repeats() {
+    let lca = LcaKp::new(Epsilon::new(1, 6).unwrap())
+        .unwrap()
+        .with_budget(SampleBudget::Calibrated { factor: 0.0001 });
+    let shared = Seed::from_entropy_u64(41);
+    // 4 heavy items of profit 100 against ~1,200 unit items: about a
+    // quarter of the profit, each item large, the rest left to estimate.
+    let mixed = Family::LargeDominated {
+        heavy: 4,
+        heavy_profit: 100,
+    };
+    for (family, hits_after_first) in [(Family::SmallDominated, true), (mixed, false)] {
+        let norm = instance(family, 1200);
+        let oracle = InstanceOracle::new(&norm);
+        let mut scratch = QueryScratch::default();
+        let mut first_builds = 0;
+        for query in 0..8u64 {
+            let before = scratch.quantile_map_builds();
+            let stream = Seed::from_entropy_u64(1_000 + query);
+            let with_reused = lca
+                .build_rule_in(&oracle, &mut stream.rng(), &shared, &mut scratch)
+                .unwrap();
+            let with_fresh = lca
+                .build_rule_in(
+                    &oracle,
+                    &mut stream.rng(),
+                    &shared,
+                    &mut QueryScratch::default(),
+                )
+                .unwrap();
+            assert_eq!(with_reused, with_fresh, "{family}, query {query}");
+            assert_eq!(
+                with_reused.large_selected.is_empty(),
+                hits_after_first,
+                "{family}, query {query}"
+            );
+
+            let builds = scratch.quantile_map_builds() - before;
+            if query == 0 {
+                assert!(builds > 0, "{family}: estimation must shuffle");
+                first_builds = builds;
+            } else if hits_after_first {
+                assert_eq!(builds, 0, "{family}, query {query}");
+            } else {
+                assert_eq!(builds, first_builds, "{family}, query {query}");
+            }
+        }
+    }
 }

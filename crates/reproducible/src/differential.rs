@@ -1,7 +1,8 @@
 //! Differential tests: the sort-once rQuantile/rMedian against the
 //! sort-based implementation it replaced, kept verbatim below as the
 //! reference. Every output must be identical, from a fresh scratch and
-//! from one reused across every case.
+//! from one reused across every case, whichever way a reused scratch's
+//! memoized arrival-group maps hit or miss.
 
 #[cfg(test)]
 mod reference {
@@ -352,5 +353,70 @@ mod tests {
             sorted.rquantile(0.3, tau, &seed),
             reference::rquantile(&small, &config, &seed)
         );
+    }
+
+    /// One reused scratch meets each way a memoized arrival-group map can
+    /// be found or rebuilt, and every answer equals the reference.
+    #[test]
+    fn memoized_maps_equal_the_reference_in_every_cache_case() {
+        let domain = Domain::new(64).unwrap();
+        let tau = 0.02;
+        let mut rng = ChaCha12Rng::seed_from_u64(31);
+        let long = sample(2, 3_000, domain, &mut rng);
+        let long_again = sample(1, 3_000, domain, &mut rng);
+        let short = sample(2, 1_000, domain, &mut rng);
+        let first = Seed::from_entropy_u64(1);
+        let second = Seed::from_entropy_u64(2);
+        let mut scratch = QuantileScratch::default();
+
+        // Runs `calls` thresholds on one sort, the k-th under
+        // `shared.derive(.., k)` as LCA-KP derives them, checks each
+        // against the reference, and returns the map keys it leaves and
+        // the scratch's map builds so far.
+        let mut run = |keys: &[u128], shared: &Seed, calls: u64| {
+            let mut sorted = scratch.sort(keys, domain).unwrap();
+            for k in 1..=calls {
+                let p = 1.0 - k as f64 * 0.15;
+                let seed = shared.derive("threshold", k);
+                let config = RQuantileConfig { domain, p, tau };
+                assert_eq!(
+                    sorted.rquantile(p, tau, &seed),
+                    reference::rquantile(keys, &config, &seed),
+                    "{} keys, k = {k}",
+                    keys.len()
+                );
+            }
+            (scratch.map_keys(), scratch.map_builds())
+        };
+        let lengths = |keys: &[Option<(Seed, u32)>]| -> Vec<u32> {
+            keys.iter().map(|key| key.unwrap().1).collect()
+        };
+
+        let (cold, builds) = run(&long, &first, 3);
+        assert_eq!(lengths(&cold), [6_000; 3]);
+        assert_eq!(builds, 3);
+        // A (seed, length) hit: other keys of the same length under the
+        // same shared seed find every map built.
+        assert_eq!(run(&long_again, &first, 3), (cold.clone(), 3));
+        // The same seed at a new length rebuilds every slot.
+        let (relengthed, builds) = run(&short, &first, 3);
+        assert_eq!(lengths(&relengthed), [2_000; 3]);
+        assert_eq!(builds, 6);
+        // A new seed at the same length rebuilds every slot.
+        let (reseeded, builds) = run(&short, &second, 3);
+        assert_eq!(lengths(&reseeded), [2_000; 3]);
+        assert!((0..3).all(|slot| reseeded[slot] != relengthed[slot]));
+        assert_eq!(builds, 9);
+        // More calls than slots: the first three hit, two slots are added.
+        let (grown, builds) = run(&short, &second, 5);
+        assert_eq!(grown[..3], reseeded[..]);
+        assert_eq!(lengths(&grown), [2_000; 5]);
+        assert_eq!(builds, 11);
+        // Fewer calls than slots leave the slots beyond them as they were;
+        // the two it uses switch back to the first seed's long maps.
+        let (back, builds) = run(&long, &first, 2);
+        assert_eq!(back[..2], cold[..2]);
+        assert_eq!(back[2..], grown[2..]);
+        assert_eq!(builds, 13);
     }
 }

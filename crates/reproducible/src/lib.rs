@@ -27,8 +27,8 @@
 //!   `p·n` copies of `+∞` over an extended domain.
 //! * [`QuantileScratch`] / [`SortedSample`] — sort a sample once and
 //!   serve many quantiles and medians over it from reusable buffers; the
-//!   padding is rank arithmetic and a permutation of positions, never a
-//!   padded copy.
+//!   padding is rank arithmetic and the shuffle a memoized arrival-group
+//!   map over positions, never a padded copy.
 //! * [`naive_quantile`] — the non-reproducible empirical quantile, kept as
 //!   the ablation baseline (experiment E11: the paper's Section 4.1
 //!   observes that using it directly "will lead to inconsistent answers").

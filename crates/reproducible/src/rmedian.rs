@@ -43,6 +43,20 @@
 //! the once-sorted sample or found by linear-time selection; no step
 //! sorts a padded sample, a half, or a batch.
 //!
+//! # Group medians by rank arithmetic
+//!
+//! Steps 2–3 split the arrivals into 33 *groups*: half B (the odd
+//! arrivals) and the 32 batches of half A (even arrival `a` is in batch
+//! `(a/2) mod 32`). Under rQuantile the arrival order is a shuffle of the
+//! padded positions, held as an arrival-group map (one group byte per
+//! position, see [`crate::QuantileScratch`]); over a plain sample the
+//! group is a function of the position. One pass scatters only the `n`
+//! real values into per-group buckets, reading the sample in order; each
+//! group's `−∞` and `+∞` pads are counted from the map. A group's median
+//! is then `0` if its middle rank falls among its lows, `high_code` if
+//! it falls among its highs, and otherwise a linear-time selection in its
+//! bucket. No padded value is ever gathered.
+//!
 //! Reproducibility and accuracy are validated empirically by the tests
 //! below and experiment E7, as promised in `DESIGN.md`.
 
@@ -59,6 +73,11 @@ const BASE_BITS: u32 = 8;
 const SCALE_MARGIN: u32 = 3;
 /// Number of batches used for the scale statistic.
 const BATCHES: usize = 32;
+/// The group of half B's arrivals; groups `0..BATCHES` are half A's
+/// batches.
+const HALF_B: usize = BATCHES;
+/// Half A's batches and half B.
+const GROUPS: usize = BATCHES + 1;
 /// Sample length below which the base case runs. At or above it half A
 /// holds at least `BATCHES` values, so every batch is nonempty.
 const MIN_RECURSIVE_LEN: usize = 2 * BATCHES;
@@ -158,11 +177,21 @@ pub(crate) fn is_base_case(bits: u32, len: usize) -> bool {
     bits <= BASE_BITS || len < MIN_RECURSIVE_LEN
 }
 
+/// The group of arrival `arrival`: [`HALF_B`] for an odd arrival, batch
+/// `(arrival/2) mod BATCHES` for an even one.
+pub(crate) fn arrival_group(arrival: usize) -> u8 {
+    if arrival % 2 == 1 {
+        HALF_B as u8
+    } else {
+        ((arrival / 2) % BATCHES) as u8
+    }
+}
+
 /// The multiset rMedian runs over, never materialized: the real sample
 /// shifted up by `offset`, then `lows` copies of `0` and `highs` copies of
 /// `high_code` — rQuantile's `±∞` padding. Positions `0..len()` are laid
-/// out in that order and visited in arrival order `order` (a permutation
-/// of the positions), or in layout order when `order` is `None`.
+/// out in that order; `groups` names the group of the arrival that lands
+/// at each position, and when it is `None` arrivals come in layout order.
 ///
 /// Every padded value sorts at or beyond the ends of the shifted real
 /// values (`0 < x + 1 ≤ high_code` for real `x`), so the sorted multiset
@@ -181,8 +210,9 @@ pub(crate) struct Multiset<'a> {
     pub(crate) highs: usize,
     /// The `+∞` code.
     pub(crate) high_code: u128,
-    /// Arrival order over the positions, identity when `None`.
-    pub(crate) order: Option<&'a [u32]>,
+    /// Arrival group per position ([`arrival_group`] of its arrival);
+    /// `None` when arrival order is layout order.
+    pub(crate) groups: Option<&'a [u8]>,
 }
 
 impl<'a> Multiset<'a> {
@@ -195,7 +225,7 @@ impl<'a> Multiset<'a> {
             lows: 0,
             highs: 0,
             high_code: 0,
-            order: None,
+            groups: None,
         }
     }
 
@@ -203,17 +233,68 @@ impl<'a> Multiset<'a> {
         self.sample.len() + self.lows + self.highs
     }
 
-    /// The value arriving at position `arrival`.
-    fn at(&self, arrival: usize) -> u128 {
-        let position = match self.order {
-            Some(order) => order[arrival] as usize,
-            None => arrival,
-        };
-        match self.sample.get(position) {
-            Some(&value) => value + self.offset,
-            None if position < self.sample.len() + self.lows => 0,
-            None => self.high_code,
+    /// The median of every group, indexed by group. `values` receives the
+    /// real values bucketed by group.
+    fn group_medians(&self, values: &mut Vec<u128>) -> [u128; GROUPS] {
+        match self.groups {
+            Some(groups) => self.group_medians_by(values, |position| groups[position]),
+            None => self.group_medians_by(values, arrival_group),
         }
+    }
+
+    /// [`Multiset::group_medians`] with `group(position)` naming the
+    /// group of the arrival at each position.
+    fn group_medians_by(
+        &self,
+        values: &mut Vec<u128>,
+        group: impl Fn(usize) -> u8,
+    ) -> [u128; GROUPS] {
+        let n = self.sample.len();
+        let highs_from = n + self.lows;
+        let mut reals = [0usize; GROUPS];
+        let mut lows = [0usize; GROUPS];
+        let mut highs = [0usize; GROUPS];
+        for position in 0..n {
+            reals[usize::from(group(position))] += 1;
+        }
+        for position in n..highs_from {
+            lows[usize::from(group(position))] += 1;
+        }
+        for position in highs_from..self.len() {
+            highs[usize::from(group(position))] += 1;
+        }
+
+        // Scatter the real values into contiguous per-group buckets.
+        let mut next = [0usize; GROUPS];
+        let mut end = 0;
+        for (first, &count) in next.iter_mut().zip(&reals) {
+            *first = end;
+            end += count;
+        }
+        values.clear();
+        values.resize(n, 0);
+        for (position, &value) in self.sample.iter().enumerate() {
+            let slot = &mut next[usize::from(group(position))];
+            values[*slot] = value;
+            *slot += 1;
+        }
+
+        // `next[g]` now ends group g's bucket.
+        let mut medians = [0u128; GROUPS];
+        let mut start = 0;
+        for g in 0..GROUPS {
+            let bucket = &mut values[start..next[g]];
+            start = next[g];
+            let middle = (lows[g] + reals[g] + highs[g] - 1) / 2;
+            medians[g] = if middle < lows[g] {
+                0
+            } else if middle < lows[g] + reals[g] {
+                *bucket.select_nth_unstable(middle - lows[g]).1 + self.offset
+            } else {
+                self.high_code
+            };
+        }
+        medians
     }
 
     /// The value of 0-based rank `rank` in ascending order.
@@ -279,27 +360,13 @@ pub(crate) fn solve(
 
     // Halves (by parity of arrival index, so both are i.i.d. samples):
     // A (even arrivals) estimates the fluctuation scale, B (odd) the
-    // median position. Empirical median of B, by selection.
-    values.clear();
-    values.extend((1..len).step_by(2).map(|arrival| multiset.at(arrival)));
-    let middle = (values.len() - 1) / 2;
-    let m_hat = *values.select_nth_unstable(middle).1;
-
-    // Batch medians of A → pairwise separation scales. Batch `b` is the
-    // strided subsequence b, b + BATCHES, … of A (an i.i.d. subsample);
-    // the separation of two independent batch medians upper-bounds the
+    // median position. Batch `b` of A is the strided subsequence
+    // 2b, 2b + 2·BATCHES, … of the arrivals (an i.i.d. subsample); the
+    // separation of two independent batch medians upper-bounds the
     // fluctuation of the (larger) half-B median, conservatively.
-    let mut batch_medians = [0u128; BATCHES];
-    for (batch, median) in batch_medians.iter_mut().enumerate() {
-        values.clear();
-        values.extend(
-            (2 * batch..len)
-                .step_by(2 * BATCHES)
-                .map(|arrival| multiset.at(arrival)),
-        );
-        let middle = (values.len() - 1) / 2;
-        *median = *values.select_nth_unstable(middle).1;
-    }
+    let medians = multiset.group_medians(values);
+    let m_hat = medians[HALF_B];
+    let batch_medians = &medians[..BATCHES];
     let mut scales = [0u128; BATCHES / 2];
     for (scale, pair) in scales.iter_mut().zip(batch_medians.chunks_exact(2)) {
         *scale = u128::from(bit_length((pair[0] + shift) ^ (pair[1] + shift)));
@@ -599,14 +666,11 @@ mod tests {
                 lows,
                 highs,
                 high_code,
-                order: None,
+                groups: None,
             };
             let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
             padded.extend(std::iter::repeat_n(0, lows));
             padded.extend(std::iter::repeat_n(high_code, highs));
-            for (arrival, &value) in padded.iter().enumerate() {
-                assert_eq!(multiset.at(arrival), value);
-            }
             padded.sort_unstable();
             assert_eq!(multiset.len(), padded.len());
             for (rank, &value) in padded.iter().enumerate() {
@@ -618,6 +682,63 @@ mod tests {
                 assert_eq!(multiset.count_at_most(v), at_most, "lows {lows}, v {v}");
                 assert_eq!(multiset.count_below(v), below, "lows {lows}, v {v}");
             }
+        }
+    }
+
+    /// Group medians read from a map (and from layout order) equal the
+    /// medians of the groups gathered from a materialized, shuffled
+    /// padded sample.
+    #[test]
+    fn group_medians_match_gathered_groups() {
+        use rand::seq::SliceRandom;
+        let mut rng = ChaCha12Rng::seed_from_u64(3);
+        for (n, lows) in [(32, 0), (32, 32), (40, 13), (100, 71), (257, 128)] {
+            let sample = uniform_sample(&mut rng, n, 6);
+            let mut sorted = sample.clone();
+            sorted.sort_unstable();
+            let high_code = 9;
+            let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
+            padded.extend(std::iter::repeat_n(0, lows));
+            padded.extend(std::iter::repeat_n(high_code, n - lows));
+            let mut order: Vec<usize> = (0..2 * n).collect();
+            order.shuffle(&mut rng);
+            let mut groups = vec![0u8; 2 * n];
+            for (arrival, &position) in order.iter().enumerate() {
+                groups[position] = arrival_group(arrival);
+            }
+            let gathered_medians = |position_of: &dyn Fn(usize) -> usize| {
+                let mut medians = [0u128; GROUPS];
+                for (g, median) in medians.iter_mut().enumerate() {
+                    let mut members: Vec<u128> = (0..2 * n)
+                        .filter(|&arrival| usize::from(arrival_group(arrival)) == g)
+                        .map(|arrival| padded[position_of(arrival)])
+                        .collect();
+                    members.sort_unstable();
+                    *median = members[(members.len() - 1) / 2];
+                }
+                medians
+            };
+            let mut multiset = Multiset {
+                sample: &sample,
+                sorted: &sorted,
+                offset: 1,
+                lows,
+                highs: n - lows,
+                high_code,
+                groups: Some(&groups),
+            };
+            let mut values = Vec::new();
+            assert_eq!(
+                multiset.group_medians(&mut values),
+                gathered_medians(&|arrival| order[arrival]),
+                "n {n}, lows {lows}"
+            );
+            multiset.groups = None;
+            assert_eq!(
+                multiset.group_medians(&mut values),
+                gathered_medians(&|arrival| arrival),
+                "n {n}, lows {lows}"
+            );
         }
     }
 }

@@ -15,19 +15,22 @@
 //!
 //! The padded sample is never built. Its `2n` positions are the `n` real
 //! values followed by the lows and the highs; a shared-seed Fisher–Yates
-//! shuffle permutes those *positions* (a `u32` index per position), and
-//! rMedian decodes a position to its value when it gathers a half or a
-//! batch. The shuffle's draws depend only on the length, so this is the
-//! same permutation a shuffle of the padded values would apply. Ranks and
-//! counts over the padded multiset are arithmetic over the once-sorted
-//! real sample (see [`crate::rmedian`]).
+//! shuffle permutes those *positions*, and rMedian's top level needs of
+//! the resulting order only which group (half B, or one of the 32 batches
+//! of half A) each position's arrival falls in. So the shuffle is kept as
+//! an arrival-group map, one byte per position, and memoized in the
+//! [`QuantileScratch`]: it depends only on the shuffle seed and the
+//! length, so a call that repeats both (a fixed shared seed and the same
+//! sample size `n`) skips the shuffle. The draws are those a shuffle of
+//! the padded values would make. Ranks and counts over the padded
+//! multiset are arithmetic over the once-sorted real sample (see
+//! [`crate::rmedian`]).
 
 use crate::domain::Domain;
 use crate::rmedian::{check_tau, is_base_case, solve, Multiset};
-use crate::scratch::{QuantileScratch, SortedSample};
+use crate::scratch::{ArrivalMap, QuantileScratch, SortedSample};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
-use rand::seq::SliceRandom;
 
 /// Configuration of a reproducible-quantile call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,16 +106,20 @@ impl SortedSample<'_> {
         // deterministic values-then-padding layout would break; a fixed
         // seed-derived permutation restores it identically across runs.
         // The base case reads only ranks, so it needs no permutation.
-        let order = if is_base_case(extended.bits(), 2 * n) {
+        let slot = self.calls;
+        self.calls += 1;
+        let groups = if is_base_case(extended.bits(), 2 * n) {
             None
         } else {
             let len =
                 u32::try_from(2 * n).map_err(|_| ReproducibleError::SampleTooLarge { len: n })?;
-            self.order.clear();
-            self.order.extend(0..len);
-            let mut shuffle_rng = seed.derive("rquantile/shuffle", 0).rng();
-            self.order.shuffle(&mut shuffle_rng);
-            Some(&self.order[..])
+            // One slot per call index: at most the calls a caller makes
+            // on one sort (t ≤ ⌈1/ε⌉ for LCA-KP), kept across sorts.
+            if self.maps.len() <= slot {
+                self.maps.resize_with(slot + 1, ArrivalMap::default);
+            }
+            let shuffle_seed = seed.derive("rquantile/shuffle", 0);
+            Some(self.maps[slot].get(shuffle_seed, len, self.order))
         };
 
         let multiset = Multiset {
@@ -122,7 +129,7 @@ impl SortedSample<'_> {
             lows,
             highs,
             high_code: extended.max_value(),
-            order,
+            groups,
         };
         let out = solve(
             &multiset,
