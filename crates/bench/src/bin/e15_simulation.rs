@@ -20,7 +20,7 @@
 
 use lcakp_bench::{banner, experiment_root, Table};
 use lcakp_service::RecoveryDiscipline;
-use lcakp_sim::{run_range, run_smoke, SimConfig, SimEvent};
+use lcakp_sim::{run_range, run_smoke, SimConfig, SimEvent, SimWorld};
 
 /// Cases the full (non-smoke) demonstration covers.
 const DEFAULT_CASES: u64 = 12;
@@ -44,7 +44,8 @@ fn main() {
 
     // ---- Part 1: faithful recovery survives the default range. ----
     let config = SimConfig::default();
-    let report = run_range(&root, &config, 0..DEFAULT_CASES).expect("range runs");
+    let world = SimWorld::build(&root, &config).expect("world builds");
+    let report = run_range(&root, &world, 0..DEFAULT_CASES).expect("range runs");
     let mut table = Table::new([
         "case",
         "events",
@@ -84,7 +85,8 @@ fn main() {
         recovery: RecoveryDiscipline::SkipJournalReplay,
         ..SimConfig::default()
     };
-    let buggy_report = run_range(&root, &buggy, 0..DEFAULT_CASES).expect("buggy range runs");
+    let buggy_world = SimWorld::build(&root, &buggy).expect("buggy world builds");
+    let buggy_report = run_range(&root, &buggy_world, 0..DEFAULT_CASES).expect("buggy range runs");
     let repro = buggy_report
         .repro
         .as_ref()

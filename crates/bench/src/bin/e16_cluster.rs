@@ -27,7 +27,9 @@
 
 use lcakp_bench::{banner, experiment_root, Table};
 use lcakp_service::RoutingDiscipline;
-use lcakp_sim::{run_cluster_range, run_cluster_smoke, ClusterSimConfig, SimEvent, Violation};
+use lcakp_sim::{
+    run_cluster_smoke, run_range, ClusterSimConfig, ClusterWorld, SimEvent, Violation,
+};
 
 /// Cases the full (non-smoke) demonstration covers.
 const DEFAULT_CASES: u64 = 12;
@@ -51,7 +53,8 @@ fn main() {
 
     // ---- Part 1: faithful routing survives the default range. ----
     let config = ClusterSimConfig::default();
-    let report = run_cluster_range(&root, &config, 0..DEFAULT_CASES).expect("range runs");
+    let world = ClusterWorld::build(&root, &config).expect("world builds");
+    let report = run_range(&root, &world, 0..DEFAULT_CASES).expect("range runs");
     let mut table = Table::new([
         "case",
         "events",
@@ -116,8 +119,8 @@ fn main() {
         routing: RoutingDiscipline::StaleRing,
         ..ClusterSimConfig::default()
     };
-    let buggy_report =
-        run_cluster_range(&root, &buggy, 0..DEFAULT_CASES).expect("buggy range runs");
+    let buggy_world = ClusterWorld::build(&root, &buggy).expect("buggy world builds");
+    let buggy_report = run_range(&root, &buggy_world, 0..DEFAULT_CASES).expect("buggy range runs");
     let repro = buggy_report
         .repro
         .as_ref()

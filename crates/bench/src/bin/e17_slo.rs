@@ -28,7 +28,9 @@
 
 use lcakp_bench::{banner, experiment_root, Table};
 use lcakp_service::AdmissionDiscipline;
-use lcakp_sim::{run_slo_range, run_slo_smoke, SimEvent, SloSimConfig, Violation, E17_SMOKE_CASES};
+use lcakp_sim::{
+    run_range, run_slo_smoke, SimEvent, SloSimConfig, SloWorld, Violation, E17_SMOKE_CASES,
+};
 
 fn main() {
     // lcakp-lint: allow(D002) reason="--smoke flag selects the CI golden output, no entropy involved"
@@ -49,7 +51,8 @@ fn main() {
 
     // ---- Part 1: the faithful controller survives the range. ----
     let config = SloSimConfig::default();
-    let report = run_slo_range(&root, &config, 0..E17_SMOKE_CASES).expect("range runs");
+    let world = SloWorld::build(&root, &config).expect("world builds");
+    let report = run_range(&root, &world, 0..E17_SMOKE_CASES).expect("range runs");
     let mut table = Table::new([
         "case",
         "events",
@@ -117,7 +120,9 @@ fn main() {
         discipline: AdmissionDiscipline::NoHysteresis,
         ..SloSimConfig::default()
     };
-    let buggy_report = run_slo_range(&root, &buggy, 0..E17_SMOKE_CASES).expect("buggy range runs");
+    let buggy_world = SloWorld::build(&root, &buggy).expect("buggy world builds");
+    let buggy_report =
+        run_range(&root, &buggy_world, 0..E17_SMOKE_CASES).expect("buggy range runs");
     let repro = buggy_report
         .repro
         .as_ref()

@@ -35,7 +35,7 @@
 use lcakp_bench::{banner, experiment_root, Table};
 use lcakp_service::RebalanceDiscipline;
 use lcakp_sim::{
-    run_rebalance_range, run_rebalance_smoke, RebalanceSimConfig, SimEvent, Violation,
+    run_range, run_rebalance_smoke, RebalanceSimConfig, RebalanceWorld, SimEvent, Violation,
     E18_SMOKE_CASES,
 };
 
@@ -58,7 +58,8 @@ fn main() {
 
     // ---- Part 1: faithful routing survives and relieves. ----
     let config = RebalanceSimConfig::default();
-    let report = run_rebalance_range(&root, &config, 0..E18_SMOKE_CASES).expect("range runs");
+    let world = RebalanceWorld::build(&root, &config).expect("world builds");
+    let report = run_range(&root, &world, 0..E18_SMOKE_CASES).expect("range runs");
     let mut table = Table::new([
         "case",
         "events",
@@ -126,8 +127,9 @@ fn main() {
         routing: RebalanceDiscipline::StaleEpoch,
         ..RebalanceSimConfig::default()
     };
+    let buggy_world = RebalanceWorld::build(&root, &buggy).expect("buggy world builds");
     let buggy_report =
-        run_rebalance_range(&root, &buggy, 0..E18_SMOKE_CASES).expect("buggy range runs");
+        run_range(&root, &buggy_world, 0..E18_SMOKE_CASES).expect("buggy range runs");
     let repro = buggy_report
         .repro
         .as_ref()

@@ -420,7 +420,10 @@ fn collect_use_tree(tokens: &[Token], prefix: String, map: &mut BTreeMap<String,
                         }
                         j += 1;
                     }
-                    collect_use_tree(&part[i + 1..j.saturating_sub(1)], path.clone(), map);
+                    // An unclosed group (a file mid-edit) runs to the
+                    // end of `part`; a closed one stops before its `}`.
+                    let end = if depth == 0 { j - 1 } else { j };
+                    collect_use_tree(&part[i + 1..end], path.clone(), map);
                     last_segment.clear();
                     i = j;
                     continue;

@@ -487,6 +487,8 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
     Ok(Workspace::from_root(root)?.diagnostics())
 }
 
+/// Escapes `text` for use inside a JSON string literal. The one escaper
+/// behind every JSON artifact the linter writes.
 pub(crate) fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     for c in text.chars() {

@@ -239,21 +239,10 @@ fn derive_site_at(ctx: &FileCtx, path: &str, index: usize) -> Option<DeriveSite>
     })
 }
 
+/// Appends `text` to `out` as a quoted JSON string.
 pub(crate) fn json_str(out: &mut String, text: &str) {
     out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&crate::engine::json_escape(text));
     out.push('"');
 }
 

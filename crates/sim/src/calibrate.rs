@@ -7,8 +7,9 @@
 //! across instance sizes. The measurement itself is a calibration
 //! probe: a short back-to-back steady trace served with admission
 //! disabled, whose mean ticks per query becomes the unit. [`SloWorld`]
-//! (E17) and [`RebalanceWorld`] (E18) both build on this helper, so
-//! their calibrations agree by construction.
+//! (E17) and [`RebalanceWorld`] (E18) both calibrate through it, in the
+//! traffic world they share, so their calibrations agree by
+//! construction.
 //!
 //! [`SloWorld`]: crate::SloWorld
 //! [`RebalanceWorld`]: crate::RebalanceWorld
@@ -78,45 +79,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcakp_knapsack::iky::Epsilon;
-    use lcakp_oracle::InstanceOracle;
-    use lcakp_reproducible::SampleBudget;
-    use lcakp_service::{seed_to_u64, BreakerConfig};
-    use lcakp_workloads::{Family, WorkloadSpec};
+    use crate::world::{TrafficWorld, WorldBase};
 
-    /// The calibrated cost is a pure function of the seeds: pin it for
-    /// a fixed root so an accidental change to the probe (its length,
+    /// The calibrated cost is a pure function of the seeds: pin the E17
+    /// world's calibration for a fixed root so an accidental change to the probe (its length,
     /// shape, or serving config) shows up as a test failure instead of
     /// silently re-scaling every schedule in the golden files.
     #[test]
     fn calibrated_cost_is_pinned_for_a_fixed_seed() {
         let root = Seed::from_entropy_u64(0x5eed);
-        let workload_seed = seed_to_u64(&root.derive("sim/slo-workload", 0));
-        let norm = WorkloadSpec::new(Family::SmallDominated, 24, workload_seed)
-            .generate_normalized()
-            .expect("workload generates");
-        let lca = LcaKp::new(Epsilon::new(1, 3).expect("valid epsilon"))
-            .expect("LCA builds")
-            .with_budget(SampleBudget::Calibrated { factor: 0.01 });
-        let service = ServiceConfig {
-            workers: 1,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ticks: 6,
-                half_open_probes: 1,
-            },
-            ..ServiceConfig::default()
-        };
-        let cost = calibrate_cost(
-            &lca,
-            &InstanceOracle::new(&norm),
-            &root.derive("sim/slo-shared", 0),
-            &root.derive("sim/slo-serving", 0),
-            &root.derive("sim/slo-trace", 0),
-            &service,
-            norm.len(),
+        let base = WorldBase::build(
+            24,
+            [
+                root.derive("sim/slo-workload", 0),
+                root.derive("sim/slo-shared", 0),
+                root.derive("sim/slo-serving", 0),
+            ],
         )
-        .expect("probe serves");
+        .expect("world builds");
+        let cost = TrafficWorld::build(base, root.derive("sim/slo-trace", 0), 2, 160)
+            .expect("probe serves")
+            .cost;
         assert_eq!(cost, calibrated_cost_for_seed_0x5eed());
         assert!(cost >= 1);
     }

@@ -16,24 +16,17 @@
 //! max shard end tick), so shrunk schedules stay meaningful across
 //! instance sizes exactly as in the E15 harness.
 
-use crate::harness::Repro;
+use crate::driver::{smoke, JsonFields, Scenario};
 use crate::invariants::{check_cluster_run, Violation};
 use crate::schedule::{generate_cluster_schedule, SimEvent};
-use crate::shrink::shrink;
-use lcakp_core::{LcaError, LcaKp};
-use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::{ItemId, NormalizedInstance};
+use crate::world::{WorldBase, BREAKER};
+use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
-use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    seed_to_u64, serve_cluster, serve_shard_standalone, BreakerConfig, ClusterConfig,
-    ClusterReport, Disposition, NodeEvent, NodeId, QueryOutcome, Ring, RoutingDiscipline,
-    ServiceConfig,
+    serve_cluster, serve_shard_standalone, ClusterConfig, ClusterReport, Disposition, NodeEvent,
+    NodeId, QueryOutcome, Ring, RoutingDiscipline, ServiceConfig,
 };
-use lcakp_workloads::{Family, WorkloadSpec};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::ops::Range;
 
 /// Cluster-simulator tuning. The defaults keep one case (twin +
 /// faulted run + per-shard standalone replays) in the hundreds of
@@ -72,10 +65,8 @@ impl Default for ClusterSimConfig {
 /// and shared by every case and shrink candidate.
 #[derive(Debug)]
 pub struct ClusterWorld {
-    norm: NormalizedInstance,
-    lca: LcaKp,
-    shared_seed: Seed,
-    service_root: Seed,
+    base: WorldBase,
+    config: ClusterSimConfig,
     cluster: ClusterConfig,
     twin: ClusterReport,
     horizon: u64,
@@ -96,36 +87,6 @@ pub struct ClusterCaseStats {
     pub failovers: usize,
 }
 
-/// One simulated cluster case: its schedule, run counters, violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterCaseResult {
-    /// The case number (schedule seed index).
-    pub case: u64,
-    /// The generated node-level schedule.
-    pub events: Vec<SimEvent>,
-    /// Counters of the faulted run.
-    pub stats: ClusterCaseStats,
-    /// Invariant violations (empty = the case passed).
-    pub violations: Vec<Violation>,
-}
-
-/// Everything [`run_cluster_range`] learned: per-case results plus the
-/// first violation's shrunk repro.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterSimReport {
-    /// One entry per case, in case order.
-    pub cases: Vec<ClusterCaseResult>,
-    /// Shrunk repro of the first violating case, if any violated.
-    pub repro: Option<Repro>,
-}
-
-impl ClusterSimReport {
-    /// Total violations across the range.
-    pub fn total_violations(&self) -> usize {
-        self.cases.iter().map(|case| case.violations.len()).sum()
-    }
-}
-
 impl ClusterWorld {
     /// Builds the world for `root`: the same dominated instance family
     /// and tuning as the E15 [`SimWorld`](crate::SimWorld) — under
@@ -137,12 +98,14 @@ impl ClusterWorld {
     ///
     /// Propagates workload generation and LCA construction errors.
     pub fn build(root: &Seed, config: &ClusterSimConfig) -> Result<ClusterWorld, LcaError> {
-        let workload_seed = seed_to_u64(&root.derive("sim/cluster-workload", 0));
-        let norm = WorkloadSpec::new(Family::SmallDominated, config.n, workload_seed)
-            .generate_normalized()
-            .map_err(LcaError::from)?;
-        let lca =
-            LcaKp::new(Epsilon::new(1, 3)?)?.with_budget(SampleBudget::Calibrated { factor: 0.01 });
+        let base = WorldBase::build(
+            config.n,
+            [
+                root.derive("sim/cluster-workload", 0),
+                root.derive("sim/cluster-shared", 0),
+                root.derive("sim/cluster-serving", 0),
+            ],
+        )?;
         let cluster = ClusterConfig {
             nodes: config.nodes,
             replication: config.replication,
@@ -151,24 +114,18 @@ impl ClusterWorld {
             base: ServiceConfig {
                 workers: 1,
                 queue_depth: config.n.max(1),
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown_ticks: 6,
-                    half_open_probes: 1,
-                },
+                breaker: BREAKER,
                 ..ServiceConfig::default()
             },
             ..ClusterConfig::default()
         };
-        let shared_seed = root.derive("sim/cluster-shared", 0);
-        let service_root = root.derive("sim/cluster-serving", 0);
-        let batch: Vec<ItemId> = (0..norm.len()).map(ItemId).collect();
-        let oracle = InstanceOracle::new(&norm);
+        let batch = base.batch();
+        let oracle = InstanceOracle::new(&base.norm);
         let twin = serve_cluster(
-            &lca,
+            &base.lca,
             &oracle,
-            &shared_seed,
-            &service_root,
+            &base.shared_seed,
+            &base.service_root,
             &batch,
             &cluster,
             None,
@@ -184,10 +141,10 @@ impl ClusterWorld {
         let standalone = (0..cluster.shards)
             .map(|shard| {
                 serve_shard_standalone(
-                    &lca,
+                    &base.lca,
                     &oracle,
-                    &shared_seed,
-                    &service_root,
+                    &base.shared_seed,
+                    &base.service_root,
                     &batch,
                     shard,
                     &cluster,
@@ -195,51 +152,13 @@ impl ClusterWorld {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ClusterWorld {
-            norm,
-            lca,
-            shared_seed,
-            service_root,
+            base,
+            config: *config,
             cluster,
             twin,
             horizon,
             standalone,
         })
-    }
-
-    /// Runs one node-level schedule against the precomputed fault-free
-    /// twin: maps permille ticks onto the twin's horizon, runs the
-    /// faulted cluster, then checks every cluster invariant including
-    /// replica byte-identity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard configuration errors from [`serve_cluster`].
-    pub fn run_schedule(
-        &self,
-        events: &[SimEvent],
-    ) -> Result<(ClusterCaseStats, Vec<Violation>), LcaError> {
-        let batch: Vec<ItemId> = (0..self.norm.len()).map(ItemId).collect();
-        let oracle = InstanceOracle::new(&self.norm);
-        let node_events = map_node_events(events, self.horizon, self.cluster.nodes);
-        let faulted = serve_cluster(
-            &self.lca,
-            &oracle,
-            &self.shared_seed,
-            &self.service_root,
-            &batch,
-            &self.cluster,
-            None,
-            &node_events,
-        )?;
-        let mut violations = check_cluster_run(&self.twin, &faulted, batch.len());
-        violations.extend(self.replica_mismatches(&faulted));
-        let stats = ClusterCaseStats {
-            answered: faulted.answered_count(),
-            shed: faulted.shed_count(),
-            node_crashes: faulted.nodes.iter().map(|trace| trace.crashes).sum(),
-            failovers: faulted.failover_count(),
-        };
-        Ok((stats, violations))
     }
 
     /// The replica byte-identity check: every shard's precomputed
@@ -288,14 +207,69 @@ impl ClusterWorld {
         }
         violations
     }
+}
 
-    /// Convenience for shrink loops: violations only, with hard errors
-    /// treated as "no violation" (a schedule that cannot even run is
-    /// not a smaller repro of an invariant break).
-    pub fn violations_for(&self, events: &[SimEvent]) -> Vec<Violation> {
-        self.run_schedule(events)
-            .map(|(_, violations)| violations)
-            .unwrap_or_default()
+impl Scenario for ClusterWorld {
+    type Stats = ClusterCaseStats;
+
+    fn header(&self) -> Vec<(&'static str, usize)> {
+        vec![
+            ("n", self.config.n),
+            ("nodes", self.config.nodes),
+            ("replication", self.config.replication),
+            ("shards", self.config.shards),
+        ]
+    }
+
+    fn discipline(&self) -> (&'static str, String) {
+        ("routing", self.config.routing.to_string())
+    }
+
+    fn schedule(&self, root: &Seed, case: u64) -> Vec<SimEvent> {
+        generate_cluster_schedule(root, case, self.config.nodes)
+    }
+
+    /// Runs one node-level schedule against the precomputed fault-free
+    /// twin: maps permille ticks onto the twin's horizon, runs the
+    /// faulted cluster, then checks every cluster invariant including
+    /// replica byte-identity.
+    fn run_schedule(
+        &self,
+        events: &[SimEvent],
+    ) -> Result<(ClusterCaseStats, Vec<Violation>), LcaError> {
+        let batch = self.base.batch();
+        let oracle = InstanceOracle::new(&self.base.norm);
+        let node_events = map_node_events(events, self.horizon, self.cluster.nodes);
+        let faulted = serve_cluster(
+            &self.base.lca,
+            &oracle,
+            &self.base.shared_seed,
+            &self.base.service_root,
+            &batch,
+            &self.cluster,
+            None,
+            &node_events,
+        )?;
+        let mut violations = check_cluster_run(&self.twin, &faulted, batch.len());
+        violations.extend(self.replica_mismatches(&faulted));
+        let stats = ClusterCaseStats {
+            answered: faulted.answered_count(),
+            shed: faulted.shed_count(),
+            node_crashes: faulted.nodes.iter().map(|trace| trace.crashes).sum(),
+            failovers: faulted.failover_count(),
+        };
+        Ok((stats, violations))
+    }
+}
+
+impl JsonFields for ClusterCaseStats {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("answered", self.answered.to_string()),
+            ("shed", self.shed.to_string()),
+            ("node_crashes", self.node_crashes.to_string()),
+            ("failovers", self.failovers.to_string()),
+        ]
     }
 }
 
@@ -355,107 +329,6 @@ pub(crate) fn map_node_events(events: &[SimEvent], horizon: u64, nodes: usize) -
     mapped
 }
 
-/// Runs the cases in `range` against one cluster world, shrinking the
-/// first violating schedule (if any) to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`serve_cluster`] errors.
-pub fn run_cluster_range(
-    root: &Seed,
-    config: &ClusterSimConfig,
-    range: Range<u64>,
-) -> Result<ClusterSimReport, LcaError> {
-    let world = ClusterWorld::build(root, config)?;
-    let mut cases = Vec::new();
-    let mut repro = None;
-    for case in range {
-        let events = generate_cluster_schedule(root, case, config.nodes);
-        let (stats, violations) = world.run_schedule(&events)?;
-        if !violations.is_empty() && repro.is_none() {
-            let shrunk = shrink(&events, |candidate| world.violations_for(candidate));
-            repro = Some(Repro { case, shrunk });
-        }
-        cases.push(ClusterCaseResult {
-            case,
-            events,
-            stats,
-            violations,
-        });
-    }
-    Ok(ClusterSimReport { cases, repro })
-}
-
-/// Renders a cluster range report as canonical JSON: fixed field
-/// order, no floats, no ambient state — two runs with the same root
-/// must be byte-identical. This is what the `e16_cluster --smoke`
-/// golden pins.
-#[must_use]
-pub fn render_cluster_json(
-    label: &str,
-    config: &ClusterSimConfig,
-    report: &ClusterSimReport,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"n\": {},", config.n);
-    let _ = writeln!(out, "  \"nodes\": {},", config.nodes);
-    let _ = writeln!(out, "  \"replication\": {},", config.replication);
-    let _ = writeln!(out, "  \"shards\": {},", config.shards);
-    let _ = writeln!(out, "  \"routing\": \"{}\",", config.routing);
-    let _ = writeln!(out, "  \"cases\": [");
-    for (position, case) in report.cases.iter().enumerate() {
-        let events: Vec<String> = case
-            .events
-            .iter()
-            .map(|event| format!("\"{event}\""))
-            .collect();
-        let violations: Vec<String> = case
-            .violations
-            .iter()
-            .map(|violation| format!("\"{violation}\""))
-            .collect();
-        let comma = if position + 1 < report.cases.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"case\": {}, \"events\": [{}], \"answered\": {}, \"shed\": {}, \
-             \"node_crashes\": {}, \"failovers\": {}, \"violations\": [{}]}}{comma}",
-            case.case,
-            events.join(", "),
-            case.stats.answered,
-            case.stats.shed,
-            case.stats.node_crashes,
-            case.stats.failovers,
-            violations.join(", "),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"total_violations\": {},",
-        report.total_violations()
-    );
-    let _ = writeln!(
-        out,
-        "  \"repro\": {}",
-        report.repro.as_ref().map_or_else(
-            || "null".to_string(),
-            |repro| format!(
-                "{{\"case\": {}, \"events\": {}}}",
-                repro.case,
-                repro.shrunk.events.len()
-            )
-        )
-    );
-    let _ = write!(out, "}}");
-    out
-}
-
 /// Cases the smoke run covers (CI diffs its JSON against the golden).
 pub const E16_SMOKE_CASES: u64 = 5;
 
@@ -465,11 +338,10 @@ pub const E16_SMOKE_CASES: u64 = 5;
 ///
 /// # Errors
 ///
-/// Propagates [`run_cluster_range`] errors.
+/// Propagates world construction and [`run_range`](crate::run_range) errors.
 pub fn run_cluster_smoke(root: &Seed) -> Result<String, LcaError> {
-    let config = ClusterSimConfig::default();
-    let report = run_cluster_range(root, &config, 0..E16_SMOKE_CASES)?;
-    Ok(render_cluster_json("e16-smoke", &config, &report))
+    let world = ClusterWorld::build(root, &ClusterSimConfig::default())?;
+    smoke(root, "e16-smoke", &world, None, E16_SMOKE_CASES)
 }
 
 #[cfg(test)]

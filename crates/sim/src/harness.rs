@@ -1,27 +1,22 @@
-//! The simulator itself: builds a world, runs each case's crash-free
-//! twin and faulted run, checks invariants, and shrinks the first
-//! failure.
+//! The E15 simulator: worker-level fault schedules against the
+//! crash–recovery layer of a single-node worker pool.
 //!
-//! A *case* is `(root, case number)`: the schedule derives from the
-//! seed, the world from the root, and both runs from `serve_batch` —
-//! so one `u64` replays everything, and a shrunk event list replays
-//! without the generator at all.
+//! Each case derives crashes, restarts, corruption bursts, latency
+//! spikes, and budget squeezes from `(root, case)`, runs
+//! [`serve_batch`] twice — the crash-free twin and the faulted run —
+//! and checks [`check_run`]'s crash-transparency, liveness, and journal
+//! invariants against the pair.
 
+use crate::driver::{smoke, JsonFields, Scenario};
 use crate::invariants::{check_run, Violation};
 use crate::schedule::{generate_schedule, SimEvent};
-use crate::shrink::{shrink, Shrunk};
-use lcakp_core::{LcaError, LcaKp};
-use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::{ItemId, NormalizedInstance};
+use crate::world::{WorldBase, BREAKER};
+use lcakp_core::LcaError;
 use lcakp_oracle::{FaultPlan, InstanceOracle, Seed};
-use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    seed_to_u64, serve_batch, BatchReport, BreakerConfig, ChaosPlan, FaultSchedule, LatencyWindow,
-    RecoveryDiscipline, ServiceConfig, WorkerEvent,
+    serve_batch, BatchReport, ChaosPlan, FaultSchedule, LatencyWindow, RecoveryDiscipline,
+    ServiceConfig, WorkerEvent,
 };
-use lcakp_workloads::{Family, WorkloadSpec};
-use std::fmt::Write as _;
-use std::ops::Range;
 
 /// Simulator tuning. The defaults keep one case (twin + faulted run)
 /// in the low hundreds of milliseconds so seed ranges and shrink loops
@@ -52,11 +47,9 @@ impl Default for SimConfig {
 /// the base service configuration events get applied to.
 #[derive(Debug)]
 pub struct SimWorld {
-    norm: NormalizedInstance,
-    lca: LcaKp,
-    shared_seed: Seed,
-    service_root: Seed,
-    base: ServiceConfig,
+    base: WorldBase,
+    config: SimConfig,
+    service: ServiceConfig,
 }
 
 /// Headline counters of one faulted run (rendered into the smoke JSON).
@@ -70,68 +63,6 @@ pub struct CaseStats {
     pub crashes: usize,
 }
 
-/// One simulated case: its schedule, run counters, and violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaseResult {
-    /// The case number (schedule seed index).
-    pub case: u64,
-    /// The generated schedule.
-    pub events: Vec<SimEvent>,
-    /// Counters of the faulted run.
-    pub stats: CaseStats,
-    /// Invariant violations (empty = the case passed).
-    pub violations: Vec<Violation>,
-}
-
-/// A shrunk repro of the first violating case in a range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Repro {
-    /// The violating case number (replays the unshrunk schedule).
-    pub case: u64,
-    /// The shrunk schedule and the violations it still triggers.
-    pub shrunk: Shrunk,
-}
-
-impl Repro {
-    /// The repro as replayable text: the case seed plus one line per
-    /// surviving event and violation.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "repro: case {} shrunk to {} event(s) ({} candidate schedules tried)",
-            self.case,
-            self.shrunk.events.len(),
-            self.shrunk.attempts
-        );
-        for event in &self.shrunk.events {
-            let _ = writeln!(out, "  event: {event}");
-        }
-        for violation in &self.shrunk.violations {
-            let _ = writeln!(out, "  violation: {violation}");
-        }
-        out
-    }
-}
-
-/// Everything [`run_range`] learned: per-case results plus the first
-/// violation's shrunk repro.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimReport {
-    /// One entry per case, in case order.
-    pub cases: Vec<CaseResult>,
-    /// Shrunk repro of the first violating case, if any violated.
-    pub repro: Option<Repro>,
-}
-
-impl SimReport {
-    /// Total violations across the range.
-    pub fn total_violations(&self) -> usize {
-        self.cases.iter().map(|case| case.violations.len()).sum()
-    }
-}
-
 impl SimWorld {
     /// Builds the world for `root`: a small dominated instance and a
     /// service tuned so corruption bursts trip breakers and budget
@@ -142,35 +73,31 @@ impl SimWorld {
     ///
     /// Propagates workload generation and LCA construction errors.
     pub fn build(root: &Seed, config: &SimConfig) -> Result<SimWorld, LcaError> {
-        let workload_seed = seed_to_u64(&root.derive("sim/workload", 0));
-        let norm = WorkloadSpec::new(Family::SmallDominated, config.n, workload_seed)
-            .generate_normalized()
-            .map_err(LcaError::from)?;
-        let lca =
-            LcaKp::new(Epsilon::new(1, 3)?)?.with_budget(SampleBudget::Calibrated { factor: 0.01 });
-        let base = ServiceConfig {
+        let base = WorldBase::build(
+            config.n,
+            [
+                root.derive("sim/workload", 0),
+                root.derive("sim/shared", 0),
+                root.derive("sim/serving", 0),
+            ],
+        )?;
+        let service = ServiceConfig {
             workers: config.workers,
             queue_depth: config.n.max(1),
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ticks: 6,
-                half_open_probes: 1,
-            },
+            breaker: BREAKER,
             recovery: config.recovery,
             ..ServiceConfig::default()
         };
         Ok(SimWorld {
-            norm,
-            lca,
-            shared_seed: root.derive("sim/shared", 0),
-            service_root: root.derive("sim/serving", 0),
             base,
+            config: *config,
+            service,
         })
     }
 
     /// Applies the ambient (non-crash) events to the base world.
     fn ambient_world(&self, events: &[SimEvent]) -> (ServiceConfig, ChaosPlan) {
-        let mut config = self.base.clone();
+        let mut config = self.service.clone();
         let mut plan = ChaosPlan::none();
         for event in events {
             match *event {
@@ -202,7 +129,8 @@ impl SimWorld {
                 }
                 SimEvent::BudgetSqueeze { slack_accesses } => {
                     config.worker_access_cap = Some(
-                        self.lca
+                        self.base
+                            .lca
                             .worst_case_accesses()
                             .saturating_add(slack_accesses),
                     );
@@ -218,27 +146,36 @@ impl SimWorld {
         }
         (config, plan)
     }
+}
+
+impl Scenario for SimWorld {
+    type Stats = CaseStats;
+
+    fn header(&self) -> Vec<(&'static str, usize)> {
+        vec![("n", self.config.n), ("workers", self.config.workers)]
+    }
+
+    fn discipline(&self) -> (&'static str, String) {
+        ("recovery", self.config.recovery.to_string())
+    }
+
+    fn schedule(&self, root: &Seed, case: u64) -> Vec<SimEvent> {
+        generate_schedule(root, case, self.config.workers)
+    }
 
     /// Runs one schedule: the crash-free twin first (also the timeline
     /// that turns permille crash ticks into absolute ones), then the
     /// faulted run, then every invariant check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard configuration errors from [`serve_batch`].
-    pub fn run_schedule(
-        &self,
-        events: &[SimEvent],
-    ) -> Result<(CaseStats, Vec<Violation>), LcaError> {
-        let batch: Vec<ItemId> = (0..self.norm.len()).map(ItemId).collect();
-        let oracle = InstanceOracle::new(&self.norm);
+    fn run_schedule(&self, events: &[SimEvent]) -> Result<(CaseStats, Vec<Violation>), LcaError> {
+        let batch = self.base.batch();
+        let oracle = InstanceOracle::new(&self.base.norm);
         let (config, twin_plan) = self.ambient_world(events);
         let serve = |plan: &ChaosPlan| {
             serve_batch(
-                &self.lca,
+                &self.base.lca,
                 &oracle,
-                &self.shared_seed,
-                &self.service_root,
+                &self.base.shared_seed,
+                &self.base.service_root,
                 &batch,
                 &config,
                 Some(plan as &dyn FaultSchedule),
@@ -263,14 +200,15 @@ impl SimWorld {
         };
         Ok((stats, violations))
     }
+}
 
-    /// Convenience for shrink loops: violations only, with hard errors
-    /// treated as "no violation" (a schedule that cannot even run is
-    /// not a smaller repro of an invariant break).
-    pub fn violations_for(&self, events: &[SimEvent]) -> Vec<Violation> {
-        self.run_schedule(events)
-            .map(|(_, violations)| violations)
-            .unwrap_or_default()
+impl JsonFields for CaseStats {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("answered", self.answered.to_string()),
+            ("shed", self.shed.to_string()),
+            ("crashes", self.crashes.to_string()),
+        ]
     }
 }
 
@@ -306,100 +244,6 @@ fn map_crash_events(events: &[SimEvent], twin: &BatchReport) -> Vec<WorkerEvent>
     worker_events
 }
 
-/// Runs the cases in `range` against one world, shrinking the first
-/// violating schedule (if any) to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`serve_batch`] errors.
-pub fn run_range(
-    root: &Seed,
-    config: &SimConfig,
-    range: Range<u64>,
-) -> Result<SimReport, LcaError> {
-    let world = SimWorld::build(root, config)?;
-    let mut cases = Vec::new();
-    let mut repro = None;
-    for case in range {
-        let events = generate_schedule(root, case, config.workers);
-        let (stats, violations) = world.run_schedule(&events)?;
-        if !violations.is_empty() && repro.is_none() {
-            let shrunk = shrink(&events, |candidate| world.violations_for(candidate));
-            repro = Some(Repro { case, shrunk });
-        }
-        cases.push(CaseResult {
-            case,
-            events,
-            stats,
-            violations,
-        });
-    }
-    Ok(SimReport { cases, repro })
-}
-
-/// Renders a range report as canonical JSON: fixed field order, no
-/// floats, no ambient state — two runs with the same root must be
-/// byte-identical. This is what the `e15_simulation --smoke` golden
-/// pins.
-#[must_use]
-pub fn render_json(label: &str, config: &SimConfig, report: &SimReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"n\": {},", config.n);
-    let _ = writeln!(out, "  \"workers\": {},", config.workers);
-    let _ = writeln!(out, "  \"recovery\": \"{}\",", config.recovery);
-    let _ = writeln!(out, "  \"cases\": [");
-    for (position, case) in report.cases.iter().enumerate() {
-        let events: Vec<String> = case
-            .events
-            .iter()
-            .map(|event| format!("\"{event}\""))
-            .collect();
-        let violations: Vec<String> = case
-            .violations
-            .iter()
-            .map(|violation| format!("\"{violation}\""))
-            .collect();
-        let comma = if position + 1 < report.cases.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"case\": {}, \"events\": [{}], \"answered\": {}, \"shed\": {}, \
-             \"crashes\": {}, \"violations\": [{}]}}{comma}",
-            case.case,
-            events.join(", "),
-            case.stats.answered,
-            case.stats.shed,
-            case.stats.crashes,
-            violations.join(", "),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"total_violations\": {},",
-        report.total_violations()
-    );
-    let _ = writeln!(
-        out,
-        "  \"repro\": {}",
-        report.repro.as_ref().map_or_else(
-            || "null".to_string(),
-            |repro| format!(
-                "{{\"case\": {}, \"events\": {}}}",
-                repro.case,
-                repro.shrunk.events.len()
-            )
-        )
-    );
-    let _ = write!(out, "}}");
-    out
-}
-
 /// Cases the smoke run covers (CI diffs its JSON against the golden).
 pub const SMOKE_CASES: u64 = 5;
 
@@ -408,9 +252,8 @@ pub const SMOKE_CASES: u64 = 5;
 ///
 /// # Errors
 ///
-/// Propagates [`run_range`] errors.
+/// Propagates world construction and [`run_range`](crate::run_range) errors.
 pub fn run_smoke(root: &Seed) -> Result<String, LcaError> {
-    let config = SimConfig::default();
-    let report = run_range(root, &config, 0..SMOKE_CASES)?;
-    Ok(render_json("e15-smoke", &config, &report))
+    let world = SimWorld::build(root, &SimConfig::default())?;
+    smoke(root, "e15-smoke", &world, None, SMOKE_CASES)
 }

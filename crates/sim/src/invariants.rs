@@ -243,43 +243,21 @@ impl fmt::Display for Violation {
 /// deterministic order (coverage, divergence, then per-worker journal
 /// checks).
 pub fn check_run(twin: &BatchReport, faulted: &BatchReport, n: usize) -> Vec<Violation> {
-    let mut violations = Vec::new();
-
-    // Liveness: exactly one outcome per submitted index.
-    let mut seen = BTreeSet::new();
-    for outcome in &faulted.outcomes {
-        if !seen.insert(outcome.index) {
-            violations.push(Violation::DuplicateOutcome {
-                index: outcome.index,
-            });
-        }
-    }
-    for index in 0..n {
-        if !seen.contains(&index) {
-            violations.push(Violation::MissingOutcome { index });
-        }
-    }
+    let mut violations =
+        coverage_violations(faulted.outcomes.iter().map(|outcome| outcome.index), n);
 
     // Crash transparency: outcomes equal the twin's, WorkerCrashed
     // sheds of dead workers excepted.
-    let twin_by_index: BTreeMap<usize, &Disposition> = twin
-        .outcomes
-        .iter()
-        .map(|outcome| (outcome.index, &outcome.disposition))
-        .collect();
-    for outcome in &faulted.outcomes {
-        if matches!(
-            outcome.disposition,
-            Disposition::Shed(ShedReason::WorkerCrashed { .. })
-        ) {
-            continue;
-        }
-        if twin_by_index.get(&outcome.index) != Some(&&outcome.disposition) {
-            violations.push(Violation::OutcomeDiverged {
-                index: outcome.index,
-            });
-        }
-    }
+    violations.extend(divergence_violations(
+        &twin.outcomes,
+        &faulted.outcomes,
+        |disposition| {
+            matches!(
+                disposition,
+                Disposition::Shed(ShedReason::WorkerCrashed { .. })
+            )
+        },
+    ));
 
     // Per-worker journal checks on the faulted run.
     for trace in &faulted.workers {
@@ -291,6 +269,48 @@ pub fn check_run(twin: &BatchReport, faulted: &BatchReport, n: usize) -> Vec<Vio
     }
 
     violations
+}
+
+/// Liveness: exactly one outcome per submitted index in `0..n` — a
+/// fault may shed a query, never silently drop it. `indices` are the
+/// outcomes' indices in outcome order.
+fn coverage_violations(indices: impl Iterator<Item = usize>, n: usize) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let mut seen = BTreeSet::new();
+    for index in indices {
+        if !seen.insert(index) {
+            violations.push(Violation::DuplicateOutcome { index });
+        }
+    }
+    for index in 0..n {
+        if !seen.contains(&index) {
+            violations.push(Violation::MissingOutcome { index });
+        }
+    }
+    violations
+}
+
+/// Transparency: every faulted outcome equals the twin's, except the
+/// sheds `tolerated` sanctions.
+fn divergence_violations(
+    twin: &[QueryOutcome],
+    faulted: &[QueryOutcome],
+    tolerated: impl Fn(&Disposition) -> bool,
+) -> Vec<Violation> {
+    let twin_by_index: BTreeMap<usize, &Disposition> = twin
+        .iter()
+        .map(|outcome| (outcome.index, &outcome.disposition))
+        .collect();
+    faulted
+        .iter()
+        .filter(|outcome| {
+            !tolerated(&outcome.disposition)
+                && twin_by_index.get(&outcome.index) != Some(&&outcome.disposition)
+        })
+        .map(|outcome| Violation::OutcomeDiverged {
+            index: outcome.index,
+        })
+        .collect()
 }
 
 /// The journal-discipline checks for one task's write-ahead journal
@@ -379,41 +399,16 @@ pub fn check_cluster_run(
     faulted: &ClusterReport,
     n: usize,
 ) -> Vec<Violation> {
-    let mut violations = Vec::new();
-
-    // Liveness: exactly one outcome per submitted index — a partition
-    // may shed a query, never silently drop it.
-    let mut seen = BTreeSet::new();
-    for outcome in &faulted.outcomes {
-        if !seen.insert(outcome.index) {
-            violations.push(Violation::DuplicateOutcome {
-                index: outcome.index,
-            });
-        }
-    }
-    for index in 0..n {
-        if !seen.contains(&index) {
-            violations.push(Violation::MissingOutcome { index });
-        }
-    }
+    let mut violations =
+        coverage_violations(faulted.outcomes.iter().map(|outcome| outcome.index), n);
 
     // Failover transparency: outcomes equal the twin's, cluster-level
     // sheds of genuinely unreachable shards excepted.
-    let twin_by_index: BTreeMap<usize, &Disposition> = twin
-        .outcomes
-        .iter()
-        .map(|outcome| (outcome.index, &outcome.disposition))
-        .collect();
-    for outcome in &faulted.outcomes {
-        if cluster_tolerated(&outcome.disposition) {
-            continue;
-        }
-        if twin_by_index.get(&outcome.index) != Some(&&outcome.disposition) {
-            violations.push(Violation::OutcomeDiverged {
-                index: outcome.index,
-            });
-        }
-    }
+    violations.extend(divergence_violations(
+        &twin.outcomes,
+        &faulted.outcomes,
+        cluster_tolerated,
+    ));
 
     // Routing honesty: a shed audit naming reachable replicas means the
     // router refused work it could have failed over.
@@ -559,23 +554,10 @@ pub fn check_rebalance_run(
     rebalance: &RebalanceConfig,
     arrivals: usize,
 ) -> Vec<Violation> {
-    let mut violations = Vec::new();
-
-    // Liveness: exactly one outcome per offered arrival — a crash or a
-    // partition may shed an arrival, never silently drop it.
-    let mut seen = BTreeSet::new();
-    for routed in &faulted.outcomes {
-        if !seen.insert(routed.outcome.index) {
-            violations.push(Violation::DuplicateOutcome {
-                index: routed.outcome.index,
-            });
-        }
-    }
-    for index in 0..arrivals {
-        if !seen.contains(&index) {
-            violations.push(Violation::MissingOutcome { index });
-        }
-    }
+    let mut violations = coverage_violations(
+        faulted.outcomes.iter().map(|routed| routed.outcome.index),
+        arrivals,
+    );
 
     // Rebalance honesty: the audit trail must justify every promotion.
     for audit in &faulted.rebalance_audits {

@@ -1,5 +1,5 @@
 //! `lcakp-sim` — a VOPR-style deterministic simulator for the
-//! `lcakp-service` crash–recovery layer (experiment E15).
+//! `lcakp-service` serving runtime (experiments E15–E18).
 //!
 //! The simulator's claim mirrors Theorem 4.1's consistency guarantee
 //! pushed through the serving runtime: with a shared seed, a worker
@@ -15,26 +15,32 @@
 //!
 //! One module per concern:
 //!
+//! * [`driver`] — the skeleton every experiment shares: the
+//!   [`Scenario`] trait (schedule, twin-and-faulted run, stats), the
+//!   generic [`CaseResult`] / [`SimReport`], the range driver
+//!   [`run_range`], the planted-bug [`hunt`], and the one canonical JSON
+//!   renderer [`render_json`] the `--smoke` goldens pin;
+//! * `world` — the world every scenario builds on (instance, LCA,
+//!   seeds, breaker) and, for the traffic scenarios, the calibrated
+//!   deadline, admission controller, and arrival-trace mapping;
 //! * [`schedule`] — [`SimEvent`] and seed-derived schedule generation;
 //! * [`invariants`] — the [`Violation`] taxonomy and [`check_run`];
 //! * [`shrink`] — greedy schedule shrinking to a minimal repro;
-//! * [`harness`] — the world builder, twin-run executor, range driver,
-//!   and the canonical JSON the `e15_simulation --smoke` golden pins;
-//! * [`cluster`] — the E16 extension: node crashes, restarts, and
-//!   partitions against the simulated multi-node cluster, plus the
-//!   replica byte-identity check and the `e16_cluster --smoke` JSON;
-//! * [`slo`] — the E17 extension: open-loop traffic schedules against
-//!   the adaptive admission controller, with admission-honesty,
-//!   hysteresis, and liveness invariants checked against an
-//!   admission-free twin, and the `e17_slo --smoke` JSON;
 //! * [`calibrate`] — the per-query service-cost probe the traffic
-//!   simulators share, so E17 and E18 schedules are expressed in the
-//!   same unit;
-//! * [`rebalance`] — the E18 extension: traffic-and-fault schedules
-//!   against the admission-coupled ring-rebalance controller, with
+//!   scenarios express their schedules in;
+//! * [`harness`] — E15: worker crashes, restarts, corruption bursts,
+//!   latency spikes, and budget squeezes against the worker pool;
+//! * [`cluster`] — E16: node crashes, restarts, and partitions against
+//!   the simulated multi-node cluster, plus the replica byte-identity
+//!   check;
+//! * [`slo`] — E17: open-loop traffic schedules against the adaptive
+//!   admission controller, with admission-honesty, hysteresis, and
+//!   liveness invariants checked against an admission-free twin;
+//! * [`rebalance`] — E18: traffic-and-fault schedules against the
+//!   admission-coupled ring-rebalance controller, with
 //!   rebalance-honesty, anti-ping-pong, epoch-monotonicity, and
 //!   migration byte-identity invariants, relief measured against a
-//!   frozen-ring twin, and the `e18_rebalance --smoke` JSON.
+//!   frozen-ring twin.
 //!
 //! See `docs/robustness.md` ("Crash–recovery & simulation" and
 //! "Cluster failover & partitions") for the journal format, the
@@ -46,27 +52,26 @@
 
 pub mod calibrate;
 pub mod cluster;
+pub mod driver;
 pub mod harness;
 pub mod invariants;
 pub mod rebalance;
 pub mod schedule;
 pub mod shrink;
 pub mod slo;
+mod world;
 
 pub use calibrate::calibrate_cost;
 pub use cluster::{
-    render_cluster_json, run_cluster_range, run_cluster_smoke, ClusterCaseResult, ClusterCaseStats,
-    ClusterSimConfig, ClusterSimReport, ClusterWorld, E16_SMOKE_CASES,
+    run_cluster_smoke, ClusterCaseStats, ClusterSimConfig, ClusterWorld, E16_SMOKE_CASES,
 };
-pub use harness::{
-    render_json, run_range, run_smoke, CaseResult, CaseStats, Repro, SimConfig, SimReport,
-    SimWorld, SMOKE_CASES,
+pub use driver::{
+    hunt, render_json, run_range, CaseResult, JsonFields, Repro, Scenario, SimReport,
 };
+pub use harness::{run_smoke, CaseStats, SimConfig, SimWorld, SMOKE_CASES};
 pub use invariants::{check_cluster_run, check_rebalance_run, check_run, check_slo_run, Violation};
 pub use rebalance::{
-    hunt_planted_rebalance_bug, render_rebalance_json, run_rebalance_range, run_rebalance_smoke,
-    RebalanceCaseResult, RebalanceCaseStats, RebalanceSimConfig, RebalanceSimReport,
-    RebalanceWorld, E18_SMOKE_CASES,
+    run_rebalance_smoke, RebalanceCaseStats, RebalanceSimConfig, RebalanceWorld, E18_SMOKE_CASES,
 };
 pub use schedule::{
     generate_cluster_schedule, generate_rebalance_schedule, generate_schedule,
@@ -74,6 +79,5 @@ pub use schedule::{
 };
 pub use shrink::{shrink, Shrunk};
 pub use slo::{
-    hunt_planted_bug, render_slo_json, run_slo_range, run_slo_smoke, slo_target_permille,
-    SloCaseResult, SloCaseStats, SloSimConfig, SloSimReport, SloWorld, E17_SMOKE_CASES,
+    run_slo_smoke, slo_target_permille, SloCaseStats, SloSimConfig, SloWorld, E17_SMOKE_CASES,
 };

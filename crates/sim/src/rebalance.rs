@@ -32,27 +32,18 @@
 //!
 //! [`RebalanceController`]: lcakp_service::RebalanceController
 
-use crate::calibrate::calibrate_cost;
 use crate::cluster::map_node_events;
-use crate::harness::Repro;
+use crate::driver::{smoke, JsonFields, Scenario, SimReport};
 use crate::invariants::{check_rebalance_run, Violation};
 use crate::schedule::{generate_rebalance_schedule, SimEvent};
-use crate::shrink::shrink;
-use crate::slo::apply_surge;
-use lcakp_core::{LcaError, LcaKp};
-use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::NormalizedInstance;
+use crate::world::{TrafficWorld, WorldBase};
+use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
-use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    generate_trace, replay_shard_traffic, seed_to_u64, serve_cluster_traffic, AdmissionConfig,
-    AdmissionDiscipline, Arrival, BreakerConfig, ClusterTrafficConfig, ClusterTrafficReport,
-    RebalanceConfig, RebalanceDiscipline, ServiceConfig, TrafficConfig, TrafficDisposition,
-    TrafficShape,
+    replay_shard_traffic, serve_cluster_traffic, AdmissionDiscipline, Arrival,
+    ClusterTrafficConfig, ClusterTrafficReport, RebalanceConfig, RebalanceDiscipline,
+    TrafficDisposition, TrafficShape,
 };
-use lcakp_workloads::{Family, WorkloadSpec};
-use std::fmt::Write as _;
-use std::ops::Range;
 
 /// Rebalance-simulator tuning. The defaults keep one case (controlled
 /// run + no-rebalance twin + per-shard standalone replays) in the tens
@@ -88,22 +79,15 @@ impl Default for RebalanceSimConfig {
     }
 }
 
-/// The fixed world one rebalance simulation runs in: the instance, the
-/// LCA, the seeds, and the calibration every schedule is expressed
-/// against. Everything here depends only on `(root, config)` — the
-/// schedule is the entire difference between two cases.
+/// The fixed world one rebalance simulation runs in: the calibrated
+/// traffic world plus the cluster it serves on. Everything here depends
+/// only on `(root, config)` — the schedule is the entire difference
+/// between two cases.
 #[derive(Debug)]
 pub struct RebalanceWorld {
-    norm: NormalizedInstance,
-    lca: LcaKp,
-    shared_seed: Seed,
-    service_root: Seed,
-    trace_root: Seed,
+    traffic: TrafficWorld,
+    config: RebalanceSimConfig,
     cluster: ClusterTrafficConfig,
-    arrivals: usize,
-    /// Measured mean service ticks per query (the unit every schedule
-    /// gap is permille of).
-    cost: u64,
 }
 
 /// Headline counters of one controlled run, with its no-rebalance
@@ -139,36 +123,7 @@ pub struct RebalanceCaseStats {
     pub relieved: bool,
 }
 
-/// One simulated rebalance case: its schedule, run counters,
-/// violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RebalanceCaseResult {
-    /// The case number (schedule seed index).
-    pub case: u64,
-    /// The generated traffic-and-fault schedule.
-    pub events: Vec<SimEvent>,
-    /// Counters of the controlled run (and its twin's baselines).
-    pub stats: RebalanceCaseStats,
-    /// Invariant violations (empty = the case passed).
-    pub violations: Vec<Violation>,
-}
-
-/// Everything [`run_rebalance_range`] learned: per-case results plus
-/// the first violation's shrunk repro.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RebalanceSimReport {
-    /// One entry per case, in case order.
-    pub cases: Vec<RebalanceCaseResult>,
-    /// Shrunk repro of the first violating case, if any violated.
-    pub repro: Option<Repro>,
-}
-
-impl RebalanceSimReport {
-    /// Total violations across the range.
-    pub fn total_violations(&self) -> usize {
-        self.cases.iter().map(|case| case.violations.len()).sum()
-    }
-
+impl SimReport<RebalanceCaseStats> {
     /// Whether at least one hot-shard case was demonstrably relieved —
     /// the scenario the rebalance controller exists for. Not every
     /// hot-shard case can be: a partition may isolate every standby, or
@@ -206,49 +161,26 @@ impl RebalanceWorld {
     /// Propagates workload generation, LCA construction, and probe-run
     /// errors.
     pub fn build(root: &Seed, config: &RebalanceSimConfig) -> Result<RebalanceWorld, LcaError> {
-        let workload_seed = seed_to_u64(&root.derive("sim/rebalance-workload", 0));
-        let norm = WorkloadSpec::new(Family::SmallDominated, config.n, workload_seed)
-            .generate_normalized()
-            .map_err(LcaError::from)?;
-        let lca =
-            LcaKp::new(Epsilon::new(1, 3)?)?.with_budget(SampleBudget::Calibrated { factor: 0.01 });
-        let shared_seed = root.derive("sim/rebalance-shared", 0);
-        let service_root = root.derive("sim/rebalance-serving", 0);
-        let trace_root = root.derive("sim/rebalance-trace", 0);
-        let mut service = ServiceConfig {
-            workers: 1,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ticks: 6,
-                half_open_probes: 1,
-            },
-            ..ServiceConfig::default()
-        };
-        let cost = calibrate_cost(
-            &lca,
-            &InstanceOracle::new(&norm),
-            &shared_seed,
-            &service_root,
-            &trace_root,
-            &service,
+        let base = WorldBase::build(
             config.n,
+            [
+                root.derive("sim/rebalance-workload", 0),
+                root.derive("sim/rebalance-shared", 0),
+                root.derive("sim/rebalance-serving", 0),
+            ],
+        )?;
+        let traffic = TrafficWorld::build(
+            base,
+            root.derive("sim/rebalance-trace", 0),
+            config.shards,
+            config.arrivals,
         )?;
 
-        // The same deadline/hysteresis scaling as the E17 world, plus
-        // the rebalance dual hysteresis: a short dwell (promote fast
-        // under genuine heat) under a long window (but never twice per
-        // shard back to back — the anti-ping-pong bound).
-        service.deadline_ticks = cost * 8;
-        let admission = AdmissionConfig {
-            enter_queue_depth: 6,
-            exit_queue_depth: 2,
-            enter_miss_permille: 250,
-            exit_miss_permille: 60,
-            hysteresis_ticks: cost * 8,
-            shed_permille: 400,
-            queue_depth_normal: 12,
-            queue_depth_overloaded: 4,
-        };
+        // The rebalance dual hysteresis, in the same calibrated unit as
+        // the admission controller: a short dwell (promote fast under
+        // genuine heat) under a long window (but never twice per shard
+        // back to back — the anti-ping-pong bound).
+        let cost = traffic.cost;
         let rebalance = RebalanceConfig {
             enter_queue_depth: 6,
             enter_miss_permille: 250,
@@ -257,118 +189,22 @@ impl RebalanceWorld {
             window_ticks: cost * 64,
             max_promotions_per_shard: 2,
         };
-        Ok(RebalanceWorld {
-            norm,
-            lca,
-            shared_seed,
-            service_root,
-            trace_root,
-            cluster: ClusterTrafficConfig {
-                nodes: config.nodes,
-                replication: config.replication,
-                shards: config.shards,
-                vnodes: 64,
-                service,
-                admission,
-                discipline: Some(AdmissionDiscipline::Faithful),
-                rebalance: Some(rebalance),
-                routing: config.routing,
-            },
-            arrivals: config.arrivals,
-            cost,
-        })
-    }
-
-    /// The calibrated per-query service cost (ticks).
-    #[must_use]
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
-
-    /// Maps a schedule onto its arrival trace, exactly as the E17 world
-    /// does: the traffic event picks the shape and scales the mean gap
-    /// by the calibrated cost; each overload surge compresses the gaps
-    /// inside its window. An event list with no traffic event maps to
-    /// the empty trace.
-    #[must_use]
-    pub fn build_trace(&self, events: &[SimEvent]) -> Vec<Arrival> {
-        let Some((shape, gap_permille)) = events.iter().find_map(|event| match event {
-            SimEvent::Traffic {
-                shape,
-                gap_permille,
-            } => Some((*shape, *gap_permille)),
-            _ => None,
-        }) else {
-            return Vec::new();
+        let cluster = ClusterTrafficConfig {
+            nodes: config.nodes,
+            replication: config.replication,
+            shards: config.shards,
+            vnodes: 64,
+            service: traffic.service.clone(),
+            admission: traffic.admission,
+            discipline: Some(AdmissionDiscipline::Faithful),
+            rebalance: Some(rebalance),
+            routing: config.routing,
         };
-        let mut trace = generate_trace(
-            &self.trace_root,
-            &TrafficConfig {
-                shape,
-                arrivals: self.arrivals,
-                mean_gap_ticks: (self.cost * u64::from(gap_permille) / 1000).max(1),
-                universe: self.norm.len(),
-                shards: self.cluster.shards,
-            },
-        );
-        for event in events {
-            if let SimEvent::OverloadSurge {
-                start_permille,
-                len_permille,
-                gap_div,
-            } = event
-            {
-                apply_surge(&mut trace, *start_permille, *len_permille, *gap_div);
-            }
-        }
-        trace
-    }
-
-    /// Runs one schedule: builds the trace, maps the node faults onto
-    /// the trace horizon, runs the controlled cluster and its
-    /// no-rebalance twin, and checks every E18 invariant (including
-    /// migration byte-identity against per-shard standalone replays).
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard serving errors from [`serve_cluster_traffic`].
-    pub fn run_schedule(
-        &self,
-        events: &[SimEvent],
-    ) -> Result<(RebalanceCaseStats, Vec<Violation>), LcaError> {
-        let trace = self.build_trace(events);
-        let horizon = trace.last().map_or(0, |arrival| arrival.at_tick).max(1);
-        let node_events = map_node_events(events, horizon, self.cluster.nodes);
-        let oracle = InstanceOracle::new(&self.norm);
-        let controlled = serve_cluster_traffic(
-            &self.lca,
-            &oracle,
-            &self.shared_seed,
-            &self.service_root,
-            &trace,
-            &self.cluster,
-            &node_events,
-        )?;
-        let twin = serve_cluster_traffic(
-            &self.lca,
-            &oracle,
-            &self.shared_seed,
-            &self.service_root,
-            &trace,
-            &ClusterTrafficConfig {
-                rebalance: None,
-                routing: RebalanceDiscipline::Faithful,
-                ..self.cluster.clone()
-            },
-            &node_events,
-        )?;
-        let rebalance = self
-            .cluster
-            .rebalance
-            .expect("the world always arms the controller");
-        let mut violations = check_rebalance_run(&controlled, &rebalance, trace.len());
-        violations.extend(self.migrated_mismatches(&controlled, &trace));
-        Ok((case_stats(&controlled, &twin), violations))
+        Ok(RebalanceWorld {
+            traffic,
+            config: *config,
+            cluster,
+        })
     }
 
     /// The migration byte-identity check: for every shard, the admitted
@@ -381,7 +217,8 @@ impl RebalanceWorld {
         controlled: &ClusterTrafficReport,
         trace: &[Arrival],
     ) -> Vec<Violation> {
-        let oracle = InstanceOracle::new(&self.norm);
+        let base = &self.traffic.base;
+        let oracle = InstanceOracle::new(&base.norm);
         let mut violations = Vec::new();
         for shard in 0..self.cluster.shards {
             let admitted: Vec<(usize, Arrival)> = controlled
@@ -397,10 +234,10 @@ impl RebalanceWorld {
                 .map(|routed| (routed.outcome.index, trace[routed.outcome.index]))
                 .collect();
             let Ok(replayed) = replay_shard_traffic(
-                &self.lca,
+                &base.lca,
                 &oracle,
-                &self.shared_seed,
-                &self.service_root,
+                &base.shared_seed,
+                &base.service_root,
                 &admitted,
                 shard,
                 &self.cluster.service,
@@ -428,14 +265,94 @@ impl RebalanceWorld {
         }
         violations
     }
+}
 
-    /// Convenience for shrink loops: violations only, with hard errors
-    /// treated as "no violation" (a schedule that cannot even run is
-    /// not a smaller repro of an invariant break).
-    pub fn violations_for(&self, events: &[SimEvent]) -> Vec<Violation> {
-        self.run_schedule(events)
-            .map(|(_, violations)| violations)
-            .unwrap_or_default()
+impl Scenario for RebalanceWorld {
+    type Stats = RebalanceCaseStats;
+
+    fn header(&self) -> Vec<(&'static str, usize)> {
+        vec![
+            ("n", self.config.n),
+            ("nodes", self.config.nodes),
+            ("replication", self.config.replication),
+            ("shards", self.config.shards),
+            ("arrivals", self.config.arrivals),
+        ]
+    }
+
+    fn discipline(&self) -> (&'static str, String) {
+        ("routing", self.config.routing.to_string())
+    }
+
+    fn schedule(&self, root: &Seed, case: u64) -> Vec<SimEvent> {
+        generate_rebalance_schedule(root, case, self.config.nodes)
+    }
+
+    /// Runs one schedule: builds the trace, maps the node faults onto
+    /// the trace horizon, runs the controlled cluster and its
+    /// no-rebalance twin, and checks every E18 invariant (including
+    /// migration byte-identity against per-shard standalone replays).
+    fn run_schedule(
+        &self,
+        events: &[SimEvent],
+    ) -> Result<(RebalanceCaseStats, Vec<Violation>), LcaError> {
+        let base = &self.traffic.base;
+        let trace = self.traffic.build_trace(events);
+        let horizon = trace.last().map_or(0, |arrival| arrival.at_tick).max(1);
+        let node_events = map_node_events(events, horizon, self.cluster.nodes);
+        let oracle = InstanceOracle::new(&base.norm);
+        let controlled = serve_cluster_traffic(
+            &base.lca,
+            &oracle,
+            &base.shared_seed,
+            &base.service_root,
+            &trace,
+            &self.cluster,
+            &node_events,
+        )?;
+        let twin = serve_cluster_traffic(
+            &base.lca,
+            &oracle,
+            &base.shared_seed,
+            &base.service_root,
+            &trace,
+            &ClusterTrafficConfig {
+                rebalance: None,
+                routing: RebalanceDiscipline::Faithful,
+                ..self.cluster.clone()
+            },
+            &node_events,
+        )?;
+        let rebalance = self
+            .cluster
+            .rebalance
+            .expect("the world always arms the controller");
+        let mut violations = check_rebalance_run(&controlled, &rebalance, trace.len());
+        violations.extend(self.migrated_mismatches(&controlled, &trace));
+        Ok((case_stats(&controlled, &twin), violations))
+    }
+}
+
+impl JsonFields for RebalanceCaseStats {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("offered", self.offered.to_string()),
+            ("answered", self.answered.to_string()),
+            ("shed", self.shed.to_string()),
+            ("promotions", self.promotions.to_string()),
+            ("failovers", self.failovers.to_string()),
+            ("stale_sheds", self.stale_sheds.to_string()),
+            ("epoch", self.final_epoch.to_string()),
+            ("p99", self.p99_ticks.to_string()),
+            ("twin_p99", self.twin_p99_ticks.to_string()),
+            ("shed_permille", self.shed_permille.to_string()),
+            ("twin_shed_permille", self.twin_shed_permille.to_string()),
+            ("relieved", self.relieved.to_string()),
+        ]
+    }
+
+    fn summary(report: &SimReport<Self>) -> Option<(&'static str, bool)> {
+        Some(("hot_shard_relieved", report.hot_shard_relieved()))
     }
 }
 
@@ -480,150 +397,8 @@ fn case_stats(
     }
 }
 
-/// Runs the cases in `range` against one rebalance world, shrinking
-/// the first violating schedule (if any) to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`serve_cluster_traffic`] errors.
-pub fn run_rebalance_range(
-    root: &Seed,
-    config: &RebalanceSimConfig,
-    range: Range<u64>,
-) -> Result<RebalanceSimReport, LcaError> {
-    let world = RebalanceWorld::build(root, config)?;
-    let mut cases = Vec::new();
-    let mut repro = None;
-    for case in range {
-        let events = generate_rebalance_schedule(root, case, config.nodes);
-        let (stats, violations) = world.run_schedule(&events)?;
-        if !violations.is_empty() && repro.is_none() {
-            let shrunk = shrink(&events, |candidate| world.violations_for(candidate));
-            repro = Some(Repro { case, shrunk });
-        }
-        cases.push(RebalanceCaseResult {
-            case,
-            events,
-            stats,
-            violations,
-        });
-    }
-    Ok(RebalanceSimReport { cases, repro })
-}
-
-/// Renders a range report as canonical JSON: fixed field order, no
-/// floats, no ambient state — two runs with the same root must be
-/// byte-identical. This is what the `e18_rebalance --smoke` golden
-/// pins (together with the planted-bug section appended by
-/// [`run_rebalance_smoke`]).
-#[must_use]
-pub fn render_rebalance_json(
-    label: &str,
-    config: &RebalanceSimConfig,
-    report: &RebalanceSimReport,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"n\": {},", config.n);
-    let _ = writeln!(out, "  \"nodes\": {},", config.nodes);
-    let _ = writeln!(out, "  \"replication\": {},", config.replication);
-    let _ = writeln!(out, "  \"shards\": {},", config.shards);
-    let _ = writeln!(out, "  \"arrivals\": {},", config.arrivals);
-    let _ = writeln!(out, "  \"routing\": \"{}\",", config.routing);
-    let _ = writeln!(out, "  \"cases\": [");
-    for (position, case) in report.cases.iter().enumerate() {
-        let events: Vec<String> = case
-            .events
-            .iter()
-            .map(|event| format!("\"{event}\""))
-            .collect();
-        let violations: Vec<String> = case
-            .violations
-            .iter()
-            .map(|violation| format!("\"{violation}\""))
-            .collect();
-        let comma = if position + 1 < report.cases.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"case\": {}, \"events\": [{}], \"offered\": {}, \"answered\": {}, \
-             \"shed\": {}, \"promotions\": {}, \"failovers\": {}, \"stale_sheds\": {}, \
-             \"epoch\": {}, \"p99\": {}, \"twin_p99\": {}, \"shed_permille\": {}, \
-             \"twin_shed_permille\": {}, \"relieved\": {}, \"violations\": [{}]}}{comma}",
-            case.case,
-            events.join(", "),
-            case.stats.offered,
-            case.stats.answered,
-            case.stats.shed,
-            case.stats.promotions,
-            case.stats.failovers,
-            case.stats.stale_sheds,
-            case.stats.final_epoch,
-            case.stats.p99_ticks,
-            case.stats.twin_p99_ticks,
-            case.stats.shed_permille,
-            case.stats.twin_shed_permille,
-            case.stats.relieved,
-            violations.join(", "),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"total_violations\": {},",
-        report.total_violations()
-    );
-    let _ = writeln!(
-        out,
-        "  \"hot_shard_relieved\": {},",
-        report.hot_shard_relieved()
-    );
-    let _ = writeln!(
-        out,
-        "  \"repro\": {}",
-        report.repro.as_ref().map_or_else(
-            || "null".to_string(),
-            |repro| format!(
-                "{{\"case\": {}, \"events\": {}}}",
-                repro.case,
-                repro.shrunk.events.len()
-            )
-        )
-    );
-    let _ = write!(out, "}}");
-    out
-}
-
 /// Cases the smoke run covers (CI diffs its JSON against the golden).
 pub const E18_SMOKE_CASES: u64 = 10;
-
-/// Hunts for the planted stale-router bug: runs the world under
-/// `config.routing` over cases from 0 until a schedule violates
-/// (bounded by `max_cases`), then shrinks it to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`serve_cluster_traffic`] errors.
-pub fn hunt_planted_rebalance_bug(
-    root: &Seed,
-    config: &RebalanceSimConfig,
-    max_cases: u64,
-) -> Result<Option<Repro>, LcaError> {
-    let world = RebalanceWorld::build(root, config)?;
-    for case in 0..max_cases {
-        let events = generate_rebalance_schedule(root, case, config.nodes);
-        let violations = world.violations_for(&events);
-        if !violations.is_empty() {
-            let shrunk = shrink(&events, |candidate| world.violations_for(candidate));
-            return Ok(Some(Repro { case, shrunk }));
-        }
-    }
-    Ok(None)
-}
 
 /// Runs the committed smoke for the `e18_rebalance --smoke` bin and
 /// the golden test: [`E18_SMOKE_CASES`] cases under faithful routing,
@@ -632,50 +407,18 @@ pub fn hunt_planted_rebalance_bug(
 ///
 /// # Errors
 ///
-/// Propagates [`run_rebalance_range`] and
-/// [`hunt_planted_rebalance_bug`] errors.
+/// Propagates world construction and [`run_range`](crate::run_range) errors.
 pub fn run_rebalance_smoke(root: &Seed) -> Result<String, LcaError> {
     let config = RebalanceSimConfig::default();
-    let report = run_rebalance_range(root, &config, 0..E18_SMOKE_CASES)?;
-    let faithful = render_rebalance_json("e18-smoke", &config, &report);
-
-    let bug_config = RebalanceSimConfig {
+    let planted = RebalanceSimConfig {
         routing: RebalanceDiscipline::StaleEpoch,
         ..config
     };
-    let repro = hunt_planted_rebalance_bug(root, &bug_config, E18_SMOKE_CASES)?;
-    let planted = repro.map_or_else(
-        || "null".to_string(),
-        |repro| {
-            let events: Vec<String> = repro
-                .shrunk
-                .events
-                .iter()
-                .map(|event| format!("\"{event}\""))
-                .collect();
-            let violations: Vec<String> = repro
-                .shrunk
-                .violations
-                .iter()
-                .map(|violation| format!("\"{violation}\""))
-                .collect();
-            format!(
-                "{{\"routing\": \"{}\", \"case\": {}, \"events\": [{}], \
-                 \"violations\": [{}]}}",
-                bug_config.routing,
-                repro.case,
-                events.join(", "),
-                violations.join(", "),
-            )
-        },
-    );
-
-    // Splice the planted-bug section before the closing brace so the
-    // golden pins both halves of the acceptance criteria in one file.
-    let body = faithful
-        .strip_suffix('}')
-        .expect("render_rebalance_json ends with a closing brace")
-        .trim_end()
-        .to_string();
-    Ok(format!("{body},\n  \"planted\": {planted}\n}}"))
+    smoke(
+        root,
+        "e18-smoke",
+        &RebalanceWorld::build(root, &config)?,
+        Some(&RebalanceWorld::build(root, &planted)?),
+        E18_SMOKE_CASES,
+    )
 }

@@ -11,6 +11,7 @@ use lcakp_oracle::Seed;
 use lcakp_service::TrafficShape;
 use rand::Rng;
 use std::fmt;
+use std::ops::Range;
 
 /// One injected fault. Crash ticks are expressed in *permille of the
 /// crash-free run's final worker tick* rather than absolute ticks, so a
@@ -256,42 +257,70 @@ pub fn generate_cluster_schedule(root: &Seed, case: u64, nodes: usize) -> Vec<Si
     let mut events = Vec::new();
     let crashes = rng.gen_range(1usize..=2);
     for _ in 0..crashes {
-        let node = rng.gen_range(0..nodes);
-        let torn_keep = if rng.gen_range(0u32..2) == 0 {
-            Some(rng.gen_range(0usize..96))
-        } else {
-            None
-        };
-        let tick_permille = rng.gen_range(0u32..900);
-        events.push(SimEvent::NodeCrash {
-            node,
-            tick_permille,
-            torn_keep,
-        });
-        // Most dead nodes come back; the rest stay down so their shards
-        // must live on replicas (or shed explicitly).
-        if rng.gen_range(0u32..10) < 7 {
-            events.push(SimEvent::NodeRestart {
-                node,
-                tick_permille: tick_permille.saturating_add(rng.gen_range(50u32..250)),
-            });
-        }
+        push_node_crash(&mut rng, &mut events, nodes, 0..900);
     }
     if nodes > 1 && rng.gen_range(0u32..10) < 5 {
-        let cut_mask = rng.gen_range(1u32..(1 << (nodes - 1))) << 1;
-        let from_permille = rng.gen_range(0u32..700);
-        let heal_permille = if rng.gen_range(0u32..10) < 7 {
-            Some(from_permille.saturating_add(rng.gen_range(100u32..300)))
-        } else {
-            None
-        };
-        events.push(SimEvent::Partition {
-            cut_mask,
-            from_permille,
-            heal_permille,
-        });
+        events.push(partition(&mut rng, nodes, 0..700));
     }
     events
+}
+
+/// Pushes a crash of a random node at a tick drawn from `ticks`
+/// (permille), tearing its journal in half the draws. Most dead nodes
+/// come back 50–250‰ later; the rest stay down so their shards must
+/// live on replicas (or shed explicitly).
+fn push_node_crash(
+    rng: &mut impl Rng,
+    events: &mut Vec<SimEvent>,
+    nodes: usize,
+    ticks: Range<u32>,
+) {
+    let node = rng.gen_range(0..nodes);
+    let torn_keep = if rng.gen_range(0u32..2) == 0 {
+        Some(rng.gen_range(0usize..96))
+    } else {
+        None
+    };
+    let tick_permille = rng.gen_range(ticks);
+    events.push(SimEvent::NodeCrash {
+        node,
+        tick_permille,
+        torn_keep,
+    });
+    if rng.gen_range(0u32..10) < 7 {
+        events.push(SimEvent::NodeRestart {
+            node,
+            tick_permille: tick_permille.saturating_add(rng.gen_range(50u32..250)),
+        });
+    }
+}
+
+/// A partition cutting a random non-empty set of nodes — never node 0,
+/// which anchors the client's side — from a tick drawn from `from`
+/// (permille); most heal 100–300‰ later. Needs `nodes > 1`.
+fn partition(rng: &mut impl Rng, nodes: usize, from: Range<u32>) -> SimEvent {
+    let cut_mask = rng.gen_range(1u32..(1 << (nodes - 1))) << 1;
+    let from_permille = rng.gen_range(from);
+    let heal_permille = if rng.gen_range(0u32..10) < 7 {
+        Some(from_permille.saturating_add(rng.gen_range(100u32..300)))
+    } else {
+        None
+    };
+    SimEvent::Partition {
+        cut_mask,
+        from_permille,
+        heal_permille,
+    }
+}
+
+/// An overload surge over 150–400‰ of the trace, starting 100–500‰ in,
+/// dividing the gaps inside it by a divisor drawn from `gap_div`.
+fn surge(rng: &mut impl Rng, gap_div: Range<u32>) -> SimEvent {
+    SimEvent::OverloadSurge {
+        start_permille: rng.gen_range(100u32..500),
+        len_permille: rng.gen_range(150u32..400),
+        gap_div: rng.gen_range(gap_div),
+    }
 }
 
 /// Generates the traffic schedule for an E17 `case`: exactly one
@@ -307,11 +336,7 @@ pub fn generate_slo_schedule(root: &Seed, case: u64) -> Vec<SimEvent> {
         gap_permille: rng.gen_range(900u32..2200),
     }];
     if rng.gen_range(0u32..10) < 5 {
-        events.push(SimEvent::OverloadSurge {
-            start_permille: rng.gen_range(100u32..500),
-            len_permille: rng.gen_range(150u32..400),
-            gap_div: rng.gen_range(3u32..6),
-        });
+        events.push(surge(&mut rng, 3..6));
     }
     events
 }
@@ -340,45 +365,13 @@ pub fn generate_rebalance_schedule(root: &Seed, case: u64, nodes: usize) -> Vec<
         gap_permille: rng.gen_range(500u32..1400),
     }];
     if rng.gen_range(0u32..10) < 4 {
-        events.push(SimEvent::OverloadSurge {
-            start_permille: rng.gen_range(100u32..500),
-            len_permille: rng.gen_range(150u32..400),
-            gap_div: rng.gen_range(2u32..5),
-        });
+        events.push(surge(&mut rng, 2..5));
     }
     if rng.gen_range(0u32..10) < 5 {
-        let node = rng.gen_range(0..nodes);
-        let torn_keep = if rng.gen_range(0u32..2) == 0 {
-            Some(rng.gen_range(0usize..96))
-        } else {
-            None
-        };
-        let tick_permille = rng.gen_range(100u32..800);
-        events.push(SimEvent::NodeCrash {
-            node,
-            tick_permille,
-            torn_keep,
-        });
-        if rng.gen_range(0u32..10) < 7 {
-            events.push(SimEvent::NodeRestart {
-                node,
-                tick_permille: tick_permille.saturating_add(rng.gen_range(50u32..250)),
-            });
-        }
+        push_node_crash(&mut rng, &mut events, nodes, 100..800);
     }
     if nodes > 1 && rng.gen_range(0u32..10) < 4 {
-        let cut_mask = rng.gen_range(1u32..(1 << (nodes - 1))) << 1;
-        let from_permille = rng.gen_range(0u32..600);
-        let heal_permille = if rng.gen_range(0u32..10) < 7 {
-            Some(from_permille.saturating_add(rng.gen_range(100u32..300)))
-        } else {
-            None
-        };
-        events.push(SimEvent::Partition {
-            cut_mask,
-            from_permille,
-            heal_permille,
-        });
+        events.push(partition(&mut rng, nodes, 0..600));
     }
     events
 }

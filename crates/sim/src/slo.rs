@@ -23,23 +23,13 @@
 //! [`AdmissionDiscipline::NoHysteresis`] is the planted bug the
 //! simulator exists to catch (and shrink to a replayable repro).
 
-use crate::calibrate::calibrate_cost;
-use crate::harness::Repro;
+use crate::driver::{smoke, JsonFields, Scenario, SimReport};
 use crate::invariants::{check_slo_run, Violation};
 use crate::schedule::{generate_slo_schedule, SimEvent};
-use crate::shrink::shrink;
-use lcakp_core::{LcaError, LcaKp};
-use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::NormalizedInstance;
+use crate::world::{TrafficWorld, WorldBase};
+use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
-use lcakp_reproducible::SampleBudget;
-use lcakp_service::{
-    generate_trace, run_open_loop, seed_to_u64, AdmissionConfig, AdmissionDiscipline, Arrival,
-    BreakerConfig, OpenLoopConfig, ServiceConfig, TrafficConfig, TrafficShape,
-};
-use lcakp_workloads::{Family, WorkloadSpec};
-use std::fmt::Write as _;
-use std::ops::Range;
+use lcakp_service::{run_open_loop, AdmissionDiscipline, OpenLoopConfig, TrafficShape};
 
 /// SLO-simulator tuning. The defaults keep one case (twin + controlled
 /// run over the whole trace) in the tens of milliseconds so seed ranges
@@ -69,25 +59,14 @@ impl Default for SloSimConfig {
     }
 }
 
-/// The fixed world one SLO simulation runs in: the instance, the LCA,
-/// the seeds, and the calibration the schedules are expressed against
-/// (the measured per-query service cost). Everything here depends only
+/// The fixed world one SLO simulation runs in: the calibrated traffic
+/// world plus the discipline under test. Everything here depends only
 /// on `(root, config)` — the schedule is the entire difference between
 /// two cases.
 #[derive(Debug)]
 pub struct SloWorld {
-    norm: NormalizedInstance,
-    lca: LcaKp,
-    shared_seed: Seed,
-    service_root: Seed,
-    trace_root: Seed,
-    service: ServiceConfig,
-    admission: AdmissionConfig,
-    shards: usize,
-    arrivals: usize,
-    /// Measured mean service ticks per query (the unit every schedule
-    /// gap is permille of).
-    cost: u64,
+    traffic: TrafficWorld,
+    config: SloSimConfig,
 }
 
 /// Headline counters of one controlled run (rendered into the smoke
@@ -116,35 +95,7 @@ pub struct SloCaseStats {
     pub meets_slo: bool,
 }
 
-/// One simulated case: its schedule, run counters, violations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloCaseResult {
-    /// The case number (schedule seed index).
-    pub case: u64,
-    /// The generated traffic schedule.
-    pub events: Vec<SimEvent>,
-    /// Counters of the controlled run.
-    pub stats: SloCaseStats,
-    /// Invariant violations (empty = the case passed).
-    pub violations: Vec<Violation>,
-}
-
-/// Everything [`run_slo_range`] learned: per-case results plus the
-/// first violation's shrunk repro.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloSimReport {
-    /// One entry per case, in case order.
-    pub cases: Vec<SloCaseResult>,
-    /// Shrunk repro of the first violating case, if any violated.
-    pub repro: Option<Repro>,
-}
-
-impl SloSimReport {
-    /// Total violations across the range.
-    pub fn total_violations(&self) -> usize {
-        self.cases.iter().map(|case| case.violations.len()).sum()
-    }
-
+impl SimReport<SloCaseStats> {
     /// Whether every case met its availability SLO target.
     pub fn all_meet_slo(&self) -> bool {
         self.cases.iter().all(|case| case.stats.meets_slo)
@@ -181,165 +132,83 @@ pub fn slo_target_permille(events: &[SimEvent]) -> u32 {
 }
 
 impl SloWorld {
-    /// Builds the world for `root`: the same dominated instance family
-    /// and tuning as the E15/E16 worlds — under SLO-specific domain
-    /// labels, so the simulators' random streams stay independent —
-    /// then calibrates the per-query service cost by timing a
-    /// back-to-back probe run, and scales the SLO deadline and
-    /// hysteresis window to it.
+    /// Builds the world for `root`: the shared dominated instance and
+    /// tuning under SLO-specific domain labels, so the simulators'
+    /// random streams stay independent, calibrated by a probe run.
     ///
     /// # Errors
     ///
     /// Propagates workload generation, LCA construction, and probe-run
     /// errors.
     pub fn build(root: &Seed, config: &SloSimConfig) -> Result<SloWorld, LcaError> {
-        let workload_seed = seed_to_u64(&root.derive("sim/slo-workload", 0));
-        let norm = WorkloadSpec::new(Family::SmallDominated, config.n, workload_seed)
-            .generate_normalized()
-            .map_err(LcaError::from)?;
-        let lca =
-            LcaKp::new(Epsilon::new(1, 3)?)?.with_budget(SampleBudget::Calibrated { factor: 0.01 });
-        let shared_seed = root.derive("sim/slo-shared", 0);
-        let service_root = root.derive("sim/slo-serving", 0);
-        let trace_root = root.derive("sim/slo-trace", 0);
-        let mut service = ServiceConfig {
-            workers: 1,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ticks: 6,
-                half_open_probes: 1,
-            },
-            ..ServiceConfig::default()
-        };
-
-        // Calibration probe (shared with the E18 world): the measured
-        // mean ticks per query is the unit every schedule gap is
-        // expressed in.
-        let cost = calibrate_cost(
-            &lca,
-            &InstanceOracle::new(&norm),
-            &shared_seed,
-            &service_root,
-            &trace_root,
-            &service,
+        let base = WorldBase::build(
             config.n,
+            [
+                root.derive("sim/slo-workload", 0),
+                root.derive("sim/slo-shared", 0),
+                root.derive("sim/slo-serving", 0),
+            ],
         )?;
-
-        // An end-to-end deadline of 8 service costs: unqueued queries
-        // meet it easily; a queue of ~7 starts missing.
-        service.deadline_ticks = cost * 8;
-        let admission = AdmissionConfig {
-            enter_queue_depth: 6,
-            exit_queue_depth: 2,
-            enter_miss_permille: 250,
-            exit_miss_permille: 60,
-            // The hysteresis window in trace terms: ~8 mean arrivals at
-            // capacity. The faithful controller dwells this long
-            // between flips; the planted bug ignores it.
-            hysteresis_ticks: cost * 8,
-            shed_permille: 400,
-            queue_depth_normal: 12,
-            queue_depth_overloaded: 4,
-        };
+        let traffic = TrafficWorld::build(
+            base,
+            root.derive("sim/slo-trace", 0),
+            config.shards,
+            config.arrivals,
+        )?;
         Ok(SloWorld {
-            norm,
-            lca,
-            shared_seed,
-            service_root,
-            trace_root,
-            service,
-            admission,
-            shards: config.shards,
-            arrivals: config.arrivals,
-            cost,
+            traffic,
+            config: *config,
         })
     }
+}
 
-    /// The calibrated per-query service cost (ticks).
-    #[must_use]
-    pub fn cost(&self) -> u64 {
-        self.cost
+impl Scenario for SloWorld {
+    type Stats = SloCaseStats;
+
+    fn header(&self) -> Vec<(&'static str, usize)> {
+        vec![
+            ("n", self.config.n),
+            ("shards", self.config.shards),
+            ("arrivals", self.config.arrivals),
+        ]
     }
 
-    /// Maps a schedule onto its arrival trace: the traffic event picks
-    /// the shape and scales the mean gap by the calibrated cost; each
-    /// overload surge then compresses the gaps inside its window. An
-    /// event list with no traffic event maps to the empty trace.
-    #[must_use]
-    pub fn build_trace(&self, events: &[SimEvent]) -> Vec<Arrival> {
-        let Some((shape, gap_permille)) = events.iter().find_map(|event| match event {
-            SimEvent::Traffic {
-                shape,
-                gap_permille,
-            } => Some((*shape, *gap_permille)),
-            _ => None,
-        }) else {
-            return Vec::new();
-        };
-        let mut trace = generate_trace(
-            &self.trace_root,
-            &TrafficConfig {
-                shape,
-                arrivals: self.arrivals,
-                mean_gap_ticks: (self.cost * u64::from(gap_permille) / 1000).max(1),
-                universe: self.norm.len(),
-                shards: self.shards,
-            },
-        );
-        for event in events {
-            if let SimEvent::OverloadSurge {
-                start_permille,
-                len_permille,
-                gap_div,
-            } = event
-            {
-                apply_surge(&mut trace, *start_permille, *len_permille, *gap_div);
-            }
-        }
-        trace
+    fn discipline(&self) -> (&'static str, String) {
+        ("discipline", self.config.discipline.to_string())
+    }
+
+    fn schedule(&self, root: &Seed, case: u64) -> Vec<SimEvent> {
+        generate_slo_schedule(root, case)
     }
 
     /// Runs one schedule: builds the trace, runs the admission-free
     /// twin and the controlled run, and checks the E17 invariants
     /// against the pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard serving errors from [`run_open_loop`].
-    pub fn run_schedule(
+    fn run_schedule(
         &self,
-        discipline: AdmissionDiscipline,
         events: &[SimEvent],
     ) -> Result<(SloCaseStats, Vec<Violation>), LcaError> {
-        let trace = self.build_trace(events);
-        let oracle = InstanceOracle::new(&self.norm);
-        let twin = run_open_loop(
-            &self.lca,
-            &oracle,
-            &self.shared_seed,
-            &self.service_root,
-            &trace,
-            &OpenLoopConfig {
-                service: self.service.clone(),
-                admission: self.admission,
-                discipline: None,
-                shards: self.shards,
-            },
-        )?;
-        let controlled = run_open_loop(
-            &self.lca,
-            &oracle,
-            &self.shared_seed,
-            &self.service_root,
-            &trace,
-            &OpenLoopConfig {
-                service: self.service.clone(),
-                admission: self.admission,
-                discipline: Some(discipline),
-                shards: self.shards,
-            },
-        )?;
-        let violations = check_slo_run(&twin, &controlled, &self.admission);
+        let world = &self.traffic;
+        let trace = world.build_trace(events);
+        let oracle = InstanceOracle::new(&world.base.norm);
+        let serve = |discipline: Option<AdmissionDiscipline>| {
+            run_open_loop(
+                &world.base.lca,
+                &oracle,
+                &world.base.shared_seed,
+                &world.base.service_root,
+                &trace,
+                &OpenLoopConfig {
+                    service: world.service.clone(),
+                    admission: world.admission,
+                    discipline,
+                    shards: self.config.shards,
+                },
+            )
+        };
+        let twin = serve(None)?;
+        let controlled = serve(Some(self.config.discipline))?;
+        let violations = check_slo_run(&twin, &controlled, &world.admission);
         let target = slo_target_permille(events);
         let stats = SloCaseStats {
             offered: controlled.slo.offered,
@@ -355,184 +224,31 @@ impl SloWorld {
         };
         Ok((stats, violations))
     }
-
-    /// Convenience for shrink loops: violations only, with hard errors
-    /// treated as "no violation" (a schedule that cannot even run is
-    /// not a smaller repro of an invariant break).
-    pub fn violations_for(
-        &self,
-        discipline: AdmissionDiscipline,
-        events: &[SimEvent],
-    ) -> Vec<Violation> {
-        self.run_schedule(discipline, events)
-            .map(|(_, violations)| violations)
-            .unwrap_or_default()
-    }
 }
 
-/// Compresses the gaps of every arrival whose (pre-surge) tick falls in
-/// the window `[start, start+len)` — both permille of the trace horizon
-/// — by `gap_div`, then rebuilds the cumulative ticks so they stay
-/// strictly increasing.
-pub(crate) fn apply_surge(
-    trace: &mut [Arrival],
-    start_permille: u32,
-    len_permille: u32,
-    gap_div: u32,
-) {
-    let div = u64::from(gap_div.max(1));
-    let horizon = trace.last().map_or(0, |arrival| arrival.at_tick);
-    let start = horizon * u64::from(start_permille) / 1000;
-    let end = start + horizon * u64::from(len_permille) / 1000;
-    let mut previous_original = 0u64;
-    let mut previous_new = 0u64;
-    for arrival in trace.iter_mut() {
-        let mut gap = arrival.at_tick - previous_original;
-        if arrival.at_tick >= start && arrival.at_tick < end {
-            gap /= div;
-        }
-        previous_original = arrival.at_tick;
-        previous_new += gap.max(1);
-        arrival.at_tick = previous_new;
+impl JsonFields for SloCaseStats {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("offered", self.offered.to_string()),
+            ("answered", self.answered.to_string()),
+            ("shed", self.shed.to_string()),
+            ("missed", self.deadline_missed.to_string()),
+            ("availability", self.availability_permille.to_string()),
+            ("p99", self.p99_ticks.to_string()),
+            ("max_queue", self.max_queue_depth.to_string()),
+            ("transitions", self.transitions.to_string()),
+            ("target", self.slo_target_permille.to_string()),
+            ("meets", self.meets_slo.to_string()),
+        ]
     }
-}
 
-/// Runs the cases in `range` against one SLO world, shrinking the
-/// first violating schedule (if any) to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`run_open_loop`] errors.
-pub fn run_slo_range(
-    root: &Seed,
-    config: &SloSimConfig,
-    range: Range<u64>,
-) -> Result<SloSimReport, LcaError> {
-    let world = SloWorld::build(root, config)?;
-    let mut cases = Vec::new();
-    let mut repro = None;
-    for case in range {
-        let events = generate_slo_schedule(root, case);
-        let (stats, violations) = world.run_schedule(config.discipline, &events)?;
-        if !violations.is_empty() && repro.is_none() {
-            let shrunk = shrink(&events, |candidate| {
-                world.violations_for(config.discipline, candidate)
-            });
-            repro = Some(Repro { case, shrunk });
-        }
-        cases.push(SloCaseResult {
-            case,
-            events,
-            stats,
-            violations,
-        });
+    fn summary(report: &SimReport<Self>) -> Option<(&'static str, bool)> {
+        Some(("all_meet_slo", report.all_meet_slo()))
     }
-    Ok(SloSimReport { cases, repro })
-}
-
-/// Renders a range report as canonical JSON: fixed field order, no
-/// floats, no ambient state — two runs with the same root must be
-/// byte-identical. This is what the `e17_slo --smoke` golden pins
-/// (together with the planted-bug section appended by
-/// [`run_slo_smoke`]).
-#[must_use]
-pub fn render_slo_json(label: &str, config: &SloSimConfig, report: &SloSimReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"n\": {},", config.n);
-    let _ = writeln!(out, "  \"shards\": {},", config.shards);
-    let _ = writeln!(out, "  \"arrivals\": {},", config.arrivals);
-    let _ = writeln!(out, "  \"discipline\": \"{}\",", config.discipline);
-    let _ = writeln!(out, "  \"cases\": [");
-    for (position, case) in report.cases.iter().enumerate() {
-        let events: Vec<String> = case
-            .events
-            .iter()
-            .map(|event| format!("\"{event}\""))
-            .collect();
-        let violations: Vec<String> = case
-            .violations
-            .iter()
-            .map(|violation| format!("\"{violation}\""))
-            .collect();
-        let comma = if position + 1 < report.cases.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"case\": {}, \"events\": [{}], \"offered\": {}, \"answered\": {}, \
-             \"shed\": {}, \"missed\": {}, \"availability\": {}, \"p99\": {}, \
-             \"max_queue\": {}, \"transitions\": {}, \"target\": {}, \"meets\": {}, \
-             \"violations\": [{}]}}{comma}",
-            case.case,
-            events.join(", "),
-            case.stats.offered,
-            case.stats.answered,
-            case.stats.shed,
-            case.stats.deadline_missed,
-            case.stats.availability_permille,
-            case.stats.p99_ticks,
-            case.stats.max_queue_depth,
-            case.stats.transitions,
-            case.stats.slo_target_permille,
-            case.stats.meets_slo,
-            violations.join(", "),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"total_violations\": {},",
-        report.total_violations()
-    );
-    let _ = writeln!(out, "  \"all_meet_slo\": {},", report.all_meet_slo());
-    let _ = writeln!(
-        out,
-        "  \"repro\": {}",
-        report.repro.as_ref().map_or_else(
-            || "null".to_string(),
-            |repro| format!(
-                "{{\"case\": {}, \"events\": {}}}",
-                repro.case,
-                repro.shrunk.events.len()
-            )
-        )
-    );
-    let _ = write!(out, "}}");
-    out
 }
 
 /// Cases the smoke run covers (CI diffs its JSON against the golden).
 pub const E17_SMOKE_CASES: u64 = 10;
-
-/// Hunts for the planted bug: runs `discipline` over cases from 0
-/// until a schedule violates (bounded by `max_cases`), then shrinks it
-/// to a minimal repro.
-///
-/// # Errors
-///
-/// Propagates world construction and [`run_open_loop`] errors.
-pub fn hunt_planted_bug(
-    root: &Seed,
-    config: &SloSimConfig,
-    max_cases: u64,
-) -> Result<Option<Repro>, LcaError> {
-    let world = SloWorld::build(root, config)?;
-    for case in 0..max_cases {
-        let events = generate_slo_schedule(root, case);
-        let violations = world.violations_for(config.discipline, &events);
-        if !violations.is_empty() {
-            let shrunk = shrink(&events, |candidate| {
-                world.violations_for(config.discipline, candidate)
-            });
-            return Ok(Some(Repro { case, shrunk }));
-        }
-    }
-    Ok(None)
-}
 
 /// Runs the committed smoke for the `e17_slo --smoke` bin and the
 /// golden test: [`E17_SMOKE_CASES`] cases under the faithful
@@ -542,49 +258,18 @@ pub fn hunt_planted_bug(
 ///
 /// # Errors
 ///
-/// Propagates [`run_slo_range`] and [`hunt_planted_bug`] errors.
+/// Propagates world construction and [`run_range`](crate::run_range) errors.
 pub fn run_slo_smoke(root: &Seed) -> Result<String, LcaError> {
     let config = SloSimConfig::default();
-    let report = run_slo_range(root, &config, 0..E17_SMOKE_CASES)?;
-    let faithful = render_slo_json("e17-smoke", &config, &report);
-
-    let bug_config = SloSimConfig {
+    let planted = SloSimConfig {
         discipline: AdmissionDiscipline::NoHysteresis,
         ..config
     };
-    let repro = hunt_planted_bug(root, &bug_config, E17_SMOKE_CASES)?;
-    let planted = repro.map_or_else(
-        || "null".to_string(),
-        |repro| {
-            let events: Vec<String> = repro
-                .shrunk
-                .events
-                .iter()
-                .map(|event| format!("\"{event}\""))
-                .collect();
-            let violations: Vec<String> = repro
-                .shrunk
-                .violations
-                .iter()
-                .map(|violation| format!("\"{violation}\""))
-                .collect();
-            format!(
-                "{{\"discipline\": \"{}\", \"case\": {}, \"events\": [{}], \
-                 \"violations\": [{}]}}",
-                bug_config.discipline,
-                repro.case,
-                events.join(", "),
-                violations.join(", "),
-            )
-        },
-    );
-
-    // Splice the planted-bug section before the closing brace so the
-    // golden pins both halves of the acceptance criteria in one file.
-    let body = faithful
-        .strip_suffix('}')
-        .expect("render_slo_json ends with a closing brace")
-        .trim_end()
-        .to_string();
-    Ok(format!("{body},\n  \"planted\": {planted}\n}}"))
+    smoke(
+        root,
+        "e17-smoke",
+        &SloWorld::build(root, &config)?,
+        Some(&SloWorld::build(root, &planted)?),
+        E17_SMOKE_CASES,
+    )
 }

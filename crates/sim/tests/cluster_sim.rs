@@ -9,7 +9,9 @@
 
 use lcakp_oracle::Seed;
 use lcakp_service::RoutingDiscipline;
-use lcakp_sim::{run_cluster_range, run_cluster_smoke, ClusterSimConfig, SimEvent, Violation};
+use lcakp_sim::{
+    run_cluster_smoke, run_range, ClusterSimConfig, ClusterWorld, SimEvent, Violation,
+};
 
 /// Mirrors `lcakp_bench::experiment_root("e16")`, so the golden test,
 /// the bench bin, and CI all replay the identical range.
@@ -17,10 +19,14 @@ fn e16_root() -> Seed {
     Seed::from_entropy_u64(0x1ca_4b2e_2025).derive("e16", 0)
 }
 
+fn world(config: &ClusterSimConfig) -> ClusterWorld {
+    ClusterWorld::build(&e16_root(), config).expect("world builds")
+}
+
 #[test]
 fn default_seed_range_with_node_faults_has_zero_violations() {
     let config = ClusterSimConfig::default();
-    let report = run_cluster_range(&e16_root(), &config, 0..8).expect("range runs");
+    let report = run_range(&e16_root(), &world(&config), 0..8).expect("range runs");
     for case in &report.cases {
         assert!(
             case.violations.is_empty(),
@@ -64,7 +70,7 @@ fn planted_stale_ring_bug_is_caught_and_shrunk() {
         routing: RoutingDiscipline::StaleRing,
         ..ClusterSimConfig::default()
     };
-    let report = run_cluster_range(&e16_root(), &config, 0..8).expect("range runs");
+    let report = run_range(&e16_root(), &world(&config), 0..8).expect("range runs");
     let repro = report
         .repro
         .as_ref()

@@ -13,7 +13,7 @@
 use lcakp_oracle::Seed;
 use lcakp_service::RebalanceDiscipline;
 use lcakp_sim::{
-    run_rebalance_range, run_rebalance_smoke, RebalanceSimConfig, SimEvent, Violation,
+    run_range, run_rebalance_smoke, RebalanceSimConfig, RebalanceWorld, SimEvent, Violation,
     E18_SMOKE_CASES,
 };
 
@@ -23,10 +23,14 @@ fn e18_root() -> Seed {
     Seed::from_entropy_u64(0x1ca_4b2e_2025).derive("e18", 0)
 }
 
+fn world(config: &RebalanceSimConfig) -> RebalanceWorld {
+    RebalanceWorld::build(&e18_root(), config).expect("world builds")
+}
+
 #[test]
 fn faithful_routing_survives_the_range_and_relieves_a_hot_shard() {
     let config = RebalanceSimConfig::default();
-    let report = run_rebalance_range(&e18_root(), &config, 0..E18_SMOKE_CASES).expect("range runs");
+    let report = run_range(&e18_root(), &world(&config), 0..E18_SMOKE_CASES).expect("range runs");
     for case in &report.cases {
         assert!(
             case.violations.is_empty(),
@@ -83,7 +87,7 @@ fn planted_stale_epoch_bug_is_caught_and_shrunk() {
         routing: RebalanceDiscipline::StaleEpoch,
         ..RebalanceSimConfig::default()
     };
-    let report = run_rebalance_range(&e18_root(), &config, 0..E18_SMOKE_CASES).expect("range runs");
+    let report = run_range(&e18_root(), &world(&config), 0..E18_SMOKE_CASES).expect("range runs");
     let repro = report
         .repro
         .as_ref()

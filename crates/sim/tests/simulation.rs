@@ -9,7 +9,7 @@
 
 use lcakp_oracle::Seed;
 use lcakp_service::RecoveryDiscipline;
-use lcakp_sim::{run_range, run_smoke, SimConfig, SimEvent, Violation};
+use lcakp_sim::{run_range, run_smoke, SimConfig, SimEvent, SimWorld, Violation};
 
 /// Mirrors `lcakp_bench::experiment_root("e15")`, so the golden test,
 /// the bench bin, and CI all replay the identical range.
@@ -17,10 +17,14 @@ fn e15_root() -> Seed {
     Seed::from_entropy_u64(0x1ca_4b2e_2025).derive("e15", 0)
 }
 
+fn world(config: &SimConfig) -> SimWorld {
+    SimWorld::build(&e15_root(), config).expect("world builds")
+}
+
 #[test]
 fn default_seed_range_with_crash_faults_has_zero_violations() {
     let config = SimConfig::default();
-    let report = run_range(&e15_root(), &config, 0..8).expect("range runs");
+    let report = run_range(&e15_root(), &world(&config), 0..8).expect("range runs");
     for case in &report.cases {
         assert!(
             case.violations.is_empty(),
@@ -52,7 +56,7 @@ fn planted_skip_journal_replay_bug_is_caught_and_shrunk() {
         recovery: RecoveryDiscipline::SkipJournalReplay,
         ..SimConfig::default()
     };
-    let report = run_range(&e15_root(), &config, 0..8).expect("range runs");
+    let report = run_range(&e15_root(), &world(&config), 0..8).expect("range runs");
     let repro = report
         .repro
         .as_ref()

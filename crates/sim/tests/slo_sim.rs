@@ -11,7 +11,9 @@
 
 use lcakp_oracle::Seed;
 use lcakp_service::AdmissionDiscipline;
-use lcakp_sim::{run_slo_range, run_slo_smoke, SimEvent, SloSimConfig, Violation, E17_SMOKE_CASES};
+use lcakp_sim::{
+    run_range, run_slo_smoke, SimEvent, SloSimConfig, SloWorld, Violation, E17_SMOKE_CASES,
+};
 
 /// Mirrors `lcakp_bench::experiment_root("e17")`, so the golden test,
 /// the bench bin, and CI all replay the identical range.
@@ -19,10 +21,14 @@ fn e17_root() -> Seed {
     Seed::from_entropy_u64(0x1ca_4b2e_2025).derive("e17", 0)
 }
 
+fn world(config: &SloSimConfig) -> SloWorld {
+    SloWorld::build(&e17_root(), config).expect("world builds")
+}
+
 #[test]
 fn faithful_controller_survives_the_range_and_meets_every_slo() {
     let config = SloSimConfig::default();
-    let report = run_slo_range(&e17_root(), &config, 0..E17_SMOKE_CASES).expect("range runs");
+    let report = run_range(&e17_root(), &world(&config), 0..E17_SMOKE_CASES).expect("range runs");
     for case in &report.cases {
         assert!(
             case.violations.is_empty(),
@@ -75,7 +81,7 @@ fn planted_no_hysteresis_bug_is_caught_and_shrunk() {
         discipline: AdmissionDiscipline::NoHysteresis,
         ..SloSimConfig::default()
     };
-    let report = run_slo_range(&e17_root(), &config, 0..E17_SMOKE_CASES).expect("range runs");
+    let report = run_range(&e17_root(), &world(&config), 0..E17_SMOKE_CASES).expect("range runs");
     let repro = report
         .repro
         .as_ref()
