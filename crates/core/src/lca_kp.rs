@@ -401,7 +401,7 @@ impl LcaKp {
         R: Rng + ?Sized,
     {
         let norms = oracle.norms();
-        let eps_sq = self.eps.squared();
+        let small = SmallItemFilter::new(self.eps, norms.total_profit);
         let total_profit = norms.total_profit as u128;
 
         // ---- Line 1–3: sample R, keep distinct large items. ----
@@ -415,7 +415,7 @@ impl LcaKp {
         scratch.large.clear();
         // lcakp-lint: batch-count(coupon-samples) reason="m = coupon_samples() exactly; the symbolic name keeps the certificate readable across call sites"
         self.sample_many_with_retry(oracle, rng, m, retries, |id, item| {
-            if norms.nprofit_of(item.profit) > eps_sq {
+            if !small.is_small(item.profit) {
                 scratch.large.push((id, item));
             }
         })?;
@@ -490,12 +490,12 @@ impl LcaKp {
 
         // Sample Q, drop large items, keep efficiency keys (line 6–8).
         let norms = oracle.norms();
-        let eps_sq = self.eps.squared();
+        let small = SmallItemFilter::new(self.eps, norms.total_profit);
         scratch.efficiencies.clear();
         scratch.efficiencies.reserve(a as usize);
         // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
         self.sample_many_with_retry(oracle, rng, a, retries, |id, item| {
-            if norms.nprofit_of(item.profit) <= eps_sq {
+            if small.is_small(item.profit) {
                 scratch
                     .efficiencies
                     .push(norms.tie_broken_efficiency_key(id, item) as u128);
@@ -689,6 +689,38 @@ impl QueryScratch {
     /// efficiency keys as the last query that reached it.
     pub fn quantile_map_builds(&self) -> u64 {
         self.quantiles.map_builds()
+    }
+}
+
+/// Algorithm 2's small-item test `p/P ≤ ε²` (lines 2 and 7) for one
+/// query's total profit `P`, as one exact `u128` cross-multiplication:
+/// `p · den² ≤ num² · P` for ε = `num/den`.
+///
+/// Neither side overflows. `p, P < 2⁶⁴` and `num ≤ den ≤
+/// Epsilon::MAX_DEN < 2¹⁶`, so `den², num² < 2³²` and both products are
+/// below `2⁹⁶ < 2¹²⁸`. Both sides are exact integers, so the test agrees
+/// with `Rat`'s 256-bit comparison of `p/P` and `num²/den²` on every
+/// input.
+#[derive(Debug, Clone, Copy)]
+struct SmallItemFilter {
+    /// `den²`.
+    den_sq: u128,
+    /// `num² · P`.
+    bound: u128,
+}
+
+impl SmallItemFilter {
+    fn new(eps: Epsilon, total_profit: u64) -> Self {
+        let (num, den) = (u128::from(eps.num()), u128::from(eps.den()));
+        SmallItemFilter {
+            den_sq: den * den,
+            bound: num * num * u128::from(total_profit),
+        }
+    }
+
+    /// Whether an item of profit `profit` is small: `profit/P ≤ ε²`.
+    fn is_small(self, profit: u64) -> bool {
+        u128::from(profit) * self.den_sq <= self.bound
     }
 }
 
@@ -1153,6 +1185,57 @@ mod tests {
                 per_slot_reference::run(|| audited_run(&lca, &InstanceOracle::new(&norm), &items));
             assert_eq!(batched, reference);
             assert!(batched.0.iter().all(|(_, audit)| audit.degraded.is_none()));
+        }
+    }
+
+    /// The `u128` small-item test agrees with `Rat`'s exact comparison
+    /// at the boundary `profit · den² = num² · P` and one either side of
+    /// it, and at `u64::MAX` profits and totals.
+    #[test]
+    fn small_item_filter_matches_rat_at_the_boundary() {
+        use lcakp_knapsack::Rat;
+        let max = Epsilon::MAX_DEN;
+        for (num, den) in [
+            (1, 1),
+            (1, 4),
+            (1, 6),
+            (3, 7),
+            (1, max),
+            (max - 1, max),
+            (max, max),
+        ] {
+            let eps = Epsilon::new(num, den).unwrap();
+            let agrees = |profit: u64, total: u64| {
+                let filter = SmallItemFilter::new(eps, total);
+                let exact = Rat::new(u128::from(profit), u128::from(total)) <= eps.squared();
+                assert_eq!(
+                    filter.is_small(profit),
+                    exact,
+                    "ε = {eps}, p = {profit}, P = {total}"
+                );
+            };
+            // P = den² · m puts the boundary at the integer profit num² · m.
+            for m in [1u64, 5, 1 << 20, u64::MAX / (den * den)] {
+                let total = den * den * m;
+                let boundary = num * num * m;
+                for profit in [boundary - 1, boundary, boundary.saturating_add(1)] {
+                    agrees(profit, total);
+                }
+            }
+            // The largest totals and profits, around ⌊num² · P / den²⌋.
+            for total in [u64::MAX, u64::MAX - 1] {
+                let floor = u128::from(num * num) * u128::from(total) / u128::from(den * den);
+                let floor = u64::try_from(floor).unwrap();
+                for profit in [
+                    floor.saturating_sub(1),
+                    floor,
+                    floor.saturating_add(1),
+                    u64::MAX,
+                    0,
+                ] {
+                    agrees(profit, total);
+                }
+            }
         }
     }
 }

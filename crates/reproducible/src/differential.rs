@@ -9,7 +9,6 @@ mod reference {
     //! The sort-based rMedian/rQuantile: each call pads a `2n` copy,
     //! shuffles it, and sorts it, its halves, and its batches.
 
-    use crate::domain::Domain;
     use crate::rmedian::RMedianConfig;
     use crate::rquantile::RQuantileConfig;
     use crate::ReproducibleError;
@@ -39,7 +38,7 @@ mod reference {
             });
         }
         config.domain.check_sample(sample)?;
-        let extended = Domain::new(config.domain.bits() + 1)?;
+        let extended = config.domain.extended();
 
         let n = sample.len();
         // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
@@ -355,8 +354,9 @@ mod tests {
         );
     }
 
-    /// One reused scratch meets each way a memoized arrival-group map can
-    /// be found or rebuilt, and every answer equals the reference.
+    /// One reused scratch meets each way a memoized arrival-group map,
+    /// and the pad counts kept with it, can be found or rebuilt, and every
+    /// answer equals the reference.
     #[test]
     fn memoized_maps_equal_the_reference_in_every_cache_case() {
         let domain = Domain::new(64).unwrap();
@@ -369,14 +369,15 @@ mod tests {
         let second = Seed::from_entropy_u64(2);
         let mut scratch = QuantileScratch::default();
 
-        // Runs `calls` thresholds on one sort, the k-th under
-        // `shared.derive(.., k)` as LCA-KP derives them, checks each
-        // against the reference, and returns the map keys it leaves and
-        // the scratch's map builds so far.
-        let mut run = |keys: &[u128], shared: &Seed, calls: u64| {
+        // Runs `calls` thresholds on one sort, the k-th at p = 1 − k·step
+        // under `shared.derive(.., k)` as LCA-KP derives them, checks each
+        // against the reference, and returns the map keys it leaves, the
+        // scratch's map builds so far, and each slot's pad-count `−∞`
+        // count.
+        let mut run = |keys: &[u128], shared: &Seed, calls: u64, step: f64| {
             let mut sorted = scratch.sort(keys, domain).unwrap();
             for k in 1..=calls {
-                let p = 1.0 - k as f64 * 0.15;
+                let p = 1.0 - k as f64 * step;
                 let seed = shared.derive("threshold", k);
                 let config = RQuantileConfig { domain, p, tau };
                 assert_eq!(
@@ -386,35 +387,47 @@ mod tests {
                     keys.len()
                 );
             }
-            (scratch.map_keys(), scratch.map_builds())
+            (
+                scratch.map_keys(),
+                scratch.map_builds(),
+                scratch.pad_count_lows(),
+            )
         };
         let lengths = |keys: &[Option<(Seed, u32)>]| -> Vec<u32> {
             keys.iter().map(|key| key.unwrap().1).collect()
         };
 
-        let (cold, builds) = run(&long, &first, 3);
+        let (cold, builds, cold_lows) = run(&long, &first, 3, 0.15);
         assert_eq!(lengths(&cold), [6_000; 3]);
         assert_eq!(builds, 3);
         // A (seed, length) hit: other keys of the same length under the
-        // same shared seed find every map built.
-        assert_eq!(run(&long_again, &first, 3), (cold.clone(), 3));
+        // same shared seed find every map and its pad counts built.
+        assert_eq!(
+            run(&long_again, &first, 3, 0.15),
+            (cold.clone(), 3, cold_lows.clone())
+        );
+        // A (seed, length) hit under another p: no map is rebuilt, but
+        // every slot recounts its pad counts for the new `−∞` count.
+        let (hit, builds, lows) = run(&long_again, &first, 3, 0.2);
+        assert_eq!((hit, builds), (cold.clone(), 3));
+        assert!((0..3).all(|slot| lows[slot].is_some() && lows[slot] != cold_lows[slot]));
         // The same seed at a new length rebuilds every slot.
-        let (relengthed, builds) = run(&short, &first, 3);
+        let (relengthed, builds, _) = run(&short, &first, 3, 0.15);
         assert_eq!(lengths(&relengthed), [2_000; 3]);
         assert_eq!(builds, 6);
         // A new seed at the same length rebuilds every slot.
-        let (reseeded, builds) = run(&short, &second, 3);
+        let (reseeded, builds, _) = run(&short, &second, 3, 0.15);
         assert_eq!(lengths(&reseeded), [2_000; 3]);
         assert!((0..3).all(|slot| reseeded[slot] != relengthed[slot]));
         assert_eq!(builds, 9);
         // More calls than slots: the first three hit, two slots are added.
-        let (grown, builds) = run(&short, &second, 5);
+        let (grown, builds, _) = run(&short, &second, 5, 0.15);
         assert_eq!(grown[..3], reseeded[..]);
         assert_eq!(lengths(&grown), [2_000; 5]);
         assert_eq!(builds, 11);
         // Fewer calls than slots leave the slots beyond them as they were;
         // the two it uses switch back to the first seed's long maps.
-        let (back, builds) = run(&long, &first, 2);
+        let (back, builds, _) = run(&long, &first, 2, 0.15);
         assert_eq!(back[..2], cold[..2]);
         assert_eq!(back[2..], grown[2..]);
         assert_eq!(builds, 13);

@@ -7,8 +7,10 @@
 
 use crate::ReproducibleError;
 
-/// Maximum supported domain width in bits.
-pub const MAX_DOMAIN_BITS: u32 = 126;
+/// Maximum supported domain width in bits: a value and its 32-bit
+/// sample position share one `u128` sort record, and rQuantile's `±∞`
+/// extension ([`Domain::extended`]) adds a 65th bit on top.
+pub const MAX_DOMAIN_BITS: u32 = 64;
 
 /// A finite ordered domain `{0, 1, …, 2^bits − 1}` of `u128` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,8 +24,7 @@ impl Domain {
     /// # Errors
     ///
     /// Returns [`ReproducibleError::DomainTooWide`] if `bits` exceeds
-    /// [`MAX_DOMAIN_BITS`] (two extension bits are reserved for the
-    /// quantile reduction's `±∞` padding).
+    /// [`MAX_DOMAIN_BITS`].
     pub fn new(bits: u32) -> Result<Self, ReproducibleError> {
         if bits > MAX_DOMAIN_BITS {
             return Err(ReproducibleError::DomainTooWide { bits });
@@ -71,6 +72,8 @@ impl Domain {
 
     /// The domain extended by one bit with room for `−∞` (encoded as 0)
     /// and `+∞` (encoded as the new maximum); real values shift up by 1.
+    /// The extension of a [`MAX_DOMAIN_BITS`]-bit domain is one bit wider
+    /// than [`Domain::new`] accepts.
     pub fn extended(self) -> Domain {
         Domain {
             bits: self.bits + 1,
@@ -139,7 +142,12 @@ mod tests {
         assert_eq!(domain.max_value(), 7);
         assert!(domain.contains(7));
         assert!(!domain.contains(8));
-        assert!(Domain::new(127).is_err());
+        assert!(Domain::new(64).is_ok());
+        assert_eq!(
+            Domain::new(65),
+            Err(ReproducibleError::DomainTooWide { bits: 65 })
+        );
+        assert_eq!(Domain::new(64).unwrap().extended().bits(), 65);
     }
 
     #[test]

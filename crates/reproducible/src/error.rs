@@ -19,8 +19,9 @@ pub enum ReproducibleError {
         /// Requested bits.
         bits: u32,
     },
-    /// rQuantile's padded sample (`2·len` positions) does not fit the
-    /// `u32` position permutation.
+    /// The sample's positions do not fit the `u32` position of a sort
+    /// record, or rQuantile's padded sample (`2·len` positions) does not
+    /// fit the `u32` position permutation.
     SampleTooLarge {
         /// The real sample's length.
         len: usize,
@@ -46,7 +47,7 @@ impl fmt::Display for ReproducibleError {
                 write!(f, "domain of {bits} bits exceeds the supported maximum")
             }
             ReproducibleError::SampleTooLarge { len } => {
-                write!(f, "sample of {len} values is too large to pad and permute")
+                write!(f, "sample of {len} values exceeds 32-bit positions")
             }
             ReproducibleError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} = {value} is out of range")

@@ -40,28 +40,32 @@
 //!
 //! Every order statistic above — the base-case rank, `m̂`, and the 32
 //! batch medians — is a single value of the multiset, so it is read off
-//! the once-sorted sample or found by linear-time selection; no step
-//! sorts a padded sample, a half, or a batch.
+//! the once-sorted sample; no step sorts a padded sample, a half, or a
+//! batch, and none selects.
 //!
-//! # Group medians by rank arithmetic
+//! # Group medians from one walk up the sort
 //!
 //! Steps 2–3 split the arrivals into 33 *groups*: half B (the odd
 //! arrivals) and the 32 batches of half A (even arrival `a` is in batch
 //! `(a/2) mod 32`). Under rQuantile the arrival order is a shuffle of the
 //! padded positions, held as an arrival-group map (one group byte per
 //! position, see [`crate::QuantileScratch`]); over a plain sample the
-//! group is a function of the position. One pass scatters only the `n`
-//! real values into per-group buckets, reading the sample in order; each
-//! group's `−∞` and `+∞` pads are counted from the map. A group's median
-//! is then `0` if its middle rank falls among its lows, `high_code` if
-//! it falls among its highs, and otherwise a linear-time selection in its
-//! bucket. No padded value is ever gathered.
+//! group is a function of the position. The sort holds `(value,
+//! position)` records, so each real value's group is known on the spot.
+//! Each group's real, `−∞` and `+∞` members are counted from the map
+//! (rQuantile memoizes these pad counts with the map). A group's median
+//! is then `0` if its middle rank falls among its lows, `high_code` if it
+//! falls among its highs, and otherwise its `(middle − lows)`-th real
+//! value. One walk up the sorted records counts the values met per group
+//! and takes a group's median when its count reaches that rank; the walk
+//! stops once all 33 are resolved. No padded value is ever gathered and
+//! no real value is moved.
 //!
 //! Reproducibility and accuracy are validated empirically by the tests
 //! below and experiment E7, as promised in `DESIGN.md`.
 
 use crate::domain::Domain;
-use crate::scratch::{QuantileScratch, SortedSample};
+use crate::scratch::{position_of, record, value_of, QuantileScratch, SortedSample};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 use rand::Rng;
@@ -145,16 +149,8 @@ impl SortedSample<'_> {
     /// [`ReproducibleError::InvalidParameter`] if `tau ∉ (0, 1/2]`.
     pub fn rmedian(&mut self, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
         check_tau(tau)?;
-        let multiset = Multiset::plain(self.sample, self.sorted);
-        Ok(solve(
-            &multiset,
-            self.domain.bits(),
-            tau,
-            0.5,
-            seed,
-            0,
-            self.values,
-        ))
+        let multiset = Multiset::plain(self.sorted);
+        Ok(solve(&multiset, self.domain.bits(), tau, 0.5, seed, 0))
     }
 }
 
@@ -187,6 +183,44 @@ pub(crate) fn arrival_group(arrival: usize) -> u8 {
     }
 }
 
+/// How many of each group's members are real values, `−∞` pads and
+/// `+∞` pads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GroupCounts {
+    reals: [usize; GROUPS],
+    lows: [usize; GROUPS],
+    highs: [usize; GROUPS],
+}
+
+impl GroupCounts {
+    /// The counts of a layout of `reals` real values, then `lows` lows,
+    /// then `highs` highs, where `group(position)` names the group of the
+    /// arrival at each position.
+    pub(crate) fn count(
+        reals: usize,
+        lows: usize,
+        highs: usize,
+        group: impl Fn(usize) -> u8,
+    ) -> Self {
+        let mut counts = GroupCounts {
+            reals: [0; GROUPS],
+            lows: [0; GROUPS],
+            highs: [0; GROUPS],
+        };
+        let highs_from = reals + lows;
+        for position in 0..reals {
+            counts.reals[usize::from(group(position))] += 1;
+        }
+        for position in reals..highs_from {
+            counts.lows[usize::from(group(position))] += 1;
+        }
+        for position in highs_from..highs_from + highs {
+            counts.highs[usize::from(group(position))] += 1;
+        }
+        counts
+    }
+}
+
 /// The multiset rMedian runs over, never materialized: the real sample
 /// shifted up by `offset`, then `lows` copies of `0` and `highs` copies of
 /// `high_code` — rQuantile's `±∞` padding. Positions `0..len()` are laid
@@ -198,9 +232,7 @@ pub(crate) fn arrival_group(arrival: usize) -> u8 {
 /// is the lows, then the sorted real sample, then the highs: order
 /// statistics and rank counts are arithmetic over `sorted`.
 pub(crate) struct Multiset<'a> {
-    /// The real values in the caller's order.
-    pub(crate) sample: &'a [u128],
-    /// The real values in ascending order.
+    /// The real values' `(value, position)` records in ascending order.
     pub(crate) sorted: &'a [u128],
     /// Added to every real value (1 under rQuantile's extended domain).
     pub(crate) offset: u128,
@@ -210,16 +242,16 @@ pub(crate) struct Multiset<'a> {
     pub(crate) highs: usize,
     /// The `+∞` code.
     pub(crate) high_code: u128,
-    /// Arrival group per position ([`arrival_group`] of its arrival);
-    /// `None` when arrival order is layout order.
-    pub(crate) groups: Option<&'a [u8]>,
+    /// Arrival group per position ([`arrival_group`] of its arrival) and
+    /// the groups' counts under this padding; `None` when arrival order
+    /// is layout order.
+    pub(crate) groups: Option<(&'a [u8], &'a GroupCounts)>,
 }
 
 impl<'a> Multiset<'a> {
-    /// The unpadded sample in its own order.
-    fn plain(sample: &'a [u128], sorted: &'a [u128]) -> Self {
+    /// The unpadded sample whose sorted records are `sorted`.
+    fn plain(sorted: &'a [u128]) -> Self {
         Multiset {
-            sample,
             sorted,
             offset: 0,
             lows: 0,
@@ -230,69 +262,61 @@ impl<'a> Multiset<'a> {
     }
 
     fn len(&self) -> usize {
-        self.sample.len() + self.lows + self.highs
+        self.sorted.len() + self.lows + self.highs
     }
 
-    /// The median of every group, indexed by group. `values` receives the
-    /// real values bucketed by group.
-    fn group_medians(&self, values: &mut Vec<u128>) -> [u128; GROUPS] {
+    /// The median of every group, indexed by group.
+    fn group_medians(&self) -> [u128; GROUPS] {
         match self.groups {
-            Some(groups) => self.group_medians_by(values, |position| groups[position]),
-            None => self.group_medians_by(values, arrival_group),
+            Some((groups, counts)) => self.walk_group_medians(counts, |position| groups[position]),
+            None => self.walk_group_medians(
+                &GroupCounts::count(self.sorted.len(), self.lows, self.highs, arrival_group),
+                arrival_group,
+            ),
         }
     }
 
-    /// [`Multiset::group_medians`] with `group(position)` naming the
-    /// group of the arrival at each position.
-    fn group_medians_by(
+    /// [`Multiset::group_medians`] with `counts` the groups' counts and
+    /// `group(position)` naming the group of the arrival at each
+    /// position: a group whose middle rank falls among its real values
+    /// takes the value of its `(middle − lows)`-th real record met on one
+    /// walk up the sort.
+    fn walk_group_medians(
         &self,
-        values: &mut Vec<u128>,
+        counts: &GroupCounts,
         group: impl Fn(usize) -> u8,
     ) -> [u128; GROUPS] {
-        let n = self.sample.len();
-        let highs_from = n + self.lows;
-        let mut reals = [0usize; GROUPS];
-        let mut lows = [0usize; GROUPS];
-        let mut highs = [0usize; GROUPS];
-        for position in 0..n {
-            reals[usize::from(group(position))] += 1;
-        }
-        for position in n..highs_from {
-            lows[usize::from(group(position))] += 1;
-        }
-        for position in highs_from..self.len() {
-            highs[usize::from(group(position))] += 1;
-        }
-
-        // Scatter the real values into contiguous per-group buckets.
-        let mut next = [0usize; GROUPS];
-        let mut end = 0;
-        for (first, &count) in next.iter_mut().zip(&reals) {
-            *first = end;
-            end += count;
-        }
-        values.clear();
-        values.resize(n, 0);
-        for (position, &value) in self.sample.iter().enumerate() {
-            let slot = &mut next[usize::from(group(position))];
-            values[*slot] = value;
-            *slot += 1;
-        }
-
-        // `next[g]` now ends group g's bucket.
         let mut medians = [0u128; GROUPS];
-        let mut start = 0;
+        // `rank[g]`: the 1-based real rank of group g's median, or 0 when
+        // a pad holds it.
+        let mut rank = [0usize; GROUPS];
+        let mut unresolved = 0;
         for g in 0..GROUPS {
-            let bucket = &mut values[start..next[g]];
-            start = next[g];
-            let middle = (lows[g] + reals[g] + highs[g] - 1) / 2;
-            medians[g] = if middle < lows[g] {
-                0
-            } else if middle < lows[g] + reals[g] {
-                *bucket.select_nth_unstable(middle - lows[g]).1 + self.offset
+            let (reals, lows) = (counts.reals[g], counts.lows[g]);
+            let middle = (lows + reals + counts.highs[g] - 1) / 2;
+            if middle < lows {
+                medians[g] = 0;
+            } else if middle < lows + reals {
+                rank[g] = middle - lows + 1;
+                unresolved += 1;
             } else {
-                self.high_code
-            };
+                medians[g] = self.high_code;
+            }
+        }
+        if unresolved == 0 {
+            return medians;
+        }
+        let mut seen = [0usize; GROUPS];
+        for &rec in self.sorted {
+            let g = usize::from(group(position_of(rec)));
+            seen[g] += 1;
+            if seen[g] == rank[g] {
+                medians[g] = value_of(rec) + self.offset;
+                unresolved -= 1;
+                if unresolved == 0 {
+                    break;
+                }
+            }
         }
         medians
     }
@@ -303,7 +327,7 @@ impl<'a> Multiset<'a> {
             0
         } else {
             match self.sorted.get(rank - self.lows) {
-                Some(&value) => value + self.offset,
+                Some(&rec) => value_of(rec) + self.offset,
                 None => self.high_code,
             }
         }
@@ -312,7 +336,7 @@ impl<'a> Multiset<'a> {
     /// `#{x ≤ v}`.
     fn count_at_most(&self, v: u128) -> usize {
         let real = match v.checked_sub(self.offset) {
-            Some(bound) => self.sorted.partition_point(|&x| x <= bound),
+            Some(bound) => self.sorted.partition_point(|&rec| value_of(rec) <= bound),
             None => 0,
         };
         let highs = if self.high_code <= v { self.highs } else { 0 };
@@ -323,7 +347,7 @@ impl<'a> Multiset<'a> {
     fn count_below(&self, v: u128) -> usize {
         let lows = if v > 0 { self.lows } else { 0 };
         let real = match v.checked_sub(self.offset) {
-            Some(bound) => self.sorted.partition_point(|&x| x < bound),
+            Some(bound) => self.sorted.partition_point(|&rec| value_of(rec) < bound),
             None => 0,
         };
         let highs = if self.high_code < v { self.highs } else { 0 };
@@ -337,8 +361,7 @@ impl<'a> Multiset<'a> {
 /// level, an *upper* quantile for the internal scale selection (a
 /// conservative, stable choice when the scale distribution is bimodal —
 /// larger cells only cost descent steps, which the accuracy guard
-/// bounds). `values` is selection scratch; its contents are dead between
-/// uses.
+/// bounds).
 // lcakp-lint: recursion-bound(log* bits) reason="each recursive call compresses the domain from 2^bits values to bits+2 scale codes (Algorithm 1's 2^d -> d step), so the depth is the iterated logarithm of the domain size"
 pub(crate) fn solve(
     multiset: &Multiset<'_>,
@@ -347,7 +370,6 @@ pub(crate) fn solve(
     target: f64,
     seed: &Seed,
     depth: u64,
-    values: &mut Vec<u128>,
 ) -> u128 {
     let len = multiset.len();
     debug_assert!(len > 0);
@@ -364,26 +386,29 @@ pub(crate) fn solve(
     // 2b, 2b + 2·BATCHES, … of the arrivals (an i.i.d. subsample); the
     // separation of two independent batch medians upper-bounds the
     // fluctuation of the (larger) half-B median, conservatively.
-    let medians = multiset.group_medians(values);
+    let medians = multiset.group_medians();
     let m_hat = medians[HALF_B];
     let batch_medians = &medians[..BATCHES];
     let mut scales = [0u128; BATCHES / 2];
-    for (scale, pair) in scales.iter_mut().zip(batch_medians.chunks_exact(2)) {
-        *scale = u128::from(bit_length((pair[0] + shift) ^ (pair[1] + shift)));
+    for (position, (scale, pair)) in scales
+        .iter_mut()
+        .zip(batch_medians.chunks_exact(2))
+        .enumerate()
+    {
+        let separation = bit_length((pair[0] + shift) ^ (pair[1] + shift));
+        *scale = record(u128::from(separation), position);
     }
-    let mut sorted_scales = scales;
-    sorted_scales.sort_unstable();
+    scales.sort_unstable();
 
     // Recursive reproducible median over the scale domain [0, bits+1] ⊆
     // [0, 2^7): the 2^d → d compression that yields log* depth.
     let selected = solve(
-        &Multiset::plain(&scales, &sorted_scales),
+        &Multiset::plain(&scales),
         7,
         SCALE_TAU,
         0.75,
         &seed.derive("rmedian/scale", depth),
         depth + 1,
-        values,
     );
     let mut scale = (u32::try_from(selected).unwrap_or(bits) + SCALE_MARGIN).min(bits);
 
@@ -627,10 +652,22 @@ mod tests {
         assert!(out <= mask);
     }
 
+    /// The sorted `(value, position)` records of `sample`, as an integer
+    /// sort of the packed records gives them.
+    fn records(sample: &[u128]) -> Vec<u128> {
+        let mut records: Vec<u128> = sample
+            .iter()
+            .enumerate()
+            .map(|(position, &value)| record(value, position))
+            .collect();
+        records.sort_unstable();
+        records
+    }
+
     #[test]
     fn empirical_median_check_is_two_sided() {
-        let sorted = vec![1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let plain = Multiset::plain(&sorted, &sorted);
+        let sorted = records(&[1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let plain = Multiset::plain(&sorted);
         assert!(is_empirical_median(&plain, 5, 0.1));
         assert!(is_empirical_median(&plain, 6, 0.1));
         assert!(!is_empirical_median(&plain, 1, 0.1));
@@ -639,12 +676,12 @@ mod tests {
         // side is saturated.
         assert!(!is_empirical_median(&plain, 11, 0.1));
         // Heavy atom: the point just past the atom fails.
-        let mut atom = vec![5u128; 8]
+        let atom = vec![5u128; 8]
             .into_iter()
             .chain([9, 10])
             .collect::<Vec<_>>();
-        atom.sort_unstable();
-        let atom = Multiset::plain(&atom, &atom);
+        let atom = records(&atom);
+        let atom = Multiset::plain(&atom);
         assert!(is_empirical_median(&atom, 5, 0.1));
         assert!(!is_empirical_median(&atom, 6, 0.1));
     }
@@ -654,13 +691,11 @@ mod tests {
     #[test]
     fn padded_counts_match_a_materialized_sample() {
         let sample = vec![7u128, 0, 3, 3, 15, 9];
-        let mut sorted = sample.clone();
-        sorted.sort_unstable();
+        let sorted = records(&sample);
         let high_code = 31;
         for lows in 0..=sample.len() {
             let highs = sample.len() - lows;
             let multiset = Multiset {
-                sample: &sample,
                 sorted: &sorted,
                 offset: 1,
                 lows,
@@ -694,8 +729,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         for (n, lows) in [(32, 0), (32, 32), (40, 13), (100, 71), (257, 128)] {
             let sample = uniform_sample(&mut rng, n, 6);
-            let mut sorted = sample.clone();
-            sorted.sort_unstable();
+            let sorted = records(&sample);
             let high_code = 9;
             let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
             padded.extend(std::iter::repeat_n(0, lows));
@@ -706,6 +740,7 @@ mod tests {
             for (arrival, &position) in order.iter().enumerate() {
                 groups[position] = arrival_group(arrival);
             }
+            let counts = GroupCounts::count(n, lows, n - lows, |position| groups[position]);
             let gathered_medians = |position_of: &dyn Fn(usize) -> usize| {
                 let mut medians = [0u128; GROUPS];
                 for (g, median) in medians.iter_mut().enumerate() {
@@ -719,23 +754,21 @@ mod tests {
                 medians
             };
             let mut multiset = Multiset {
-                sample: &sample,
                 sorted: &sorted,
                 offset: 1,
                 lows,
                 highs: n - lows,
                 high_code,
-                groups: Some(&groups),
+                groups: Some((&groups, &counts)),
             };
-            let mut values = Vec::new();
             assert_eq!(
-                multiset.group_medians(&mut values),
+                multiset.group_medians(),
                 gathered_medians(&|arrival| order[arrival]),
                 "n {n}, lows {lows}"
             );
             multiset.groups = None;
             assert_eq!(
-                multiset.group_medians(&mut values),
+                multiset.group_medians(),
                 gathered_medians(&|arrival| arrival),
                 "n {n}, lows {lows}"
             );

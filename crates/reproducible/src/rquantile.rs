@@ -22,8 +22,11 @@
 //! [`QuantileScratch`]: it depends only on the shuffle seed and the
 //! length, so a call that repeats both (a fixed shared seed and the same
 //! sample size `n`) skips the shuffle. The draws are those a shuffle of
-//! the padded values would make. Ranks and counts over the padded
-//! multiset are arithmetic over the once-sorted real sample (see
+//! the padded values would make. The map also keeps each group's counts
+//! of real values, lows and highs for the last `lows` it served, so a
+//! call that repeats `p` as well skips that count. Ranks and counts over
+//! the padded multiset are arithmetic over the once-sorted real sample,
+//! and the group medians come from one walk up it (see
 //! [`crate::rmedian`]).
 
 use crate::domain::Domain;
@@ -56,9 +59,8 @@ pub struct RQuantileConfig {
 ///   `tau ∉ (0, 1/2]`;
 /// * [`ReproducibleError::EmptySample`] / `ValueOutOfDomain` as in
 ///   [`rmedian`](crate::rmedian());
-/// * [`ReproducibleError::DomainTooWide`] if the extended domain exceeds
-///   the supported width;
-/// * [`ReproducibleError::SampleTooLarge`] if the padded sample has more
+/// * [`ReproducibleError::SampleTooLarge`] if the sample has more than
+///   `u32::MAX` values or, outside the base case, the padded sample more
 ///   than `u32::MAX` positions.
 ///
 /// ```
@@ -94,9 +96,9 @@ impl SortedSample<'_> {
     /// [`QuantileScratch::sort`].
     pub fn rquantile(&mut self, p: f64, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
         check_quantile_parameters(p, tau)?;
-        let extended = Domain::new(self.domain.bits() + 1)?;
+        let extended = self.domain.extended();
 
-        let n = self.sample.len();
+        let n = self.sorted.len();
         // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
         let lows = (((1.0 - p) * n as f64).round() as usize).min(n);
         let highs = n - lows;
@@ -119,11 +121,10 @@ impl SortedSample<'_> {
                 self.maps.resize_with(slot + 1, ArrivalMap::default);
             }
             let shuffle_seed = seed.derive("rquantile/shuffle", 0);
-            Some(self.maps[slot].get(shuffle_seed, len, self.order))
+            Some(self.maps[slot].get(shuffle_seed, len, lows, self.order))
         };
 
         let multiset = Multiset {
-            sample: self.sample,
             sorted: self.sorted,
             offset: 1,
             lows,
@@ -138,7 +139,6 @@ impl SortedSample<'_> {
             0.5,
             &seed.derive("rquantile/median", 0),
             0,
-            self.values,
         );
         // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
         // above the real values) to the maximum.
