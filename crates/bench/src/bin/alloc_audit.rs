@@ -8,22 +8,28 @@
 //!      [`QueryScratch`]: after the warm-up query has sized the scratch
 //!      buffers (including the rQuantile sort and selection buffers),
 //!      per-query allocations come only from what the query builds and
-//!      keeps — the threshold keys, the Ĩ item list, and the rule.
+//!      keeps — the threshold keys, the Ĩ item list, and the rule;
+//!   3. the served path: `replay_shard_traffic` (one shard's
+//!      `ShardCore` stepping admitted arrivals through the degradation
+//!      ladder) over the same arrivals at two trace lengths. The
+//!      difference, divided by the extra arrivals, is what one more
+//!      served query allocates once the core's buffers are warm.
 //!
 //! `--check` exits nonzero if the steady-state per-query allocation
-//! count exceeds `STEADY_ALLOC_BUDGET` — the CI smoke that keeps
+//! count exceeds `STEADY_ALLOC_BUDGET`, or the served path's per-arrival
+//! count exceeds `SERVED_ALLOCS_PER_ARRIVAL` — the CI smoke that keeps
 //! allocation regressions out of the serving loop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use lcakp_bench::experiment_root;
-use lcakp_core::{LcaKp, QueryScratch};
+use lcakp_core::{LcaKp, QueryScratch, ResponseTier};
 use lcakp_knapsack::iky::Epsilon;
 use lcakp_knapsack::ItemId;
 use lcakp_oracle::InstanceOracle;
 use lcakp_reproducible::SampleBudget;
-use lcakp_service::run_smoke;
+use lcakp_service::{replay_shard_traffic, run_smoke, Arrival, ServiceConfig};
 use lcakp_workloads::{Family, WorkloadSpec};
 
 /// Steady-state per-query allocation budget, enforced by `--check`.
@@ -33,6 +39,17 @@ use lcakp_workloads::{Family, WorkloadSpec};
 /// budget leaves 4x headroom so only a structural regression — a hoisted
 /// buffer moving back into the query path — trips it.
 const STEADY_ALLOC_BUDGET: u64 = 20;
+
+/// Served-path allocations per extra arrival, enforced by `--check`.
+/// Measured 5: exactly what one query builds and keeps (the sites
+/// `STEADY_ALLOC_BUDGET` lists). No headroom — the shard step around
+/// the query (dispatch, fault layer, ladder, clock) must allocate
+/// nothing of its own.
+const SERVED_ALLOCS_PER_ARRIVAL: u64 = 5;
+
+/// Trace lengths of the served section's two replays.
+const SERVED_SHORT: usize = 16;
+const SERVED_LONG: usize = 80;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -165,6 +182,52 @@ fn main() {
     let steady = end_section(steady_start);
     let steady_per_query = steady.allocs.div_ceil(steady_queries);
 
+    // Section 3: the served path. Both replays serve a prefix of the
+    // same admitted arrivals on a fresh core, so the difference between
+    // them is the cost of the extra arrivals alone.
+    let service = ServiceConfig {
+        deadline_ticks: u64::MAX / 2,
+        ..ServiceConfig::default()
+    };
+    let service_root = root.derive("alloc-audit/service", 0);
+    let admitted: Vec<(usize, Arrival)> = (0..SERVED_LONG)
+        .map(|index| {
+            let arrival = Arrival {
+                at_tick: index as u64 * 1_000,
+                item: ItemId((index * 7) % norm.len()),
+                shard: 0,
+                extra_cost_ticks: 0,
+            };
+            (index, arrival)
+        })
+        .collect();
+    let replay = |arrivals: &[(usize, Arrival)]| {
+        let start = begin_section();
+        let answers = replay_shard_traffic(
+            &lca,
+            &oracle,
+            &shared_seed,
+            &service_root,
+            arrivals,
+            0,
+            &service,
+        )
+        .expect("served replay");
+        let section = end_section(start);
+        assert!(
+            answers
+                .iter()
+                .all(|(_, answer)| answer.tier == ResponseTier::Full),
+            "the served section measures the full-tier path"
+        );
+        section.allocs
+    };
+    let served_short = replay(&admitted[..SERVED_SHORT]);
+    let served_long = replay(&admitted);
+    let served_per_arrival = served_long
+        .saturating_sub(served_short)
+        .div_ceil((SERVED_LONG - SERVED_SHORT) as u64);
+
     println!("{{");
     println!("  \"smoke\": {{");
     println!("    \"queries\": {smoke_queries},");
@@ -187,14 +250,33 @@ fn main() {
     println!("    \"peak_bytes\": {},", steady.peak);
     println!("    \"allocations_per_query\": {steady_per_query},");
     println!("    \"budget_per_query\": {STEADY_ALLOC_BUDGET}");
+    println!("  }},");
+    println!("  \"served\": {{");
+    println!("    \"short_arrivals\": {SERVED_SHORT},");
+    println!("    \"short_allocations\": {served_short},");
+    println!("    \"long_arrivals\": {SERVED_LONG},");
+    println!("    \"long_allocations\": {served_long},");
+    println!("    \"allocations_per_arrival\": {served_per_arrival},");
+    println!("    \"pinned_per_arrival\": {SERVED_ALLOCS_PER_ARRIVAL}");
     println!("  }}");
     println!("}}");
 
+    let mut failed = false;
     if check && steady_per_query > STEADY_ALLOC_BUDGET {
         eprintln!(
             "alloc_audit: steady-state allocations per query {steady_per_query} exceeds \
              budget {STEADY_ALLOC_BUDGET}"
         );
+        failed = true;
+    }
+    if check && served_per_arrival > SERVED_ALLOCS_PER_ARRIVAL {
+        eprintln!(
+            "alloc_audit: served-path allocations per arrival {served_per_arrival} exceed \
+             the pinned {SERVED_ALLOCS_PER_ARRIVAL}"
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

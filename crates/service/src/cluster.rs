@@ -11,24 +11,26 @@
 //!
 //! # The deterministic scheduler
 //!
-//! Each shard is a [`WorkerCore`] — the same event-driven serving core
-//! the thread pool runs — hosted on a node picked by the consistent-
-//! hash [`Ring`]. A single-threaded discrete-event scheduler always
-//! steps the runnable shard with the smallest `(virtual tick, shard
-//! id)` key, firing node-level fault events ([`NodeEvent`]) whenever
-//! the cluster frontier reaches their tick. The result is a pure
-//! function of `(inputs, config, events)` — no thread scheduling, no
-//! wall clock.
+//! Admission is the thread pool's: queries shard over `index % shards`
+//! into bounded queues before anything runs. Each shard is then a
+//! `WorkerCore` — the same journaled actor, over the same per-shard
+//! `ShardCore`, that a pool worker runs — hosted on a node picked by
+//! the consistent-hash [`Ring`] through its boot [`RingView`]. A
+//! single-threaded discrete-event scheduler always steps the runnable
+//! shard with the smallest `(virtual tick, shard id)` key, firing
+//! node-level fault events ([`NodeEvent`]) whenever the cluster
+//! frontier reaches their tick. The result is a pure function of
+//! `(inputs, config, events)` — no thread scheduling, no wall clock.
 //!
 //! # Failover
 //!
 //! When a shard's hosting node crashes, the surviving replicas hold the
 //! shard's journal (synchronously replicated appends; the crash may
 //! tear the tail of the last in-flight append). The router promotes the
-//! first alive, reachable replica in ring order; the new owner replays
-//! the shipped journal through the PR 5 recovery path — restoring the
-//! virtual clock, breaker, and budget from the last snapshot — and
-//! resumes byte-identically. When no replica is reachable the shard's
+//! first alive, reachable replica in ring order (the traffic engine's
+//! pick, below); the new owner replays the shipped journal through the
+//! worker pool's recovery path — restoring the virtual clock, breaker,
+//! and budget from the last snapshot — and resumes byte-identically. When no replica is reachable the shard's
 //! remaining queries shed explicitly: [`ShedReason::NodeUnreachable`]
 //! when the replica group is gone, [`ShedReason::Partitioned`] when
 //! live replicas exist but a partition cut them all off. Never a silent
@@ -65,12 +67,12 @@
 //! under-loaded, the [`RebalanceController`] promotes that standby to
 //! acting owner of the node's hottest shard through an epoch-versioned
 //! [`RingView`] update. Service state is split so migration is provably
-//! byte-invisible: each *shard* owns the serving core (clock, breaker,
-//! budget, scratch — so answer bytes depend only on the admitted
-//! per-shard subsequence, never on placement), while each *node* owns
-//! the queueing model (a busy horizon plus in-flight completions — so
-//! end-to-end latency and overload signals genuinely move when a shard
-//! does). Every promotion is journaled as a
+//! byte-invisible: each *shard* owns the pool's `ShardCore` (clock,
+//! breaker, budget, scratch — so answer bytes depend only on the
+//! admitted per-shard subsequence, never on placement), while each
+//! *node* owns the queueing model (a busy horizon plus in-flight
+//! completions — so end-to-end latency and overload signals genuinely
+//! move when a shard does). Every promotion is journaled as a
 //! [`JournalRecord::RingChange`] on all live nodes, and a crash records
 //! the epoch recovered from the surviving journals next to the epoch
 //! the cluster had actually reached. The planted bug here is
@@ -88,20 +90,18 @@ use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
     ShedReason,
 };
-use crate::breaker::CircuitBreaker;
-use crate::clock::{TickClock, VirtualClock};
 use crate::journal::{DecodeMode, Journal, JournalRecord};
 use crate::rebalance::{RebalanceAudit, RebalanceConfig, RebalanceController, RebalanceDiscipline};
-use crate::ring::{NodeId, ReplicaSet, Ring, RingEpoch, RingView};
+use crate::ring::{NodeId, Ring, RingEpoch, RingView};
 use crate::service::{
-    serve_batch_cached_rule, serve_one, Answered, Disposition, FaultSchedule, PendingStep,
-    QueryOutcome, ServiceConfig, SharedCtx, WorkerCore, FAULT_DOMAIN,
+    admit, run_worker, serve_batch_cached_rule, Answered, Disposition, QueryOutcome, ServiceConfig,
+    ShardCore, SharedCtx, WorkerCore,
 };
 use crate::slo::{LatencyHistogram, LoadSignal, SignalWindow, SloReport};
 use crate::traffic::{Arrival, TrafficDisposition, TrafficOutcome};
-use lcakp_core::{LcaError, LcaKp, QueryScratch};
+use lcakp_core::{LcaError, LcaKp};
 use lcakp_knapsack::ItemId;
-use lcakp_oracle::{BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, Seed, WeightedSampler};
+use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use std::fmt;
 
 /// How the cluster router resolves shard ownership after a node loss.
@@ -223,8 +223,9 @@ pub struct ClusterConfig {
     pub vnodes: usize,
     /// How the router resolves ownership after a node loss.
     pub routing: RoutingDiscipline,
-    /// The per-shard serving configuration (`workers` is ignored — the
-    /// cluster scheduler replaces the thread pool).
+    /// The per-shard serving configuration. `workers` is ignored:
+    /// queries shard over `shards` instead, and one scheduler thread
+    /// steps every shard.
     pub base: ServiceConfig,
 }
 
@@ -420,34 +421,10 @@ fn flatten_node_events(
     (partitions, pending_cuts, ops)
 }
 
-/// Shards queries over `index % shards` into bounded per-shard queues;
-/// overflow sheds `QueueFull` at admission, before anything runs.
-fn admit(
-    queries: &[ItemId],
-    shards: usize,
-    queue_depth: usize,
-) -> (Vec<Vec<(usize, ItemId)>>, Vec<QueryOutcome>) {
-    let mut shard_queries: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); shards];
-    let mut shed = Vec::new();
-    for (index, &item) in queries.iter().enumerate() {
-        let shard = crate::traffic::shard_of(index, shards);
-        if shard_queries[shard].len() < queue_depth {
-            shard_queries[shard].push((index, item));
-        } else {
-            shed.push(QueryOutcome {
-                index,
-                item,
-                disposition: Disposition::Shed(ShedReason::QueueFull { depth: queue_depth }),
-            });
-        }
-    }
-    (shard_queries, shed)
-}
-
 /// The single-threaded cluster scheduler state.
 struct Cluster<'a, O> {
     tasks: Vec<ShardTask<'a, O>>,
-    replica_sets: Vec<ReplicaSet>,
+    view: RingView,
     alive: Vec<bool>,
     crashes: Vec<usize>,
     restarts: Vec<usize>,
@@ -487,15 +464,15 @@ where
 
     /// The router's pick for `shard`, per the configured discipline.
     fn route(&self, shard: usize) -> Option<NodeId> {
-        let set = &self.replica_sets[shard];
         match self.routing {
-            RoutingDiscipline::Faithful => set
-                .nodes()
-                .iter()
-                .copied()
-                .find(|&node| self.alive[node.0] && self.reachable(node)),
+            RoutingDiscipline::Faithful => pick_owner(
+                &self.view,
+                shard,
+                |node| self.alive[node.0],
+                &self.partitions,
+            ),
             RoutingDiscipline::StaleRing => {
-                let primary = set.primary();
+                let primary = self.view.primary(shard);
                 (self.alive[primary.0] && self.reachable(primary)).then_some(primary)
             }
         }
@@ -504,34 +481,15 @@ where
     /// Sheds the shard's remaining queries with an honest reason and
     /// records the true replica state for the simulator's audit.
     fn salvage(&mut self, shard: usize) {
-        let set = &self.replica_sets[shard];
-        let alive_replicas: Vec<NodeId> = set
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|node| self.alive[node.0])
-            .collect();
-        let reachable_replicas: Vec<NodeId> = alive_replicas
-            .iter()
-            .copied()
-            .filter(|&node| self.reachable(node))
-            .collect();
-        // Live replicas all cut off ⇒ a partition shed; otherwise the
-        // group is gone (or the router *claims* it is — the audit keeps
-        // the evidence either way).
-        let reason = if !alive_replicas.is_empty() && reachable_replicas.is_empty() {
-            ShedReason::Partitioned { shard }
-        } else {
-            ShedReason::NodeUnreachable { shard }
-        };
-        self.tasks[shard].core.salvage(reason);
-        self.tasks[shard].status = TaskStatus::Abandoned;
-        self.shed_audits.push(ShedAudit {
+        let audit = shed_audit(
+            &self.view,
             shard,
-            reason,
-            alive_replicas,
-            reachable_replicas,
-        });
+            |node| self.alive[node.0],
+            &self.partitions,
+        );
+        self.tasks[shard].core.salvage(audit.reason);
+        self.tasks[shard].status = TaskStatus::Abandoned;
+        self.shed_audits.push(audit);
     }
 
     /// Re-places a shard whose owner was lost (or resumes it): resume
@@ -573,7 +531,9 @@ where
                 }
             }
             None => {
-                let any_alive = self.replica_sets[shard]
+                let any_alive = self
+                    .view
+                    .replica_set(shard)
                     .nodes()
                     .iter()
                     .any(|node| self.alive[node.0]);
@@ -666,7 +626,9 @@ where
 /// rule stream, same per-query seed derivation, same admission rules
 /// with `index % shards` routing — plus node-level fault injection via
 /// `node_events`. With an empty event list and faithful routing the
-/// outcomes are byte-identical to a fault-free run.
+/// outcomes are byte-identical to a fault-free run. There is no
+/// per-query fault plan and no worker crash schedule: node events are
+/// the cluster's faults.
 ///
 /// # Errors
 ///
@@ -677,7 +639,6 @@ where
 ///
 /// Panics if `nodes`, `shards`, `vnodes`, or `base.queue_depth` is
 /// zero.
-#[allow(clippy::too_many_arguments)]
 pub fn serve_cluster<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -685,7 +646,6 @@ pub fn serve_cluster<O>(
     service_root: &Seed,
     queries: &[ItemId],
     config: &ClusterConfig,
-    chaos: Option<&dyn FaultSchedule>,
     node_events: &[NodeEvent],
 ) -> Result<ClusterReport, LcaError>
 where
@@ -693,6 +653,7 @@ where
 {
     assert!(config.nodes >= 1, "nodes must be at least 1");
     assert!(config.shards >= 1, "shards must be at least 1");
+    assert!(config.vnodes >= 1, "vnodes must be at least 1");
     assert!(
         config.base.queue_depth >= 1,
         "queue_depth must be at least 1"
@@ -705,7 +666,7 @@ where
         shared_seed,
         service_root,
         config: &config.base,
-        chaos,
+        chaos: None,
         cached: cached.as_ref(),
     };
 
@@ -713,18 +674,14 @@ where
 
     // Placement: one replica group per shard from the boot-time ring.
     let ring = Ring::new(config.nodes, config.vnodes);
-    let replica_sets: Vec<ReplicaSet> = (0..config.shards)
-        .map(|shard| {
-            ring.replicas(shard, config.replication)
-                .expect("a non-empty membership always routes")
-        })
-        .collect();
+    let view = RingView::from_ring(&ring, config.shards, config.replication)
+        .expect("a non-empty membership always routes");
 
     let tasks: Vec<ShardTask<'_, O>> = shard_queries
         .into_iter()
         .enumerate()
         .map(|(shard, queries)| {
-            let owner = replica_sets[shard].primary();
+            let owner = view.primary(shard);
             let core = WorkerCore::new(shard, queries, &shared);
             let status = if core.finished() {
                 TaskStatus::Done
@@ -746,7 +703,7 @@ where
 
     let mut cluster = Cluster {
         tasks,
-        replica_sets,
+        view,
         alive: vec![true; config.nodes],
         crashes: vec![0; config.nodes],
         restarts: vec![0; config.nodes],
@@ -790,7 +747,7 @@ where
         let Some(shard) = runnable else {
             break;
         };
-        let step: PendingStep = cluster.tasks[shard].core.serve_step(&shared)?;
+        let step = cluster.tasks[shard].core.serve_step(&shared)?;
         cluster.tasks[shard].core.commit(step);
         if cluster.tasks[shard].core.finished() {
             cluster.tasks[shard].status = TaskStatus::Done;
@@ -837,7 +794,8 @@ where
     })
 }
 
-/// Serves exactly one shard of the batch on a standalone core — what
+/// Serves exactly one shard of the batch on a standalone core — the
+/// pool worker's shard loop with no crash directives, which is what
 /// any single replica would compute from the shared seeds alone. The
 /// simulator re-serves each shard on every surviving replica and
 /// asserts the answers byte-identical to the cluster run's: the
@@ -870,12 +828,8 @@ where
         cached: cached.as_ref(),
     };
     let (mut shard_queries, _) = admit(queries, config.shards, config.base.queue_depth);
-    let mut core = WorkerCore::new(shard, std::mem::take(&mut shard_queries[shard]), &shared);
-    while !core.finished() {
-        let step = core.serve_step(&shared)?;
-        core.commit(step);
-    }
-    Ok(core.into_output(Vec::new()).outcomes)
+    let queries = std::mem::take(&mut shard_queries[shard]);
+    Ok(run_worker(shard, queries, &shared)?.outcomes)
 }
 
 /// Tuning of the traffic-driven cluster runtime (experiment E18).
@@ -1071,17 +1025,6 @@ impl ClusterTrafficReport {
     }
 }
 
-/// One shard's placement-independent serving core. Only the admitted
-/// per-shard subsequence drives this state, so answers are
-/// byte-identical no matter which node hosts the shard — the property
-/// [`replay_shard_traffic`] certifies.
-struct ShardTrafficCore<'a, O> {
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
-    scratch: QueryScratch,
-}
-
 /// One node's queueing and control state. This is the placement-
 /// *dependent* half: the busy horizon and in-flight completions move
 /// with the shards routed here, which is exactly what rebalancing
@@ -1193,40 +1136,54 @@ fn replayed_ring_epoch(nodes: &[NodeRt]) -> RingEpoch {
 }
 
 /// The router's pick for `shard` in `view`: the first alive, reachable
-/// replica in ring order.
+/// replica in ring order. The one router of both cluster runtimes.
 fn pick_owner(
     view: &RingView,
     shard: usize,
-    nodes: &[NodeRt],
+    alive: impl Fn(NodeId) -> bool,
     partitions: &[Option<Vec<Vec<NodeId>>>],
 ) -> Option<NodeId> {
     view.replica_set(shard)
         .nodes()
         .iter()
         .copied()
-        .find(|&node| nodes[node.0].alive && client_reachable(partitions, node))
+        .find(|&node| alive(node) && client_reachable(partitions, node))
 }
 
-/// The true replica state of `shard` for a [`ShedAudit`].
-fn audit_replicas(
+/// The audit of a routing shed for `shard`: the true replica state —
+/// its alive replicas, and those of them the client can reach — and
+/// the honest reason for a router that found no owner. Live replicas
+/// all cut off ⇒ a partition shed; otherwise the group is gone (or the
+/// router *claims* it is — the audit keeps the evidence either way).
+fn shed_audit(
     view: &RingView,
     shard: usize,
-    nodes: &[NodeRt],
+    alive: impl Fn(NodeId) -> bool,
     partitions: &[Option<Vec<Vec<NodeId>>>],
-) -> (Vec<NodeId>, Vec<NodeId>) {
-    let alive: Vec<NodeId> = view
+) -> ShedAudit {
+    let alive_replicas: Vec<NodeId> = view
         .replica_set(shard)
         .nodes()
         .iter()
         .copied()
-        .filter(|node| nodes[node.0].alive)
+        .filter(|&node| alive(node))
         .collect();
-    let reachable: Vec<NodeId> = alive
+    let reachable_replicas: Vec<NodeId> = alive_replicas
         .iter()
         .copied()
         .filter(|&node| client_reachable(partitions, node))
         .collect();
-    (alive, reachable)
+    let reason = if !alive_replicas.is_empty() && reachable_replicas.is_empty() {
+        ShedReason::Partitioned { shard }
+    } else {
+        ShedReason::NodeUnreachable { shard }
+    };
+    ShedAudit {
+        shard,
+        reason,
+        alive_replicas,
+        reachable_replicas,
+    }
 }
 
 /// Serves an open-loop arrival trace on the simulated cluster,
@@ -1256,7 +1213,9 @@ fn audit_replicas(
 ///
 /// # Panics
 ///
-/// Panics if `nodes`, `shards`, or `vnodes` is zero.
+/// Panics if `nodes`, `shards`, or `vnodes` is zero, or if an
+/// arrival's `shard` is not below `shards` (build the trace with the
+/// engine's own shard count).
 pub fn serve_cluster_traffic<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -1294,6 +1253,10 @@ where
 /// `boot_view` over nodes `0..node_count` (the view's shard count is the
 /// engine's); `config` contributes only its serving, admission,
 /// rebalance, and routing policies.
+///
+/// # Panics
+///
+/// Panics if an arrival's shard is not below the view's shard count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_traffic<O>(
     lca: &LcaKp,
@@ -1322,15 +1285,7 @@ where
     let shard_count = boot_view.shards();
     let mut view = boot_view.clone();
 
-    let cap = config.service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut cores: Vec<ShardTrafficCore<'_, O>> = (0..shard_count)
-        .map(|_| ShardTrafficCore {
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(config.service.breaker),
-            budgeted: BudgetedOracle::new(oracle, cap),
-            scratch: QueryScratch::default(),
-        })
-        .collect();
+    let mut cores: Vec<ShardCore<'_, O>> = (0..shard_count).map(|_| ShardCore::new(&ctx)).collect();
     let mut nodes: Vec<NodeRt> = (0..node_count)
         .map(|_| NodeRt::new(config.admission, discipline))
         .collect();
@@ -1420,7 +1375,11 @@ where
             &view,
             &mut next_op,
         );
-        let shard = arrival.shard.min(shard_count - 1);
+        let shard = arrival.shard;
+        assert!(
+            shard < shard_count,
+            "arrival {index} is on shard {shard}, but the engine has {shard_count} shards"
+        );
         let outcome_shed = |reason: ShedReason| TrafficOutcome {
             index,
             item: arrival.item,
@@ -1431,30 +1390,21 @@ where
 
         // Route per the configured discipline. The faithful pick is the
         // truth; the stale router consults the boot view instead.
-        let faithful_pick = pick_owner(&view, shard, &nodes, &partitions);
+        let alive = |node: NodeId| nodes[node.0].alive;
+        let faithful_pick = pick_owner(&view, shard, alive, &partitions);
         let routed = match config.routing {
             RebalanceDiscipline::Faithful => faithful_pick,
-            RebalanceDiscipline::StaleEpoch => pick_owner(&boot_view, shard, &nodes, &partitions),
+            RebalanceDiscipline::StaleEpoch => pick_owner(&boot_view, shard, alive, &partitions),
         };
         let Some(node_id) = routed else {
             // No replica to even refuse the query: typed shed + audit.
-            let (alive, reachable) = audit_replicas(&view, shard, &nodes, &partitions);
-            let reason = if !alive.is_empty() && reachable.is_empty() {
-                ShedReason::Partitioned { shard }
-            } else {
-                ShedReason::NodeUnreachable { shard }
-            };
+            let audit = shed_audit(&view, shard, alive, &partitions);
             shed_count += 1;
-            shed_audits.push(ShedAudit {
-                shard,
-                reason,
-                alive_replicas: alive,
-                reachable_replicas: reachable,
-            });
             outcomes.push(RoutedOutcome {
                 node: None,
-                outcome: outcome_shed(reason),
+                outcome: outcome_shed(audit.reason),
             });
+            shed_audits.push(audit);
             continue;
         };
 
@@ -1476,12 +1426,9 @@ where
                 reason,
             });
             shed_count += 1;
-            let (alive, reachable) = audit_replicas(&view, shard, &nodes, &partitions);
             shed_audits.push(ShedAudit {
-                shard,
                 reason,
-                alive_replicas: alive,
-                reachable_replicas: reachable,
+                ..shed_audit(&view, shard, |node| nodes[node.0].alive, &partitions)
             });
             outcomes.push(RoutedOutcome {
                 node: Some(node_id),
@@ -1553,30 +1500,7 @@ where
         });
 
         // Serve on the shard's placement-independent core.
-        let core = &mut cores[shard];
-        if arrival.at_tick > core.clock.now() {
-            core.clock.advance(arrival.at_tick - core.clock.now());
-        }
-        let service_start = core.clock.now();
-        core.clock.advance(config.service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &core.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &core.clock,
-            &mut core.breaker,
-            &faulty,
-            &core.budgeted,
-            &mut core.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        core.clock.advance(arrival.extra_cost_ticks);
-        let service_ticks = core.clock.now() - service_start;
+        let (answer, service_ticks) = cores[shard].serve_arrival(&ctx, shard, index, arrival)?;
 
         // Charge the queueing against the hosting node's busy horizon.
         let node = &mut nodes[node_id.0];
@@ -1642,7 +1566,7 @@ where
 
     let end_tick = cores
         .iter()
-        .map(|core| core.clock.now())
+        .map(ShardCore::now)
         .chain(nodes.iter().map(|node| node.horizon))
         .max()
         .unwrap_or(0);
@@ -1821,37 +1745,11 @@ where
         chaos: None,
         cached: None,
     };
-    let cap = service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut core = ShardTrafficCore {
-        clock: TickClock::new(),
-        breaker: CircuitBreaker::new(service.breaker),
-        budgeted: BudgetedOracle::new(oracle, cap),
-        scratch: QueryScratch::default(),
-    };
+    let mut core = ShardCore::new(&ctx);
     let mut answers = Vec::with_capacity(admitted.len());
-    for &(index, arrival) in admitted {
-        if arrival.at_tick > core.clock.now() {
-            core.clock.advance(arrival.at_tick - core.clock.now());
-        }
-        core.clock.advance(service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &core.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &core.clock,
-            &mut core.breaker,
-            &faulty,
-            &core.budgeted,
-            &mut core.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        core.clock.advance(arrival.extra_cost_ticks);
-        answers.push((index, answer));
+    for (index, arrival) in admitted {
+        let (answer, _) = core.serve_arrival(&ctx, shard, *index, arrival)?;
+        answers.push((*index, answer));
     }
     Ok(answers)
 }
@@ -1901,7 +1799,6 @@ mod tests {
             &Seed::from_entropy_u64(42),
             &batch(world.norm.len()),
             &world.config,
-            None,
             events,
         )
         .unwrap()
@@ -2412,5 +2309,27 @@ mod tests {
                 assert_eq!(a, b, "replica answers must be byte-identical");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "vnodes must be at least 1")]
+    fn zero_vnodes_is_rejected_up_front() {
+        let mut world = world(8, 5);
+        world.config.vnodes = 0;
+        let _ = run(&world, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival 0 is on shard 4, but the engine has 4 shards")]
+    fn out_of_range_arrival_shard_is_rejected() {
+        let world = world(8, 5);
+        let config = ClusterTrafficConfig::default();
+        let arrival = Arrival {
+            at_tick: 0,
+            item: ItemId(0),
+            shard: config.shards,
+            extra_cost_ticks: 0,
+        };
+        let _ = run_traffic(&world, &config, &[arrival], &[]);
     }
 }

@@ -1,8 +1,8 @@
 //! The concurrent batch-serving runtime.
 //!
 //! [`serve_batch`] dispatches a batch of `LCA-KP` point queries over a
-//! pool of `std::thread` workers fed by bounded crossbeam channels, and
-//! returns one explicit disposition per query: an answer tagged with its
+//! pool of `std::thread` workers, one per shard, and returns one
+//! explicit disposition per query: an answer tagged with its
 //! degradation-ladder tier, or a typed load-shed rejection.
 //!
 //! # Determinism under concurrency
@@ -14,18 +14,24 @@
 //!
 //! * **static sharding** — query `i` always runs on worker
 //!   `i mod workers`; there is no work stealing;
-//! * **pre-filled queues** — every admission decision is made by the
-//!   feeder *before* any worker starts draining, so which queries are
-//!   shed as [`ShedReason::QueueFull`] never races;
-//! * **worker-local state** — each worker owns its [`TickClock`],
-//!   [`CircuitBreaker`], and [`BudgetedOracle`] slice (the global cap is
-//!   split per worker), and serves its shard sequentially;
+//! * **admission before serving** — every bounded shard queue is filled
+//!   before any worker starts, so which queries are shed as
+//!   [`ShedReason::QueueFull`] never races;
+//! * **worker-local state** — each worker owns a `ShardCore` (its
+//!   [`TickClock`], [`CircuitBreaker`], and [`BudgetedOracle`] slice —
+//!   the global cap is split per worker), and serves its shard
+//!   sequentially;
 //! * **per-query seeds** — sampling entropy, fault streams, and backoff
 //!   jitter derive from the service root by *global batch position*, not
 //!   by arrival order;
 //! * **replayed attempts** — a query-level retry re-creates the same
 //!   sampling stream, so a retry that succeeds returns exactly the
 //!   answer the fault-free run would have.
+//!
+//! The same `ShardCore` serves every shard in the crate: a pool
+//! worker here, a shard task of the closed-batch cluster, a traffic
+//! shard of the arrival-driven engine, and both standalone replays
+//! (`serve_shard_standalone`, `replay_shard_traffic`).
 //!
 //! Responses are merged and sorted by batch position at the end.
 
@@ -35,6 +41,7 @@ use crate::breaker::{BreakerConfig, BreakerEvent, CircuitBreaker};
 use crate::clock::{TickClock, VirtualClock};
 use crate::deadline::{CostModel, DeadlineOracle};
 use crate::journal::{Journal, JournalRecord, RecoveryError, WorkerSnapshot};
+use crate::traffic::Arrival;
 use lcakp_core::{
     DegradationReason, LcaError, LcaKp, QueryScratch, ResponseTier, RetryPolicy, SolutionRule,
 };
@@ -46,10 +53,8 @@ use std::fmt;
 
 /// Seed domain for per-query sampling entropy.
 const QUERY_DOMAIN: &str = "service/query";
-/// Seed domain for per-query fault streams (shared with the
-/// arrival-driven engine so an arrival's fault stream matches its batch
-/// twin).
-pub(crate) const FAULT_DOMAIN: &str = "service/fault";
+/// Seed domain for per-query fault streams.
+const FAULT_DOMAIN: &str = "service/fault";
 /// Seed domain for the cached-rule construction stream.
 const CACHE_DOMAIN: &str = "service/cache";
 
@@ -123,8 +128,10 @@ pub trait FaultSchedule: Sync {
 /// Tuning of the serving runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads (each owns a shard, a clock, a breaker, and a
-    /// budget slice). Must be ≥ 1.
+    /// Worker threads of [`serve_batch`]'s pool; query `i` is admitted
+    /// to worker `i mod workers`, which owns that shard's clock, breaker,
+    /// and budget slice. The cluster and traffic runtimes ignore it
+    /// (their shard count is their own). Must be ≥ 1.
     pub workers: usize,
     /// Bound of each worker's admission queue. Must be ≥ 1.
     pub queue_depth: usize,
@@ -399,31 +406,7 @@ where
     assert!(config.queue_depth >= 1, "queue_depth must be at least 1");
 
     let cached = serve_batch_cached_rule(lca, oracle, shared_seed, service_root);
-
-    // Admission: fill every bounded queue before any worker runs, so
-    // queue-full sheds are a pure function of the batch.
-    let mut senders = Vec::with_capacity(config.workers);
-    let mut receivers = Vec::with_capacity(config.workers);
-    for _ in 0..config.workers {
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, ItemId)>(config.queue_depth);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let mut shed_at_admission: Vec<QueryOutcome> = Vec::new();
-    for (index, &item) in queries.iter().enumerate() {
-        let worker = index % config.workers;
-        if senders[worker].try_send((index, item)).is_err() {
-            shed_at_admission.push(QueryOutcome {
-                index,
-                item,
-                disposition: Disposition::Shed(ShedReason::QueueFull {
-                    depth: config.queue_depth,
-                }),
-            });
-        }
-    }
-    drop(senders);
-
+    let (shards, mut outcomes) = admit(queries, config.workers, config.queue_depth);
     let shared = SharedCtx {
         lca,
         oracle,
@@ -435,12 +418,12 @@ where
     };
 
     let worker_results: Vec<Result<WorkerOutput, LcaError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = receivers
+        let handles: Vec<_> = shards
             .into_iter()
             .enumerate()
-            .map(|(worker, rx)| {
+            .map(|(worker, queries)| {
                 let shared = &shared;
-                scope.spawn(move || run_worker(worker, rx, shared))
+                scope.spawn(move || run_worker(worker, queries, shared))
             })
             .collect();
         handles
@@ -449,7 +432,7 @@ where
             .collect()
     });
 
-    let mut outcomes = shed_at_admission;
+    // Results arrive in worker order, so the traces need no sort.
     let mut workers = Vec::with_capacity(config.workers);
     for result in worker_results {
         let output = result?;
@@ -457,12 +440,37 @@ where
         workers.push(output.trace);
     }
     outcomes.sort_by_key(|outcome| outcome.index);
-    workers.sort_by_key(|trace| trace.worker);
     Ok(BatchReport {
         outcomes,
         workers,
         cached_rule_available: cached.is_some(),
     })
+}
+
+/// Admission for a closed batch: shards queries over `index % shards`
+/// into bounded per-shard queues, before anything runs, so overflow
+/// sheds `QueueFull` as a pure function of the batch. Shared by the
+/// worker pool and the cluster runtime.
+pub(crate) fn admit(
+    queries: &[ItemId],
+    shards: usize,
+    queue_depth: usize,
+) -> (Vec<Vec<(usize, ItemId)>>, Vec<QueryOutcome>) {
+    let mut shard_queries: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); shards];
+    let mut shed = Vec::new();
+    for (index, &item) in queries.iter().enumerate() {
+        let shard = crate::traffic::shard_of(index, shards);
+        if shard_queries[shard].len() < queue_depth {
+            shard_queries[shard].push((index, item));
+        } else {
+            shed.push(QueryOutcome {
+                index,
+                item,
+                disposition: Disposition::Shed(ShedReason::QueueFull { depth: queue_depth }),
+            });
+        }
+    }
+    (shard_queries, shed)
 }
 
 /// Cached-rule tier: one rule per batch from its own dedicated stream
@@ -499,17 +507,6 @@ pub(crate) struct WorkerOutput {
     pub(crate) outcomes: Vec<QueryOutcome>,
     pub(crate) trace: WorkerTrace,
 }
-
-/// The worker state a crash wipes and recovery rebuilds: clock,
-/// breaker, budget slice, shard cursor, and the in-memory view of the
-/// completed outcomes.
-type LiveState<'a, O> = (
-    TickClock,
-    CircuitBreaker,
-    BudgetedOracle<'a, O>,
-    usize,
-    Vec<QueryOutcome>,
-);
 
 /// The next unconsumed crash directive, if it is due at tick `now`.
 fn due_directive(directives: &[CrashDirective], next: usize, now: u64) -> Option<CrashDirective> {
@@ -550,44 +547,114 @@ fn replay_outcomes(records: &[JournalRecord], items: &[(usize, ItemId)]) -> Vec<
     outcomes
 }
 
-/// Rebuilds a restarted worker from its journal, honouring the
-/// configured [`RecoveryDiscipline`] (anything but `Faithful` is a
-/// planted bug for the simulator to catch).
-fn restore_worker<'a, O>(
-    ctx: &SharedCtx<'a, O>,
-    journal: &mut Journal,
-    queries: &[(usize, ItemId)],
-) -> Result<LiveState<'a, O>, RecoveryError> {
-    let recovered = journal.recover()?;
-    // Discard the torn tail (if any) before the revived worker appends:
-    // bytes after torn garbage would be unreachable to every decoder.
-    journal.truncate(journal.bytes().len() - recovered.torn_bytes);
-    let config = ctx.config;
-    let cap = config.worker_access_cap.unwrap_or(u64::MAX);
-    let snapshot = recovered.snapshot;
-    let clock = match config.recovery {
-        RecoveryDiscipline::SkipClockRestore => TickClock::new(),
-        _ => TickClock::at(snapshot.tick),
-    };
-    let breaker = match config.recovery {
-        RecoveryDiscipline::SkipBreakerRestore => CircuitBreaker::new(config.breaker),
-        _ => CircuitBreaker::restore(config.breaker, snapshot.breaker),
-    };
-    let budgeted = match config.recovery {
-        RecoveryDiscipline::SkipBudgetRestore => BudgetedOracle::new(ctx.oracle, cap),
-        _ => BudgetedOracle::with_spent(ctx.oracle, cap, snapshot.budget_spent),
-    };
-    let outcomes = match config.recovery {
-        RecoveryDiscipline::SkipJournalReplay => Vec::new(),
-        _ => replay_outcomes(&recovered.records, queries),
-    };
-    Ok((
-        clock,
-        breaker,
-        budgeted,
-        snapshot.next_position as usize,
-        outcomes,
-    ))
+/// The per-shard serving core every runtime in the crate shares: a
+/// shard's virtual clock, circuit breaker, budget slice, and LCA
+/// sampling workspace. Only the queries the shard serves drive this
+/// state, so by statelessness (Definition 2.4) and consistency
+/// (Theorem 4.1) any node that serves the shard from the shared seeds
+/// produces the same bytes — a pool worker, a cluster shard task, a
+/// traffic shard, and the standalone replays all run this one core.
+pub(crate) struct ShardCore<'a, O> {
+    clock: TickClock,
+    breaker: CircuitBreaker,
+    budgeted: BudgetedOracle<'a, O>,
+    /// Reused by every query the shard serves, so steady state
+    /// allocates nothing per query.
+    scratch: QueryScratch,
+}
+
+impl<'a, O> ShardCore<'a, O>
+where
+    O: ItemOracle + WeightedSampler,
+{
+    /// A fresh core: clock at zero, breaker closed, full budget slice.
+    pub(crate) fn new(ctx: &SharedCtx<'a, O>) -> Self {
+        let cap = ctx.config.worker_access_cap.unwrap_or(u64::MAX);
+        ShardCore {
+            clock: TickClock::new(),
+            breaker: CircuitBreaker::new(ctx.config.breaker),
+            budgeted: BudgetedOracle::new(ctx.oracle, cap),
+            scratch: QueryScratch::default(),
+        }
+    }
+
+    /// The shard's virtual clock.
+    pub(crate) fn now(&self) -> u64 {
+        self.clock.now()
+    }
+
+    /// Rebuilds the clock, breaker, and budget slice from a journal
+    /// snapshot, honouring the configured [`RecoveryDiscipline`]
+    /// (anything but `Faithful` is a planted bug for the simulator to
+    /// catch). The scratch carries over: it holds no answer state.
+    fn restore(&mut self, ctx: &SharedCtx<'a, O>, snapshot: WorkerSnapshot) {
+        let config = ctx.config;
+        let cap = config.worker_access_cap.unwrap_or(u64::MAX);
+        self.clock = match config.recovery {
+            RecoveryDiscipline::SkipClockRestore => TickClock::new(),
+            _ => TickClock::at(snapshot.tick),
+        };
+        self.breaker = match config.recovery {
+            RecoveryDiscipline::SkipBreakerRestore => CircuitBreaker::new(config.breaker),
+            _ => CircuitBreaker::restore(config.breaker, snapshot.breaker),
+        };
+        self.budgeted = match config.recovery {
+            RecoveryDiscipline::SkipBudgetRestore => BudgetedOracle::new(ctx.oracle, cap),
+            _ => BudgetedOracle::with_spent(ctx.oracle, cap, snapshot.budget_spent),
+        };
+    }
+
+    /// The shard step: charges the dispatch cost, layers the query's
+    /// fault plan over the budget slice, and serves `item` through the
+    /// degradation ladder.
+    pub(crate) fn serve_query(
+        &mut self,
+        ctx: &SharedCtx<'a, O>,
+        worker: usize,
+        index: usize,
+        item: ItemId,
+    ) -> Result<Answered, LcaError> {
+        self.clock.advance(ctx.config.dispatch_cost_ticks);
+        let plan = ctx
+            .chaos
+            .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
+        let faulty = FaultyOracle::new(
+            &self.budgeted,
+            plan,
+            ctx.service_root.derive(FAULT_DOMAIN, index as u64),
+        );
+        serve_one(
+            ctx,
+            &self.clock,
+            &mut self.breaker,
+            &faulty,
+            &self.budgeted,
+            &mut self.scratch,
+            worker,
+            index,
+            item,
+        )
+    }
+
+    /// Serves one admitted arrival of the traffic engine: idles the
+    /// clock forward to the arrival if the shard was free, runs the
+    /// shard step, then charges the arrival's extra cost. Returns the
+    /// answer and the service ticks it took.
+    pub(crate) fn serve_arrival(
+        &mut self,
+        ctx: &SharedCtx<'a, O>,
+        shard: usize,
+        index: usize,
+        arrival: &Arrival,
+    ) -> Result<(Answered, u64), LcaError> {
+        if arrival.at_tick > self.clock.now() {
+            self.clock.advance(arrival.at_tick - self.clock.now());
+        }
+        let service_start = self.clock.now();
+        let answer = self.serve_query(ctx, shard, index, arrival.item)?;
+        self.clock.advance(arrival.extra_cost_ticks);
+        Ok((answer, self.clock.now() - service_start))
+    }
 }
 
 /// One serving step the core has produced but not yet committed: the
@@ -598,13 +665,13 @@ pub(crate) struct PendingStep {
     pub(crate) bytes: Vec<u8>,
 }
 
-/// The event-driven serving core of one scheduled actor: a worker
-/// thread in [`serve_batch`]'s pool, or a shard task hosted on a
-/// cluster node in [`serve_cluster`](crate::cluster::serve_cluster).
+/// The journaled serving actor of a closed batch: a worker thread in
+/// [`serve_batch`]'s pool, or a shard task hosted on a cluster node in
+/// [`serve_cluster`](crate::cluster::serve_cluster).
 ///
-/// The core owns the actor's durable write-ahead [`Journal`] and its
-/// crash-wipeable live state (virtual clock, breaker, budget slice,
-/// shard cursor, completed outcomes), and serves exactly one query per
+/// The actor owns its durable write-ahead [`Journal`] and its
+/// crash-wipeable live state (the [`ShardCore`], shard cursor, and
+/// completed outcomes), and serves exactly one query per
 /// [`serve_step`](WorkerCore::serve_step) /
 /// [`commit`](WorkerCore::commit) pair — so a deterministic scheduler
 /// can interleave crash, restart, and partition events between steps
@@ -613,18 +680,13 @@ pub(crate) struct WorkerCore<'a, O> {
     worker: usize,
     queries: Vec<(usize, ItemId)>,
     journal: Journal,
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
+    live: ShardCore<'a, O>,
     position: usize,
     outcomes: Vec<QueryOutcome>,
     worst_case: u64,
     /// Bytes of the most recent committed append — the largest suffix a
     /// cluster crash may tear off the journal copy shipped to a replica.
     last_append_len: usize,
-    /// Per-worker LCA sampling workspace, reused by every query this
-    /// core serves so steady state allocates nothing per query.
-    scratch: QueryScratch,
     /// Reusable payload buffer for journal-record encoding.
     enc_payload: Vec<u8>,
     /// Recycled byte buffer for the next [`PendingStep`]; a committed
@@ -644,7 +706,6 @@ where
         queries: Vec<(usize, ItemId)>,
         ctx: &SharedCtx<'a, O>,
     ) -> Self {
-        let cap = ctx.config.worker_access_cap.unwrap_or(u64::MAX);
         let mut journal = Journal::new();
         for &(index, item) in &queries {
             journal.append(&JournalRecord::Admitted {
@@ -659,14 +720,11 @@ where
             worker,
             queries,
             journal,
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(ctx.config.breaker),
-            budgeted: BudgetedOracle::new(ctx.oracle, cap),
+            live: ShardCore::new(ctx),
             position: 0,
             outcomes: Vec::new(),
             worst_case: ctx.lca.worst_case_accesses(),
             last_append_len: 0,
-            scratch: QueryScratch::default(),
             enc_payload: Vec::new(),
             step_bytes: Vec::new(),
         }
@@ -674,7 +732,7 @@ where
 
     /// The actor's virtual clock — the scheduler's ordering key.
     pub(crate) fn now(&self) -> u64 {
-        self.clock.now()
+        self.live.now()
     }
 
     /// Whether the shard cursor has drained the shard.
@@ -693,45 +751,27 @@ where
         self.last_append_len
     }
 
-    /// Serves the query under the cursor: advances the clock by the
-    /// dispatch cost, pre-sheds on budget or runs the degradation
-    /// ladder, and returns the not-yet-durable step. The caller decides
-    /// whether the append [`commit`](Self::commit)s or tears.
+    /// Serves the query under the cursor: pre-sheds on budget (still
+    /// charging the dispatch cost) or runs the shard step, and returns
+    /// the not-yet-durable step. The caller decides whether the append
+    /// [`commit`](Self::commit)s or tears.
     // lcakp-lint: probe-budget(backoff-max-attempts * retry-attempts * (coupon-samples + eps-estimation-samples + 1) + retry-attempts) reason="the degradation ladder re-runs a full audited query per backoff attempt, then falls back to at most one cached-tier point query with access-level retries"
     pub(crate) fn serve_step(&mut self, ctx: &SharedCtx<'a, O>) -> Result<PendingStep, LcaError> {
         let config = ctx.config;
         let (index, item) = self.queries[self.position];
-        self.clock.advance(config.dispatch_cost_ticks);
 
         // Budget-aware pre-dispatch shedding: never start a query the
         // budget slice cannot see through.
-        let disposition =
-            if config.worker_access_cap.is_some() && self.budgeted.remaining() < self.worst_case {
-                Disposition::Shed(ShedReason::BudgetInsufficient {
-                    needed: self.worst_case,
-                    remaining: self.budgeted.remaining(),
-                })
-            } else {
-                let plan = ctx
-                    .chaos
-                    .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
-                let faulty = FaultyOracle::new(
-                    &self.budgeted,
-                    plan,
-                    ctx.service_root.derive(FAULT_DOMAIN, index as u64),
-                );
-                Disposition::Answered(serve_one(
-                    ctx,
-                    &self.clock,
-                    &mut self.breaker,
-                    &faulty,
-                    &self.budgeted,
-                    &mut self.scratch,
-                    self.worker,
-                    index,
-                    item,
-                )?)
-            };
+        let remaining = self.live.budgeted.remaining();
+        let disposition = if config.worker_access_cap.is_some() && remaining < self.worst_case {
+            self.live.clock.advance(config.dispatch_cost_ticks);
+            Disposition::Shed(ShedReason::BudgetInsufficient {
+                needed: self.worst_case,
+                remaining,
+            })
+        } else {
+            Disposition::Answered(self.live.serve_query(ctx, self.worker, index, item)?)
+        };
         let record = match disposition {
             Disposition::Answered(answer) => JournalRecord::Answered {
                 index: index as u64,
@@ -753,10 +793,10 @@ where
         record.encode_into(&mut self.enc_payload, &mut bytes);
         JournalRecord::Snapshot(WorkerSnapshot {
             worker: self.worker as u64,
-            tick: self.clock.now(),
-            budget_spent: self.budgeted.used(),
+            tick: self.live.now(),
+            budget_spent: self.live.budgeted.used(),
             next_position: (self.position + 1) as u64,
-            breaker: self.breaker.snapshot(),
+            breaker: self.live.breaker.snapshot(),
         })
         .encode_into(&mut self.enc_payload, &mut bytes);
         Ok(PendingStep {
@@ -787,16 +827,22 @@ where
     }
 
     /// Rebuilds the live state from the journal, honouring the
-    /// configured [`RecoveryDiscipline`].
+    /// configured [`RecoveryDiscipline`]: the torn tail (if any) is
+    /// discarded, the [`ShardCore`] restored from the last snapshot, and
+    /// the completed outcomes replayed from the journal.
     pub(crate) fn restore(&mut self, ctx: &SharedCtx<'a, O>) -> Result<(), RecoveryError> {
-        let state = restore_worker(ctx, &mut self.journal, &self.queries)?;
-        (
-            self.clock,
-            self.breaker,
-            self.budgeted,
-            self.position,
-            self.outcomes,
-        ) = state;
+        let recovered = self.journal.recover()?;
+        // Discard the torn tail (if any) before the revived worker
+        // appends: bytes after torn garbage would be unreachable to
+        // every decoder.
+        self.journal
+            .truncate(self.journal.bytes().len() - recovered.torn_bytes);
+        self.position = recovered.snapshot.next_position as usize;
+        self.live.restore(ctx, recovered.snapshot);
+        self.outcomes = match ctx.config.recovery {
+            RecoveryDiscipline::SkipJournalReplay => Vec::new(),
+            _ => replay_outcomes(&recovered.records, &self.queries),
+        };
         self.last_append_len = 0;
         Ok(())
     }
@@ -845,9 +891,9 @@ where
             outcomes,
             trace: WorkerTrace {
                 worker: self.worker,
-                end_tick: self.clock.now(),
-                accesses_used: self.budgeted.used(),
-                breaker_events: self.breaker.events().to_vec(),
+                end_tick: self.live.now(),
+                accesses_used: self.live.budgeted.used(),
+                breaker_events: self.live.breaker.events().to_vec(),
                 crashes,
                 journal: self.journal,
             },
@@ -860,28 +906,30 @@ impl<O> fmt::Debug for WorkerCore<'_, O> {
         f.debug_struct("WorkerCore")
             .field("worker", &self.worker)
             .field("position", &self.position)
-            .field("tick", &self.clock.now())
+            .field("tick", &self.live.clock.now())
             .finish_non_exhaustive()
     }
 }
 
-/// One worker: drains its pre-filled shard sequentially against
-/// worker-local clock, breaker, and budget slice, journaling every
-/// disposition ahead of acknowledging it. Scheduled crashes wipe the
-/// live state (optionally tearing the in-flight journal write); a
-/// restarted worker rebuilds itself from the journal and resumes —
-/// byte-identically to a worker that never died, because the snapshot
-/// restores the virtual clock and every random stream is keyed on batch
-/// position.
-fn run_worker<O>(
+/// Drains one closed-batch shard sequentially on a [`WorkerCore`],
+/// journaling every disposition ahead of acknowledging it, and firing
+/// the crash directives `ctx.chaos` schedules for `worker` (none
+/// without a chaos plan — the standalone replay). A crash due between
+/// queries tears nothing; one due right after a step lands inside that
+/// step's journal append and tears it. A restarted worker rebuilds
+/// itself from the journal and resumes — byte-identically to a worker
+/// that never died, because the snapshot restores the virtual clock and
+/// every random stream is keyed on batch position. A worker that stays
+/// dead has the rest of its shard shed as
+/// [`ShedReason::WorkerCrashed`].
+pub(crate) fn run_worker<O>(
     worker: usize,
-    shard: crossbeam::channel::Receiver<(usize, ItemId)>,
+    queries: Vec<(usize, ItemId)>,
     ctx: &SharedCtx<'_, O>,
 ) -> Result<WorkerOutput, LcaError>
 where
-    O: ItemOracle + WeightedSampler + Sync,
+    O: ItemOracle + WeightedSampler,
 {
-    let queries: Vec<(usize, ItemId)> = shard.iter().collect();
     let directives = ctx
         .chaos
         .map_or_else(Vec::new, |schedule| schedule.crash_directives(worker));
@@ -889,70 +937,45 @@ where
 
     let mut crashes: Vec<CrashReport> = Vec::new();
     let mut next_directive = 0usize;
+    let mut pending: Option<PendingStep> = None;
     let mut dead = false;
 
-    'serve: while !core.finished() {
-        // A crash due between queries tears nothing — the journal is
-        // consistent up to the last completed query.
-        while let Some(directive) = due_directive(&directives, next_directive, core.now()) {
-            next_directive += 1;
-            let mut report = CrashReport {
-                at_tick: directive.at_tick,
-                restarted: directive.restarts,
-                torn_bytes: 0,
-                recovery_error: None,
-            };
-            if !directive.restarts {
-                crashes.push(report);
-                dead = true;
-                break 'serve;
-            }
-            match core.restore(ctx) {
-                Ok(()) => crashes.push(report),
-                Err(error) => {
-                    report.recovery_error = Some(error);
-                    crashes.push(report);
-                    dead = true;
-                    break 'serve;
-                }
-            }
-        }
-        if core.finished() {
+    loop {
+        if pending.is_none() && core.finished() {
             break;
         }
-
-        let step = core.serve_step(ctx)?;
-
         if let Some(directive) = due_directive(&directives, next_directive, core.now()) {
-            // The crash lands inside this query's journal append.
             next_directive += 1;
-            let keep = directive.torn_keep.unwrap_or(0).min(step.bytes.len());
-            let torn_bytes = step.bytes.len() - keep;
-            core.crash_torn(&step, keep);
+            let torn_bytes = pending.take().map_or(0, |step| {
+                let keep = directive.torn_keep.unwrap_or(0).min(step.bytes.len());
+                core.crash_torn(&step, keep);
+                step.bytes.len() - keep
+            });
             let mut report = CrashReport {
                 at_tick: directive.at_tick,
                 restarted: directive.restarts,
                 torn_bytes,
                 recovery_error: None,
             };
-            if !directive.restarts {
-                crashes.push(report);
+            let revived = directive.restarts
+                && match core.restore(ctx) {
+                    Ok(()) => true,
+                    Err(error) => {
+                        report.recovery_error = Some(error);
+                        false
+                    }
+                };
+            crashes.push(report);
+            if !revived {
                 dead = true;
-                break 'serve;
+                break;
             }
-            match core.restore(ctx) {
-                Ok(()) => crashes.push(report),
-                Err(error) => {
-                    report.recovery_error = Some(error);
-                    crashes.push(report);
-                    dead = true;
-                    break 'serve;
-                }
-            }
-            continue 'serve;
+            continue;
         }
-
-        core.commit(step);
+        match pending.take() {
+            Some(step) => core.commit(step),
+            None => pending = Some(core.serve_step(ctx)?),
+        }
     }
 
     if dead {
@@ -962,14 +985,10 @@ where
     Ok(core.into_output(crashes))
 }
 
-/// Serves one admitted query through the degradation ladder. Also the
-/// serving kernel of the arrival-driven engine in [`crate::cluster`]
-/// (behind both [`serve_cluster_traffic`](crate::serve_cluster_traffic)
-/// and [`run_open_loop`](crate::run_open_loop)) and of its standalone
-/// shard replay, which drive it arrival-by-arrival instead of through a
-/// pre-filled shard.
+/// Serves one admitted query through the degradation ladder — the
+/// kernel of [`ShardCore::serve_query`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn serve_one<O, F>(
+fn serve_one<O, F>(
     ctx: &SharedCtx<'_, O>,
     clock: &TickClock,
     breaker: &mut CircuitBreaker,

@@ -320,6 +320,12 @@ pub struct TrafficOutcome {
 /// # Errors
 ///
 /// Propagates hard configuration errors ([`LcaError`]).
+///
+/// # Panics
+///
+/// Panics if an arrival's `shard` is not below the engine's shard
+/// count, `config.shards` (at least 1); build the trace with the same
+/// count.
 pub fn run_open_loop<O>(
     lca: &LcaKp,
     oracle: &O,

@@ -234,7 +234,6 @@ proptest! {
                 &Seed::from_entropy_u64(10),
                 &batch,
                 &config,
-                None,
                 events,
             )
             .unwrap()

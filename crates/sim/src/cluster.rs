@@ -128,7 +128,6 @@ impl ClusterWorld {
             &base.service_root,
             &batch,
             &cluster,
-            None,
             &[],
         )?;
         let horizon = twin
@@ -247,7 +246,6 @@ impl Scenario for ClusterWorld {
             &self.base.service_root,
             &batch,
             &self.cluster,
-            None,
             &node_events,
         )?;
         let mut violations = check_cluster_run(&self.twin, &faulted, batch.len());
