@@ -7,6 +7,11 @@
 //! query or weighted sample — metadata stays free, as in Definition 2.2)
 //! and fails with [`OracleError::BudgetExhausted`] from the first access
 //! past the cap onward.
+//!
+//! A weighted-sample batch is charged with one reservation: the samples
+//! the cap still covers are charged up front, and the slots an inner
+//! failure never reached are refunded. The charges, the refusals and
+//! their errors are those of one charge per sample.
 
 use crate::access::ItemOracle;
 use crate::error::OracleError;
@@ -119,6 +124,43 @@ impl<O: WeightedSampler> WeightedSampler for BudgetedOracle<'_, O> {
     ) -> Result<(ItemId, Item), OracleError> {
         self.charge()?;
         self.inner.try_sample_weighted(rng)
+    }
+
+    /// Reserves `min(count, cap − used)` samples in one `fetch_update`,
+    /// so usage never passes the cap even between concurrent callers. A
+    /// short inner delivery refunds the slots it never reached (the
+    /// failed slot stays charged, as a per-sample `charge` leaves it),
+    /// and a batch cut by the cap fails at the first unreserved slot.
+    fn try_sample_weighted_many<R, F>(
+        &self,
+        rng: &mut R,
+        count: u64,
+        deliver: F,
+    ) -> Result<(), (u64, OracleError)>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
+    {
+        // `reserved` is the usage before the reservation; at the cap the
+        // update is refused and nothing is reserved.
+        let (Ok(reserved) | Err(reserved)) =
+            self.used
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                    (used < self.cap).then(|| used + count.min(self.cap - used))
+                });
+        let granted = count.min(self.cap - reserved);
+        if let Err((delivered, error)) = self.inner.try_sample_weighted_many(rng, granted, deliver)
+        {
+            self.used
+                .fetch_sub(granted - (delivered + 1), Ordering::Relaxed);
+            return Err((delivered, error));
+        }
+        if granted < count {
+            // Usage never passes the cap, so a refusal sees it spent.
+            let spent = self.cap;
+            return Err((granted, OracleError::BudgetExhausted { spent, cap: spent }));
+        }
+        Ok(())
     }
 }
 

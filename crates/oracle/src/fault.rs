@@ -118,7 +118,7 @@ pub struct FaultReport {
     pub corrupted_reads: u64,
     /// Weighted samples redirected away from the proportional draw.
     pub biased_samples: u64,
-    /// Total counted accesses seen by the fault layer.
+    /// Counted accesses under an active plan (an inert plan counts none).
     pub accesses: u64,
 }
 
@@ -291,6 +291,33 @@ impl<O: ItemOracle + WeightedSampler> WeightedSampler for FaultyOracle<'_, O> {
         }
         self.maybe_corrupt(id, item, &mut frng)
             .map(|item| (id, item))
+    }
+
+    /// An inert plan passes the whole batch to the inner oracle, as its
+    /// single draws pass through. Active faults are decided per access,
+    /// so the batch then runs one [`try_sample_weighted`] per slot.
+    ///
+    /// [`try_sample_weighted`]: WeightedSampler::try_sample_weighted
+    fn try_sample_weighted_many<R, F>(
+        &self,
+        rng: &mut R,
+        count: u64,
+        mut deliver: F,
+    ) -> Result<(), (u64, OracleError)>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
+    {
+        if self.plan.is_inert() {
+            return self.inner.try_sample_weighted_many(rng, count, deliver);
+        }
+        for delivered in 0..count {
+            match self.try_sample_weighted(rng) {
+                Ok((id, item)) => deliver(id, item),
+                Err(error) => return Err((delivered, error)),
+            }
+        }
+        Ok(())
     }
 }
 

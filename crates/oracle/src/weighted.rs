@@ -37,12 +37,17 @@ pub trait WeightedSampler {
     /// samples as `count` calls of
     /// [`try_sample_weighted`](Self::try_sample_weighted).
     ///
-    /// The provided default *is* that loop, so metering and
-    /// fault-injecting decorators keep their per-sample call sequence. An
-    /// oracle may override it to batch the work (see
-    /// [`InstanceOracle`](crate::InstanceOracle), which draws a chunk's
-    /// bucket/roll pairs before it reads the table), provided every
-    /// observable effect stays that of the per-sample loop.
+    /// The provided default *is* that loop. An oracle may override it to
+    /// batch the work, provided every observable effect stays that of the
+    /// per-sample loop: [`InstanceOracle`](crate::InstanceOracle) draws a
+    /// chunk's bucket/roll pairs before it reads the table;
+    /// [`BudgetedOracle`](crate::BudgetedOracle) reserves the batch's
+    /// budget at once; [`FaultyOracle`](crate::FaultyOracle) hands the
+    /// batch through under an inert plan (active faults are decided per
+    /// access); and the serving runtime's `DeadlineOracle` charges its
+    /// clock once per chunk. So a batch through that served stack reaches
+    /// the two-phase draw. Tracing and rejection-sampling decorators keep
+    /// the default, one sample at a time.
     ///
     /// # Errors
     ///

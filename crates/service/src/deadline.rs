@@ -12,6 +12,13 @@
 //! Latency is a deterministic [`CostModel`]: a base cost per access plus
 //! tick-windowed spikes, which is how the chaos harness injects "slow
 //! oracle" incidents without any wall-clock dependence.
+//!
+//! A weighted-sample batch is charged per chunk of 64 samples: one clock
+//! read, a local replay of the chunk's costs to find the accesses that
+//! start before the deadline, one inner batch, then one `accesses` add
+//! and one clock advance. Ticks, counts and errors are those of one
+//! charge per access, because nothing reads the shard clock inside an
+//! access.
 
 use crate::clock::VirtualClock;
 use lcakp_knapsack::{Item, ItemId, Norms};
@@ -19,6 +26,11 @@ use lcakp_oracle::{AccessSnapshot, ItemOracle, OracleError, WeightedSampler};
 use rand::Rng;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Samples a batch charges per clock read. It bounds the charges a call
+/// replays to the samples it goes on to draw, which matters because
+/// `LCA-KP` reissues the rest of a batch after every transient fault.
+const DEADLINE_CHUNK: u64 = 64;
 
 /// A latency surge over a half-open tick interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +121,18 @@ impl<'a, O, C> DeadlineOracle<'a, O, C> {
 }
 
 impl<'a, O, C: VirtualClock> DeadlineOracle<'a, O, C> {
+    /// Replays up to `limit` charges on a local clock starting at tick
+    /// `now`: how many accesses start before the deadline, and the tick
+    /// the clock reaches once they are charged.
+    fn replay(&self, mut now: u64, limit: u64) -> (u64, u64) {
+        let mut granted = 0;
+        while granted < limit && now < self.deadline_tick {
+            now = now.wrapping_add(self.cost.cost_at(now));
+            granted += 1;
+        }
+        (granted, now)
+    }
+
     fn charge(&self) -> Result<(), OracleError> {
         let access = self.accesses.fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now();
@@ -150,6 +174,47 @@ impl<O: WeightedSampler, C: VirtualClock> WeightedSampler for DeadlineOracle<'_,
     ) -> Result<(ItemId, Item), OracleError> {
         self.charge()?;
         self.inner.try_sample_weighted(rng)
+    }
+
+    /// Charges per chunk of `DEADLINE_CHUNK` samples (see the module
+    /// docs). A chunk settles every access up to and including a failed
+    /// one, plus the refused access when the deadline cuts it short.
+    fn try_sample_weighted_many<R, F>(
+        &self,
+        rng: &mut R,
+        count: u64,
+        mut deliver: F,
+    ) -> Result<(), (u64, OracleError)>
+    where
+        R: Rng + ?Sized,
+        F: FnMut(ItemId, Item),
+    {
+        let mut done = 0;
+        while done < count {
+            let len = (count - done).min(DEADLINE_CHUNK);
+            let start = self.clock.now();
+            let (granted, end) = self.replay(start, len);
+            if let Err((delivered, error)) =
+                self.inner
+                    .try_sample_weighted_many(rng, granted, &mut deliver)
+            {
+                let (_, end) = self.replay(start, delivered + 1);
+                self.accesses.fetch_add(delivered + 1, Ordering::Relaxed);
+                self.clock.advance(end.wrapping_sub(start));
+                return Err((done + delivered, error));
+            }
+            self.clock.advance(end.wrapping_sub(start));
+            if granted < len {
+                let refused = self.accesses.fetch_add(granted + 1, Ordering::Relaxed) + granted;
+                return Err((
+                    done + granted,
+                    OracleError::DeadlineExceeded { access: refused },
+                ));
+            }
+            self.accesses.fetch_add(granted, Ordering::Relaxed);
+            done += len;
+        }
+        Ok(())
     }
 }
 
