@@ -12,10 +12,11 @@
 //! an unbounded recursion cycle, and a hot-but-out-of-scope crate.
 
 use lcakp_lint::{
-    plan_fixes, render_budget_json, render_callgraph_json, render_graph_json, render_sarif,
-    FileCtx, LabelSource, Workspace,
+    plan_fixes, render_budget_json, render_callgraph_json, render_graph_json, render_json,
+    render_sarif, FileCtx, LabelSource, Workspace,
 };
 use std::collections::BTreeSet;
+use std::path::Path;
 
 /// Builds the fixture mini-workspace with explicit paths and crate
 /// names (path-based attribution would file everything under `lint`).
@@ -108,6 +109,22 @@ fn batch_ws() -> Workspace {
     )
     .unwrap()];
     Workspace::from_ctxs(ctxs)
+}
+
+/// Compares `rendered` byte for byte with the committed golden `name`
+/// under `tests/golden/`, or rewrites that golden when
+/// `LCAKP_LINT_REGEN_GOLDEN` is set.
+fn assert_golden(name: &str, rendered: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("LCAKP_LINT_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, rendered).expect("golden writes");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|error| panic!("golden {} unreadable: {error}", path.display()));
+    assert_eq!(rendered, golden, "{name} drifted from the committed golden");
 }
 
 fn rendered(ws: &Workspace) -> Vec<String> {
@@ -577,4 +594,22 @@ fn batch_calls_are_charged_their_amortized_totals() {
         probes("LcaKp::query_unannotated"),
         ("unbounded".to_string(), false)
     );
+}
+
+/// The findings JSON and the SARIF report of every fixture workspace,
+/// and of no findings at all, are pinned byte for byte. Regenerate with:
+///   LCAKP_LINT_REGEN_GOLDEN=1 cargo test -p lcakp-lint --test crossfile
+#[test]
+fn findings_json_and_sarif_match_goldens() {
+    let workspaces = [
+        ("mini_ws", mini_ws().diagnostics()),
+        ("hot_ws", hot_ws().diagnostics()),
+        ("budget_ws", budget_ws().diagnostics()),
+        ("batch_ws", batch_ws().diagnostics()),
+        ("empty", Vec::new()),
+    ];
+    for (name, diagnostics) in &workspaces {
+        assert_golden(&format!("{name}_findings.json"), &render_json(diagnostics));
+        assert_golden(&format!("{name}.sarif"), &render_sarif(diagnostics));
+    }
 }
