@@ -24,6 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use lcakp_bench::experiment_root;
+use lcakp_canon::object;
 use lcakp_core::{LcaKp, QueryScratch, ResponseTier};
 use lcakp_knapsack::iky::Epsilon;
 use lcakp_knapsack::ItemId;
@@ -228,38 +229,47 @@ fn main() {
         .saturating_sub(served_short)
         .div_ceil((SERVED_LONG - SERVED_SHORT) as u64);
 
-    println!("{{");
-    println!("  \"smoke\": {{");
-    println!("    \"queries\": {smoke_queries},");
-    println!("    \"allocations\": {},", smoke.allocs);
-    println!("    \"bytes\": {},", smoke.bytes);
-    println!("    \"peak_bytes\": {},", smoke.peak);
-    println!(
-        "    \"allocations_per_query_milli\": {},",
-        per_query_milli(smoke.allocs, smoke_queries)
-    );
-    println!(
-        "    \"bytes_per_query_milli\": {}",
-        per_query_milli(smoke.bytes, smoke_queries)
-    );
-    println!("  }},");
-    println!("  \"steady_state\": {{");
-    println!("    \"queries\": {steady_queries},");
-    println!("    \"allocations\": {},", steady.allocs);
-    println!("    \"bytes\": {},", steady.bytes);
-    println!("    \"peak_bytes\": {},", steady.peak);
-    println!("    \"allocations_per_query\": {steady_per_query},");
-    println!("    \"budget_per_query\": {STEADY_ALLOC_BUDGET}");
-    println!("  }},");
-    println!("  \"served\": {{");
-    println!("    \"short_arrivals\": {SERVED_SHORT},");
-    println!("    \"short_allocations\": {served_short},");
-    println!("    \"long_arrivals\": {SERVED_LONG},");
-    println!("    \"long_allocations\": {served_long},");
-    println!("    \"allocations_per_arrival\": {served_per_arrival},");
-    println!("    \"pinned_per_arrival\": {SERVED_ALLOCS_PER_ARRIVAL}");
-    println!("  }}");
-    println!("}}");
+    let smoke_allocs_milli = per_query_milli(smoke.allocs, smoke_queries);
+    let smoke_bytes_milli = per_query_milli(smoke.bytes, smoke_queries);
+    let counters = |counts: &[(&'static str, u64)]| {
+        object(counts.iter().map(|&(key, count)| (key, count.to_string())))
+    };
+    let report = object([
+        (
+            "smoke",
+            counters(&[
+                ("queries", smoke_queries),
+                ("allocations", smoke.allocs),
+                ("bytes", smoke.bytes),
+                ("peak_bytes", smoke.peak),
+                ("allocations_per_query_milli", smoke_allocs_milli),
+                ("bytes_per_query_milli", smoke_bytes_milli),
+            ]),
+        ),
+        (
+            "steady_state",
+            counters(&[
+                ("queries", steady_queries),
+                ("allocations", steady.allocs),
+                ("bytes", steady.bytes),
+                ("peak_bytes", steady.peak),
+                ("allocations_per_query", steady_per_query),
+                ("budget_per_query", STEADY_ALLOC_BUDGET),
+            ]),
+        ),
+        (
+            "served",
+            counters(&[
+                ("short_arrivals", SERVED_SHORT as u64),
+                ("short_allocations", served_short),
+                ("long_arrivals", SERVED_LONG as u64),
+                ("long_allocations", served_long),
+                ("allocations_per_arrival", served_per_arrival),
+                ("pinned_per_arrival", SERVED_ALLOCS_PER_ARRIVAL),
+            ]),
+        ),
+    ]);
+    println!("{report}");
 
     let mut failed = false;
     if check && steady_per_query > STEADY_ALLOC_BUDGET {

@@ -1,5 +1,4 @@
-//! Shared helpers for the experiment binaries (`e1`–`e11`) and the
-//! Criterion benches.
+//! Shared helpers for the experiment binaries (`e1`–`e18`).
 //!
 //! Every binary prints a self-describing Markdown table so that
 //! `EXPERIMENTS.md` can quote its output verbatim; [`Table`] is the tiny

@@ -1,6 +1,5 @@
 use crate::rat::{cmp_products, Rat};
 use crate::{Item, ItemId, KnapsackError};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -33,7 +32,7 @@ pub(crate) const EFF_KEY_SHIFT: u32 = 32;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     items: Vec<Item>,
     capacity: u64,

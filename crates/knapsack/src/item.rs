@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an item inside an [`crate::Instance`].
@@ -12,9 +11,7 @@ use std::fmt;
 /// assert_eq!(id.index(), 3);
 /// assert_eq!(format!("{id}"), "item#3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ItemId(pub usize);
 
 impl ItemId {
@@ -51,9 +48,7 @@ impl From<usize> for ItemId {
 /// assert_eq!(item.profit, 10);
 /// assert_eq!(item.weight, 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Item {
     /// Profit (value) of the item, in instance units.
     pub profit: u64,

@@ -66,6 +66,7 @@ use crate::dataflow::{
 };
 use crate::engine::{unix_path, Diagnostic, Workspace};
 use crate::rules::Finding;
+use lcakp_canon::{line, list, object, quote, rows};
 
 /// Fn names whose calls are intrinsic unit oracle accesses.
 pub const PROBE_INTRINSICS: &[&str] = &["try_query", "try_sample_weighted"];
@@ -633,35 +634,22 @@ pub fn check_uncertified_probes(ws: &Workspace) -> Vec<Diagnostic> {
 /// order, roots sorted by (display, path, line), symbol inventory
 /// sorted. Byte-deterministic across runs.
 pub fn render_budget_json(analysis: &BudgetAnalysis) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"lcakp-lint/budget-certificate@1\",\n  \"roots\": [");
-    if analysis.roots.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push('\n');
-        for (idx, root) in analysis.roots.iter().enumerate() {
-            out.push_str("    {\"root\": ");
-            crate::graph::json_str(&mut out, &root.root);
-            out.push_str(", \"path\": ");
-            crate::graph::json_str(&mut out, &unix_path(&root.path));
-            out.push_str(&format!(", \"line\": {}, ", root.line));
-            out.push_str("\"probes\": ");
-            crate::graph::json_str(&mut out, &root.probes.render());
-            out.push_str(", \"allocs\": ");
-            crate::graph::json_str(&mut out, &root.allocs.render());
-            out.push_str(", \"declared_budget\": ");
-            match &root.declared {
-                Some(budget) => crate::graph::json_str(&mut out, &budget.render()),
-                None => out.push_str("null"),
-            }
-            out.push_str(&format!(", \"within_budget\": {}}}", root.within));
-            if idx + 1 < analysis.roots.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
+    let roots = analysis.roots.iter().map(|root| {
+        line([
+            ("root", quote(&root.root)),
+            ("path", quote(&unix_path(&root.path))),
+            ("line", root.line.to_string()),
+            ("probes", quote(&root.probes.render())),
+            ("allocs", quote(&root.allocs.render())),
+            (
+                "declared_budget",
+                root.declared
+                    .as_ref()
+                    .map_or_else(|| "null".to_string(), |budget| quote(&budget.render())),
+            ),
+            ("within_budget", root.within.to_string()),
+        ])
+    });
     let mut symbols: BTreeSet<String> = BTreeSet::new();
     for root in &analysis.roots {
         symbols.extend(root.probes.symbols());
@@ -670,15 +658,13 @@ pub fn render_budget_json(analysis: &BudgetAnalysis) -> String {
             symbols.extend(declared.symbols());
         }
     }
-    out.push_str("  \"symbols\": [");
-    for (i, sym) in symbols.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        crate::graph::json_str(&mut out, sym);
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"root_count\": {}\n}}\n", analysis.roots.len()));
+    let mut out = object([
+        ("schema", quote("lcakp-lint/budget-certificate@1")),
+        ("roots", rows(roots)),
+        ("symbols", list(symbols.iter().map(|sym| quote(sym)))),
+        ("root_count", analysis.roots.len().to_string()),
+    ]);
+    out.push('\n');
     out
 }
 

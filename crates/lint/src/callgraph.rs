@@ -26,6 +26,7 @@ use crate::context::FileCtx;
 use crate::engine::{unix_path, Diagnostic, Workspace};
 use crate::lexer::TokenKind;
 use crate::rules::Finding;
+use lcakp_canon::{line, list, object, quote, rows};
 
 /// Crates whose hot-path findings are reported. Reachability is
 /// computed over the whole workspace, but D011–D013 diagnostics are
@@ -1200,101 +1201,58 @@ pub fn check_hot_recursion(ws: &Workspace) -> Vec<Diagnostic> {
 /// (caller, callee, line, col), cycles sorted by members. Two runs
 /// over the same tree produce byte-identical output.
 pub fn render_callgraph_json(graph: &CallGraph) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"version\": 1,\n  \"functions\": [");
-    if graph.fns.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push('\n');
-        for (idx, def) in graph.fns.iter().enumerate() {
-            out.push_str("    {\"crate\": ");
-            crate::graph::json_str(&mut out, &def.crate_name);
-            out.push_str(", \"path\": ");
-            crate::graph::json_str(&mut out, &unix_path(&def.path));
-            out.push_str(&format!(", \"line\": {}, \"col\": {}, ", def.line, def.col));
-            out.push_str("\"name\": ");
-            crate::graph::json_str(&mut out, &def.name);
-            out.push_str(", \"qualifier\": ");
-            match &def.qualifier {
-                Some(q) => crate::graph::json_str(&mut out, q),
-                None => out.push_str("null"),
-            }
-            out.push_str(&format!(
-                ", \"hot\": {}, \"root\": {}",
-                graph.hot[idx], def.root
-            ));
-            if let Some(bound) = &def.recursion_bound {
-                out.push_str(", \"recursion_bound\": ");
-                crate::graph::json_str(&mut out, bound);
-            }
-            if let Some(budget) = &def.probe_budget {
-                out.push_str(", \"probe_budget\": ");
-                crate::graph::json_str(&mut out, budget);
-            }
-            out.push('}');
-            if idx + 1 < graph.fns.len() {
-                out.push(',');
-            }
-            out.push('\n');
+    let optional =
+        |text: &Option<String>| text.as_deref().map_or_else(|| "null".to_string(), quote);
+    let fns = graph.fns.iter().enumerate().map(|(idx, def)| {
+        let mut members = vec![
+            ("crate", quote(&def.crate_name)),
+            ("path", quote(&unix_path(&def.path))),
+            ("line", def.line.to_string()),
+            ("col", def.col.to_string()),
+            ("name", quote(&def.name)),
+            ("qualifier", optional(&def.qualifier)),
+            ("hot", graph.hot[idx].to_string()),
+            ("root", def.root.to_string()),
+        ];
+        if let Some(bound) = &def.recursion_bound {
+            members.push(("recursion_bound", quote(bound)));
         }
-        out.push_str("  ],\n");
-    }
-    out.push_str("  \"edges\": [");
-    if graph.edges.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push('\n');
-        for (idx, e) in graph.edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"caller\": {}, \"callee\": {}, \"line\": {}, \"col\": {}, \"kind\": \"{}\", \"precise\": {}}}",
-                e.caller,
-                e.callee,
-                e.line,
-                e.col,
-                e.kind.as_str(),
-                e.precise
-            ));
-            if idx + 1 < graph.edges.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        if let Some(budget) = &def.probe_budget {
+            members.push(("probe_budget", quote(budget)));
         }
-        out.push_str("  ],\n");
-    }
-    out.push_str("  \"cycles\": [");
-    if graph.cycles.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push('\n');
-        for (idx, cycle) in graph.cycles.iter().enumerate() {
-            out.push_str("    {\"members\": [");
-            for (j, m) in cycle.members.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&m.to_string());
-            }
-            out.push_str("], \"bound\": ");
-            match &cycle.bound {
-                Some(b) => crate::graph::json_str(&mut out, b),
-                None => out.push_str("null"),
-            }
-            out.push('}');
-            if idx + 1 < graph.cycles.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
+        line(members)
+    });
+    let edges = graph.edges.iter().map(|e| {
+        line([
+            ("caller", e.caller.to_string()),
+            ("callee", e.callee.to_string()),
+            ("line", e.line.to_string()),
+            ("col", e.col.to_string()),
+            ("kind", quote(e.kind.as_str())),
+            ("precise", e.precise.to_string()),
+        ])
+    });
+    let cycles = graph.cycles.iter().map(|cycle| {
+        line([
+            (
+                "members",
+                list(cycle.members.iter().map(ToString::to_string)),
+            ),
+            ("bound", optional(&cycle.bound)),
+        ])
+    });
     let hot_count = graph.hot.iter().filter(|&&h| h).count();
     let root_count = graph.fns.iter().filter(|d| d.root).count();
-    out.push_str(&format!(
-        "  \"fn_count\": {},\n  \"edge_count\": {},\n  \"hot_count\": {},\n  \"root_count\": {}\n}}\n",
-        graph.fns.len(),
-        graph.edges.len(),
-        hot_count,
-        root_count
-    ));
+    let mut out = object([
+        ("version", "1".to_string()),
+        ("functions", rows(fns)),
+        ("edges", rows(edges)),
+        ("cycles", rows(cycles)),
+        ("fn_count", graph.fns.len().to_string()),
+        ("edge_count", graph.edges.len().to_string()),
+        ("hot_count", hot_count.to_string()),
+        ("root_count", root_count.to_string()),
+    ]);
+    out.push('\n');
     out
 }

@@ -5,6 +5,7 @@ use crate::callgraph::{build_callgraph, CallGraph};
 use crate::context::{crate_name_for, FileCtx};
 use crate::graph::{build_graph, SeedGraph};
 use crate::rules::{all_rules, Check, Finding};
+use lcakp_canon::{line, object, quote, rows};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -150,7 +151,8 @@ pub struct Workspace {
     budget: std::cell::OnceCell<crate::budget::BudgetAnalysis>,
 }
 
-/// Renders a path with forward slashes (the graph's path format).
+/// Renders `path` with forward slashes regardless of platform, so every
+/// artifact that names a file is byte-identical everywhere.
 pub(crate) fn unix_path(path: &Path) -> String {
     path.components()
         .map(|c| c.as_os_str().to_string_lossy())
@@ -487,46 +489,22 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
     Ok(Workspace::from_root(root)?.diagnostics())
 }
 
-/// Escapes `text` for use inside a JSON string literal. The one escaper
-/// behind every JSON artifact the linter writes.
-pub(crate) fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders diagnostics as a stable machine-readable JSON document.
 pub fn render_json(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (index, diagnostic) in diagnostics.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"column\": {}, \"message\": \"{}\"}}",
-            diagnostic.finding.rule,
-            json_escape(&diagnostic.path.display().to_string()),
-            diagnostic.finding.line,
-            diagnostic.finding.col,
-            json_escape(&diagnostic.finding.message),
-        ));
-    }
-    if diagnostics.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str(&format!("  \"count\": {}\n}}\n", diagnostics.len()));
+    let findings = diagnostics.iter().map(|diagnostic| {
+        line([
+            ("rule", quote(diagnostic.finding.rule)),
+            ("path", quote(&diagnostic.path.display().to_string())),
+            ("line", diagnostic.finding.line.to_string()),
+            ("column", diagnostic.finding.col.to_string()),
+            ("message", quote(&diagnostic.finding.message)),
+        ])
+    });
+    let mut out = object([
+        ("findings", rows(findings)),
+        ("count", diagnostics.len().to_string()),
+    ]);
+    out.push('\n');
     out
 }
 

@@ -19,9 +19,9 @@
 //! label rules, which cannot evaluate it).
 
 use crate::context::FileCtx;
+use crate::engine::unix_path;
 use crate::lexer::{str_literal_value, TokenKind};
-use std::fmt::Write as _;
-use std::path::Path;
+use lcakp_canon::{line, object, quote, rows};
 
 /// How a derive call site names its domain label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,15 +93,6 @@ pub struct SeedGraph {
     pub derives: Vec<DeriveSite>,
     /// Every `.rng()` call site, sorted by (path, line, col).
     pub rngs: Vec<RngSite>,
-}
-
-/// Renders `path` with forward slashes regardless of platform, so the
-/// graph artifact is byte-identical everywhere.
-fn unix_path(path: &Path) -> String {
-    path.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
 }
 
 /// Joins the source text of a token range, `(`-to-`)` style, for
@@ -239,74 +230,52 @@ fn derive_site_at(ctx: &FileCtx, path: &str, index: usize) -> Option<DeriveSite>
     })
 }
 
-/// Appends `text` to `out` as a quoted JSON string.
-pub(crate) fn json_str(out: &mut String, text: &str) {
-    out.push('"');
-    out.push_str(&crate::engine::json_escape(text));
-    out.push('"');
-}
-
 /// Renders the graph as a stable, deterministic JSON document — the
 /// `--emit-graph` artifact. Byte-identical across runs and platforms
 /// for the same tree.
 pub fn render_graph_json(graph: &SeedGraph) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"derive_sites\": [");
-    for (index, site) in graph.derives.iter().enumerate() {
-        out.push_str(if index == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"crate\": ");
-        json_str(&mut out, &site.crate_name);
-        out.push_str(", \"path\": ");
-        json_str(&mut out, &site.path);
-        let _ = write!(out, ", \"line\": {}, \"col\": {}, ", site.line, site.col);
+    let derives = graph.derives.iter().map(|site| {
+        let mut members = vec![
+            ("crate", quote(&site.crate_name)),
+            ("path", quote(&site.path)),
+            ("line", site.line.to_string()),
+            ("col", site.col.to_string()),
+        ];
         match &site.label {
             LabelSource::Literal(value) => {
-                out.push_str("\"label_kind\": \"literal\", \"label\": ");
-                json_str(&mut out, value);
+                members.push(("label_kind", quote("literal")));
+                members.push(("label", quote(value)));
             }
             LabelSource::Const { name, value } => {
-                out.push_str("\"label_kind\": \"const\", \"label\": ");
-                json_str(&mut out, value);
-                out.push_str(", \"const_name\": ");
-                json_str(&mut out, name);
+                members.push(("label_kind", quote("const")));
+                members.push(("label", quote(value)));
+                members.push(("const_name", quote(name)));
             }
             LabelSource::Dynamic(expr) => {
-                out.push_str("\"label_kind\": \"dynamic\", \"label_expr\": ");
-                json_str(&mut out, expr);
+                members.push(("label_kind", quote("dynamic")));
+                members.push(("label_expr", quote(expr)));
             }
         }
-        let _ = write!(
-            out,
-            ", \"index_constant\": {}, \"index\": ",
-            site.index_constant
-        );
-        json_str(&mut out, &site.index_text);
-        out.push('}');
-    }
-    if graph.derives.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str("  \"rng_sites\": [");
-    for (index, site) in graph.rngs.iter().enumerate() {
-        out.push_str(if index == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"crate\": ");
-        json_str(&mut out, &site.crate_name);
-        out.push_str(", \"path\": ");
-        json_str(&mut out, &site.path);
-        let _ = write!(out, ", \"line\": {}, \"col\": {}}}", site.line, site.col);
-    }
-    if graph.rngs.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    let _ = write!(
-        out,
-        "  \"derive_count\": {},\n  \"rng_count\": {}\n}}\n",
-        graph.derives.len(),
-        graph.rngs.len()
-    );
+        members.push(("index_constant", site.index_constant.to_string()));
+        members.push(("index", quote(&site.index_text)));
+        line(members)
+    });
+    let rngs = graph.rngs.iter().map(|site| {
+        line([
+            ("crate", quote(&site.crate_name)),
+            ("path", quote(&site.path)),
+            ("line", site.line.to_string()),
+            ("col", site.col.to_string()),
+        ])
+    });
+    let mut out = object([
+        ("version", "1".to_string()),
+        ("derive_sites", rows(derives)),
+        ("rng_sites", rows(rngs)),
+        ("derive_count", graph.derives.len().to_string()),
+        ("rng_count", graph.rngs.len().to_string()),
+    ]);
+    out.push('\n');
     out
 }
 

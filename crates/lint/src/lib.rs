@@ -15,9 +15,10 @@
 //! ```
 //!
 //! See `docs/lints.md` for the rule catalogue and the paper-level
-//! invariant each rule protects. The crate is dependency-free by design
-//! (its own minimal Rust lexer, no `syn`): it must never be broken by
-//! the crates it checks.
+//! invariant each rule protects. By design the crate has no dependency
+//! but the std-only `lcakp-canon` leaf, which lays out every JSON report
+//! it writes, and has its own minimal Rust lexer (no `syn`): it must
+//! never be broken by the crates it checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

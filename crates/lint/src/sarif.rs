@@ -1,51 +1,37 @@
 //! SARIF 2.1.0 output for CI and code-scanning integrations.
 //!
-//! Hand-rolled like every serializer in this crate (the lint must stay
-//! dependency-free), emitting the minimal valid subset of the
-//! [SARIF 2.1.0 schema]: one run, the full rule catalogue under
-//! `tool.driver.rules` (id, name, short description, default level from
-//! the rule's [`Severity`]), and one `result` per diagnostic with a
-//! `physicalLocation` region. Output is deterministic: rules in table
-//! order, results in the engine's (path, line, col, rule) order.
+//! Laid out by `lcakp-canon` like every report of this crate (the lint
+//! has no dependency but that std-only leaf), emitting the minimal
+//! valid subset of the [SARIF 2.1.0 schema]: one run, the full rule
+//! catalogue under `tool.driver.rules` (id, name, short description,
+//! default level from the rule's [`Severity`]), and one `result` per
+//! diagnostic with a `physicalLocation` region. Output is
+//! deterministic: rules in table order, results in the engine's (path,
+//! line, col, rule) order.
 //!
 //! [SARIF 2.1.0 schema]: https://json.schemastore.org/sarif-2.1.0.json
 
-use crate::engine::{json_escape, Diagnostic};
+use crate::engine::{unix_path, Diagnostic};
 use crate::rules::{all_rules, rule_by_id};
-use std::fmt::Write as _;
+use lcakp_canon::{line, list, object, quote, rows};
 
 /// The `$schema` URI stamped into every report.
 pub const SARIF_SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 
 /// Renders diagnostics as a SARIF 2.1.0 document.
 pub fn render_sarif(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"$schema\": \"{SARIF_SCHEMA}\",");
-    out.push_str("  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"lcakp-lint\",\n");
-    out.push_str("          \"informationUri\": \"docs/lints.md\",\n");
-    let _ = writeln!(
-        out,
-        "          \"version\": \"{}\",",
-        env!("CARGO_PKG_VERSION")
-    );
-    out.push_str("          \"rules\": [");
-    for (index, rule) in all_rules().iter().enumerate() {
-        out.push_str(if index == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "            {{\"id\": \"{}\", \"name\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
-            rule.id,
-            json_escape(rule.name),
-            json_escape(rule.summary),
-            rule.severity.sarif_level(),
-        );
-    }
-    out.push_str("\n          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [");
-    for (index, diagnostic) in diagnostics.iter().enumerate() {
-        out.push_str(if index == 0 { "\n" } else { ",\n" });
+    let rules = all_rules().iter().map(|rule| {
+        line([
+            ("id", quote(rule.id)),
+            ("name", quote(rule.name)),
+            ("shortDescription", line([("text", quote(rule.summary))])),
+            (
+                "defaultConfiguration",
+                line([("level", quote(rule.severity.sarif_level()))]),
+            ),
+        ])
+    });
+    let results = diagnostics.iter().map(|diagnostic| {
         let rule_index = all_rules()
             .iter()
             .position(|rule| rule.id == diagnostic.finding.rule)
@@ -54,30 +40,49 @@ pub fn render_sarif(diagnostics: &[Diagnostic]) -> String {
             .map(|rule| rule.severity.sarif_level())
             .unwrap_or("error");
         // SARIF artifact URIs are relative, forward-slashed.
-        let uri = diagnostic
-            .path
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let _ = write!(
-            out,
-            "        {{\"ruleId\": \"{}\", \"ruleIndex\": {}, \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
-            diagnostic.finding.rule,
-            rule_index,
-            level,
-            json_escape(&diagnostic.finding.message),
-            json_escape(&uri),
-            diagnostic.finding.line,
-            diagnostic.finding.col,
-        );
-    }
-    if diagnostics.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n      ]\n");
-    }
-    out.push_str("    }\n  ]\n}\n");
+        let location = line([(
+            "physicalLocation",
+            line([
+                (
+                    "artifactLocation",
+                    line([("uri", quote(&unix_path(&diagnostic.path)))]),
+                ),
+                (
+                    "region",
+                    line([
+                        ("startLine", diagnostic.finding.line.to_string()),
+                        ("startColumn", diagnostic.finding.col.to_string()),
+                    ]),
+                ),
+            ]),
+        )]);
+        line([
+            ("ruleId", quote(diagnostic.finding.rule)),
+            ("ruleIndex", rule_index.to_string()),
+            ("level", quote(level)),
+            (
+                "message",
+                line([("text", quote(&diagnostic.finding.message))]),
+            ),
+            ("locations", list([location])),
+        ])
+    });
+    let driver = object([
+        ("name", quote("lcakp-lint")),
+        ("informationUri", quote("docs/lints.md")),
+        ("version", quote(env!("CARGO_PKG_VERSION"))),
+        ("rules", rows(rules)),
+    ]);
+    let run = object([
+        ("tool", object([("driver", driver)])),
+        ("results", rows(results)),
+    ]);
+    let mut out = object([
+        ("$schema", quote(SARIF_SCHEMA)),
+        ("version", quote("2.1.0")),
+        ("runs", rows([run])),
+    ]);
+    out.push('\n');
     out
 }
 

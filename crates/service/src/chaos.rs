@@ -21,6 +21,7 @@ use crate::service::{
     serve_batch, BatchReport, CrashDirective, Disposition, FaultSchedule, RecoveryDiscipline,
     ServiceConfig,
 };
+use lcakp_canon::{line, list, object, quote};
 use lcakp_core::solution_audit::{audit_selection, exact_optimum, ApproxAudit};
 use lcakp_core::{LcaError, LcaKp, ResponseTier};
 use lcakp_knapsack::iky::Epsilon;
@@ -28,7 +29,6 @@ use lcakp_knapsack::{ItemId, NormalizedInstance};
 use lcakp_oracle::{FaultPlan, InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_workloads::{Family, WorkloadSpec};
-use std::fmt::Write as _;
 
 /// A scheduled worker-lifecycle event. Crashes kill a worker at a
 /// virtual tick (optionally tearing the in-flight journal write);
@@ -303,13 +303,12 @@ fn rate(value: f64) -> String {
 }
 
 fn fault_plan_json(plan: &FaultPlan) -> String {
-    format!(
-        "{{\"transient\": \"{}\", \"corruption\": \"{}\", \"signalled\": {}, \"sampler_bias\": \"{}\"}}",
-        rate(plan.transient_rate),
-        rate(plan.corruption_rate),
-        plan.signal_corruption,
-        rate(plan.sampler_bias),
-    )
+    line([
+        ("transient", quote(&rate(plan.transient_rate))),
+        ("corruption", quote(&rate(plan.corruption_rate))),
+        ("signalled", plan.signal_corruption.to_string()),
+        ("sampler_bias", quote(&rate(plan.sampler_bias))),
+    ])
 }
 
 /// Renders the scenario outcome as canonical JSON: fixed field order,
@@ -342,111 +341,72 @@ fn render_json(scenario: &ChaosScenario<'_>, run: &ChaosRun) -> String {
             }
         }
     }
-    let worker_end_ticks: Vec<String> = report
+    let plan = line([
+        ("quiet", fault_plan_json(&scenario.plan.quiet)),
+        ("burst", fault_plan_json(&scenario.plan.burst)),
+        ("burst_period", scenario.plan.burst_period.to_string()),
+        ("burst_len", scenario.plan.burst_len.to_string()),
+    ]);
+    let shed = report.shed_count();
+    let tier = |tier| report.tier_count(tier).to_string();
+    let summary = object([
+        ("answered", (report.outcomes.len() - shed).to_string()),
+        ("shed", shed.to_string()),
+        ("tier_full", tier(ResponseTier::Full)),
+        ("tier_cached", tier(ResponseTier::CachedRule)),
+        ("tier_trivial", tier(ResponseTier::Trivial)),
+        ("deadline_met", deadline_met.to_string()),
+        ("availability", quote(&rate(run.availability))),
+        (
+            "breaker_transitions",
+            report.breaker_transitions().to_string(),
+        ),
+        ("retries_used", report.retries_used().to_string()),
+        ("accesses_used", report.accesses_used().to_string()),
+        (
+            "cached_rule_available",
+            report.cached_rule_available.to_string(),
+        ),
+    ]);
+    let verdict = object([
+        ("full_tier_consistent", run.full_tier_consistent.to_string()),
+        ("reference_value", run.reference_audit.value.to_string()),
+        ("optimum", run.reference_audit.optimum.to_string()),
+        (
+            "reference_theorem_ok",
+            run.reference_theorem_ok().to_string(),
+        ),
+        ("chaos_value", run.chaos_value.to_string()),
+        ("chaos_feasible", run.chaos_feasible.to_string()),
+    ]);
+    let end_ticks = report
         .workers
         .iter()
-        .map(|trace| trace.end_tick.to_string())
-        .collect();
-    let worker_accesses: Vec<String> = report
+        .map(|trace| trace.end_tick.to_string());
+    let accesses = report
         .workers
         .iter()
-        .map(|trace| trace.accesses_used.to_string())
-        .collect();
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{}\",", run.label);
-    let _ = writeln!(out, "  \"n\": {},", report.outcomes.len());
-    let _ = writeln!(out, "  \"eps\": \"{}\",", run.eps);
-    let _ = writeln!(out, "  \"workers\": {},", config.workers);
-    let _ = writeln!(out, "  \"queue_depth\": {},", config.queue_depth);
-    let _ = writeln!(out, "  \"deadline_ticks\": {},", config.deadline_ticks);
-    let _ = writeln!(
-        out,
-        "  \"worker_access_cap\": {},",
-        config
-            .worker_access_cap
-            .map_or_else(|| "null".to_string(), |cap| cap.to_string())
-    );
-    let _ = writeln!(
-        out,
-        "  \"plan\": {{\"quiet\": {}, \"burst\": {}, \"burst_period\": {}, \"burst_len\": {}}},",
-        fault_plan_json(&scenario.plan.quiet),
-        fault_plan_json(&scenario.plan.burst),
-        scenario.plan.burst_period,
-        scenario.plan.burst_len,
-    );
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(
-        out,
-        "    \"answered\": {},",
-        report.outcomes.len() - report.shed_count()
-    );
-    let _ = writeln!(out, "    \"shed\": {},", report.shed_count());
-    let _ = writeln!(
-        out,
-        "    \"tier_full\": {},",
-        report.tier_count(ResponseTier::Full)
-    );
-    let _ = writeln!(
-        out,
-        "    \"tier_cached\": {},",
-        report.tier_count(ResponseTier::CachedRule)
-    );
-    let _ = writeln!(
-        out,
-        "    \"tier_trivial\": {},",
-        report.tier_count(ResponseTier::Trivial)
-    );
-    let _ = writeln!(out, "    \"deadline_met\": {deadline_met},");
-    let _ = writeln!(out, "    \"availability\": \"{}\",", rate(run.availability));
-    let _ = writeln!(
-        out,
-        "    \"breaker_transitions\": {},",
-        report.breaker_transitions()
-    );
-    let _ = writeln!(out, "    \"retries_used\": {},", report.retries_used());
-    let _ = writeln!(out, "    \"accesses_used\": {},", report.accesses_used());
-    let _ = writeln!(
-        out,
-        "    \"cached_rule_available\": {}",
-        report.cached_rule_available
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"verdict\": {{");
-    let _ = writeln!(
-        out,
-        "    \"full_tier_consistent\": {},",
-        run.full_tier_consistent
-    );
-    let _ = writeln!(
-        out,
-        "    \"reference_value\": {},",
-        run.reference_audit.value
-    );
-    let _ = writeln!(out, "    \"optimum\": {},", run.reference_audit.optimum);
-    let _ = writeln!(
-        out,
-        "    \"reference_theorem_ok\": {},",
-        run.reference_theorem_ok()
-    );
-    let _ = writeln!(out, "    \"chaos_value\": {},", run.chaos_value);
-    let _ = writeln!(out, "    \"chaos_feasible\": {}", run.chaos_feasible);
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(
-        out,
-        "  \"worker_end_ticks\": [{}],",
-        worker_end_ticks.join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"worker_accesses\": [{}],",
-        worker_accesses.join(", ")
-    );
-    let _ = writeln!(out, "  \"tiers\": \"{tiers}\",");
-    let _ = writeln!(out, "  \"includes\": \"{includes}\"");
-    let _ = write!(out, "}}");
-    out
+        .map(|trace| trace.accesses_used.to_string());
+    let access_cap = config.worker_access_cap.map(|cap| cap.to_string());
+    object([
+        ("label", quote(&run.label)),
+        ("n", report.outcomes.len().to_string()),
+        ("eps", quote(&run.eps.to_string())),
+        ("workers", config.workers.to_string()),
+        ("queue_depth", config.queue_depth.to_string()),
+        ("deadline_ticks", config.deadline_ticks.to_string()),
+        (
+            "worker_access_cap",
+            access_cap.unwrap_or_else(|| "null".into()),
+        ),
+        ("plan", plan),
+        ("summary", summary),
+        ("verdict", verdict),
+        ("worker_end_ticks", list(end_ticks)),
+        ("worker_accesses", list(accesses)),
+        ("tiers", quote(&tiers)),
+        ("includes", quote(&includes)),
+    ])
 }
 
 /// The committed smoke scenario (CI and the golden test): a small

@@ -14,6 +14,7 @@
 use crate::invariants::Violation;
 use crate::schedule::SimEvent;
 use crate::shrink::{shrink, Shrunk};
+use lcakp_canon::{line, list, object, quote, rows};
 use lcakp_core::LcaError;
 use lcakp_oracle::Seed;
 use std::fmt::{Display, Write as _};
@@ -175,10 +176,9 @@ pub fn hunt<S: Scenario>(root: &Seed, world: &S, max_cases: u64) -> Option<Repro
     })
 }
 
-/// `items` as a JSON array of their `Display` strings.
+/// `items` as a one-line JSON array of their quoted `Display` strings.
 fn json_list<T: Display>(items: &[T]) -> String {
-    let quoted: Vec<String> = items.iter().map(|item| format!("\"{item}\"")).collect();
-    format!("[{}]", quoted.join(", "))
+    list(items.iter().map(|item| quote(&item.to_string())))
 }
 
 /// Renders a range report as canonical JSON: fixed field order, no
@@ -193,78 +193,55 @@ pub fn render_json<S: Scenario>(
     report: &SimReport<S::Stats>,
     planted: Option<(&S, Option<&Repro>)>,
 ) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    for (key, value) in world.header() {
-        let _ = writeln!(out, "  \"{key}\": {value},");
-    }
-    let (key, discipline) = world.discipline();
-    let _ = writeln!(out, "  \"{key}\": \"{discipline}\",");
-    let _ = writeln!(out, "  \"cases\": [");
-    for (position, case) in report.cases.iter().enumerate() {
-        let stats: String = case
-            .stats
-            .fields()
-            .iter()
-            .map(|(key, value)| format!(", \"{key}\": {value}"))
-            .collect();
-        let comma = if position + 1 < report.cases.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"case\": {}, \"events\": {}{stats}, \"violations\": {}}}{comma}",
-            case.case,
-            json_list(&case.events),
-            json_list(&case.violations),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"total_violations\": {},",
-        report.total_violations()
+    let mut members = vec![("label", quote(label))];
+    members.extend(
+        world
+            .header()
+            .into_iter()
+            .map(|(key, value)| (key, value.to_string())),
     );
+    let (key, discipline) = world.discipline();
+    members.push((key, quote(&discipline)));
+    let cases = report.cases.iter().map(|case| {
+        let mut fields = vec![
+            ("case", case.case.to_string()),
+            ("events", json_list(&case.events)),
+        ];
+        fields.extend(case.stats.fields());
+        fields.push(("violations", json_list(&case.violations)));
+        line(fields)
+    });
+    members.push(("cases", rows(cases)));
+    members.push(("total_violations", report.total_violations().to_string()));
     if let Some((key, verdict)) = S::Stats::summary(report) {
-        let _ = writeln!(out, "  \"{key}\": {verdict},");
+        members.push((key, verdict.to_string()));
     }
     let repro = report.repro.as_ref().map_or_else(
         || "null".to_string(),
         |repro| {
-            format!(
-                "{{\"case\": {}, \"events\": {}}}",
-                repro.case,
-                repro.shrunk.events.len()
-            )
+            line([
+                ("case", repro.case.to_string()),
+                ("events", repro.shrunk.events.len().to_string()),
+            ])
         },
     );
-    match planted {
-        None => {
-            let _ = writeln!(out, "  \"repro\": {repro}");
-        }
-        Some((bug, bug_repro)) => {
-            let section = bug_repro.map_or_else(
-                || "null".to_string(),
-                |bug_repro| {
-                    let (key, discipline) = bug.discipline();
-                    format!(
-                        "{{\"{key}\": \"{discipline}\", \"case\": {}, \"events\": {}, \
-                         \"violations\": {}}}",
-                        bug_repro.case,
-                        json_list(&bug_repro.shrunk.events),
-                        json_list(&bug_repro.shrunk.violations),
-                    )
-                },
-            );
-            let _ = writeln!(out, "  \"repro\": {repro},");
-            let _ = writeln!(out, "  \"planted\": {section}");
-        }
+    members.push(("repro", repro));
+    if let Some((bug, bug_repro)) = planted {
+        let section = bug_repro.map_or_else(
+            || "null".to_string(),
+            |bug_repro| {
+                let (key, discipline) = bug.discipline();
+                line([
+                    (key, quote(&discipline)),
+                    ("case", bug_repro.case.to_string()),
+                    ("events", json_list(&bug_repro.shrunk.events)),
+                    ("violations", json_list(&bug_repro.shrunk.violations)),
+                ])
+            },
+        );
+        members.push(("planted", section));
     }
-    let _ = write!(out, "}}");
-    out
+    object(members)
 }
 
 /// Runs the committed smoke range `0..cases` of `world` and renders its

@@ -10,10 +10,18 @@ use std::cell::Cell;
 
 /// A scenario with no serving stack: case `c` schedules a restart,
 /// plus a crash when `c` is odd, and a schedule violates iff it
-/// holds a crash. `runs` counts [`Scenario::run_schedule`] calls.
-#[derive(Default)]
+/// holds a crash. `runs` counts [`Scenario::run_schedule`] calls;
+/// `mode` names the discipline.
 struct Toy {
     runs: Cell<usize>,
+    mode: &'static str,
+}
+
+fn toy() -> Toy {
+    Toy {
+        runs: Cell::new(0),
+        mode: "toy",
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +43,7 @@ impl Scenario for Toy {
     }
 
     fn discipline(&self) -> (&'static str, String) {
-        ("mode", "toy".into())
+        ("mode", self.mode.into())
     }
 
     fn schedule(&self, _root: &Seed, case: u64) -> Vec<SimEvent> {
@@ -70,7 +78,7 @@ fn root() -> Seed {
 
 #[test]
 fn run_range_records_every_case_and_shrinks_only_the_first_violation() {
-    let toy = Toy::default();
+    let toy = toy();
     let report = run_range(&root(), &toy, 0..4).expect("toy runs");
     assert_eq!(
         report
@@ -97,7 +105,7 @@ fn run_range_records_every_case_and_shrinks_only_the_first_violation() {
 
 #[test]
 fn hunt_returns_the_repro_run_range_shrinks() {
-    let toy = Toy::default();
+    let toy = toy();
     let report = run_range(&root(), &toy, 0..4).expect("toy runs");
     assert_eq!(hunt(&root(), &toy, 4), report.repro);
     assert_eq!(hunt(&root(), &toy, 1), None);
@@ -105,11 +113,11 @@ fn hunt_returns_the_repro_run_range_shrinks() {
 
 #[test]
 fn render_json_is_canonical() {
-    let toy = Toy::default();
+    let toy = toy();
     let empty = run_range(&root(), &toy, 0..0).expect("toy runs");
     assert_eq!(
         render_json("toy", &toy, &empty, None),
-        "{\n  \"label\": \"toy\",\n  \"n\": 2,\n  \"mode\": \"toy\",\n  \"cases\": [\n  ],\n  \
+        "{\n  \"label\": \"toy\",\n  \"n\": 2,\n  \"mode\": \"toy\",\n  \"cases\": [],\n  \
          \"total_violations\": 0,\n  \"repro\": null\n}"
     );
     let report = run_range(&root(), &toy, 0..2).expect("toy runs");
@@ -123,5 +131,24 @@ fn render_json_is_canonical() {
          \"total_violations\": 1,\n  \"repro\": {\"case\": 1, \"events\": 1},\n  \
          \"planted\": {\"mode\": \"toy\", \"case\": 1, \"events\": \
          [\"crash(worker=0, tick=0/1000)\"], \"violations\": [\"missing-outcome(index=0)\"]}\n}"
+    );
+}
+
+#[test]
+fn render_json_escapes_display_strings() {
+    let toy = Toy {
+        mode: "say \"no\" \\ twice",
+        ..toy()
+    };
+    let report = run_range(&root(), &toy, 1..2).expect("toy runs");
+    let planted = Some((&toy, report.repro.as_ref()));
+    let json = render_json("toy", &toy, &report, planted);
+    assert!(
+        json.contains("\n  \"mode\": \"say \\\"no\\\" \\\\ twice\",\n"),
+        "{json}"
+    );
+    assert!(
+        json.contains("\"planted\": {\"mode\": \"say \\\"no\\\" \\\\ twice\", \"case\": 1"),
+        "{json}"
     );
 }
