@@ -2012,6 +2012,55 @@ mod tests {
         );
     }
 
+    #[test]
+    fn restart_of_a_live_node_and_recrash_of_a_dead_one_change_no_batch() {
+        let world = world(32, 6);
+        let twin = run(&world, &[]);
+        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
+        let victim = twin.shards[0].owners[0];
+        let restart_live = run(
+            &world,
+            &[NodeEvent::NodeRestart {
+                node: victim,
+                at_tick: horizon / 2,
+            }],
+        );
+        assert_eq!(restart_live, twin, "a live node's restart is no event");
+        let crash = |at_tick: u64| NodeEvent::NodeCrash {
+            node: victim,
+            at_tick,
+            torn_keep: Some(5),
+        };
+        let once = run(&world, &[crash(horizon / 3)]);
+        let twice = run(&world, &[crash(horizon / 3), crash(horizon / 2)]);
+        assert_eq!(twice, once, "a dead node's crash is no event");
+        assert_eq!(once.nodes[victim.0].crashes, 1);
+    }
+
+    #[test]
+    fn crash_after_the_batch_drained_shows_only_in_the_node_trace() {
+        let world = world(32, 6);
+        let twin = run(&world, &[]);
+        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
+        let victim = twin.shards[0].owners[0];
+        let late = run(
+            &world,
+            &[NodeEvent::NodeCrash {
+                node: victim,
+                at_tick: horizon + 1,
+                torn_keep: Some(5),
+            }],
+        );
+        assert_eq!(late.outcomes, twin.outcomes);
+        assert_eq!(late.shards, twin.shards, "no drained shard fails over");
+        assert_eq!(late.shed_audits, twin.shed_audits);
+        let trace = late.nodes[victim.0];
+        assert_eq!(
+            (trace.crashes, trace.restarts, trace.alive_at_end),
+            (1, 0, false)
+        );
+    }
+
     use crate::traffic::{generate_trace, TrafficConfig, TrafficShape};
 
     /// Measures the per-query service cost the way E17's simulator
@@ -2271,6 +2320,76 @@ mod tests {
             .count();
         assert!(ring_changes > 0);
         assert_eq!(report.outcomes.len(), trace.len(), "never a silent drop");
+    }
+
+    #[test]
+    fn restart_of_a_live_node_and_recrash_of_a_dead_one_change_no_traffic_run() {
+        let world = world(24, 12);
+        let cost = probe_cost(&world);
+        let (config, trace) = traffic_world(&world, cost);
+        let clean = run_traffic(&world, &config, &trace, &[]);
+        let victim = NodeId(1);
+        let third = trace[trace.len() / 3].at_tick;
+        let half = trace[trace.len() / 2].at_tick;
+        let restart_live = run_traffic(
+            &world,
+            &config,
+            &trace,
+            &[NodeEvent::NodeRestart {
+                node: victim,
+                at_tick: half,
+            }],
+        );
+        assert_eq!(restart_live, clean, "a live node's restart is no event");
+        let crash = |at_tick: u64| NodeEvent::NodeCrash {
+            node: victim,
+            at_tick,
+            torn_keep: Some(3),
+        };
+        let once = run_traffic(&world, &config, &trace, &[crash(third)]);
+        let twice = run_traffic(&world, &config, &trace, &[crash(third), crash(half)]);
+        assert_eq!(twice, once, "a dead node's crash is no event");
+        assert_eq!(once.epoch_replays.len(), 1);
+    }
+
+    #[test]
+    fn crash_after_the_last_arrival_still_records_its_epoch_replay() {
+        let world = world(24, 12);
+        let cost = probe_cost(&world);
+        let (config, trace) = traffic_world(&world, cost);
+        let clean = run_traffic(&world, &config, &trace, &[]);
+        assert!(clean.final_epoch > RingEpoch::BOOT, "the run must promote");
+        let victim = NodeId(1);
+        let at_tick = trace.last().unwrap().at_tick + 1;
+        let late = run_traffic(
+            &world,
+            &config,
+            &trace,
+            &[NodeEvent::NodeCrash {
+                node: victim,
+                at_tick,
+                torn_keep: None,
+            }],
+        );
+        assert_eq!(late.outcomes, clean.outcomes);
+        assert_eq!(late.shards, clean.shards);
+        assert_eq!(late.rebalance_audits, clean.rebalance_audits);
+        assert_eq!(late.final_epoch, clean.final_epoch);
+        let node = &late.nodes[victim.0];
+        assert_eq!(
+            (node.crashes, node.restarts, node.alive_at_end),
+            (1, 0, false)
+        );
+        assert_eq!(node.journal, clean.nodes[victim.0].journal);
+        assert_eq!(
+            late.epoch_replays,
+            vec![EpochReplay {
+                node: victim,
+                at_tick,
+                epoch_at_crash: clean.final_epoch,
+                replayed_epoch: clean.final_epoch,
+            }]
+        );
     }
 
     #[test]
