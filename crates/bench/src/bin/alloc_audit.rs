@@ -3,7 +3,9 @@
 //! allocator and reports, as canonical JSON:
 //!
 //!   1. the E14 smoke serving path (`run_smoke`): total allocations,
-//!      total/peak bytes, and per-query averages across the batch;
+//!      total bytes, and per-query averages across the batch (no peak:
+//!      the pool's worker threads interleave their live allocations, so
+//!      the high-water mark differs run to run);
 //!   2. a steady-state loop of `query_with_audit_in` with one reused
 //!      [`QueryScratch`]: after the warm-up query has sized the scratch
 //!      buffers (including the rQuantile sort and selection buffers),
@@ -14,6 +16,8 @@
 //!      ladder) over the same arrivals at two trace lengths. The
 //!      difference, divided by the extra arrivals, is what one more
 //!      served query allocates once the core's buffers are warm.
+//!
+//! Every printed field repeats exactly run to run (CI diffs two runs).
 //!
 //! `--check` exits nonzero if the steady-state per-query allocation
 //! count exceeds `STEADY_ALLOC_BUDGET`, or the served path's per-arrival
@@ -241,7 +245,6 @@ fn main() {
                 ("queries", smoke_queries),
                 ("allocations", smoke.allocs),
                 ("bytes", smoke.bytes),
-                ("peak_bytes", smoke.peak),
                 ("allocations_per_query_milli", smoke_allocs_milli),
                 ("bytes_per_query_milli", smoke_bytes_milli),
             ]),

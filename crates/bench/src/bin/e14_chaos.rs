@@ -99,7 +99,6 @@ fn main() {
         workers: 4,
         queue_depth: 32,
         deadline_ticks: 400_000,
-        dispatch_cost_ticks: 1,
         cost: CostModel::flat(1),
         backoff: BackoffPolicy::default(),
         breaker: BreakerConfig {

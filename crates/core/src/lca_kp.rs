@@ -361,9 +361,18 @@ impl LcaKp {
         Ok(())
     }
 
-    /// One point query with bounded retry of transient faults.
+    /// One point query of item `id` with bounded retry of transient
+    /// faults: at most `1 + max_retries` `try_query` calls under the
+    /// configured [`RetryPolicy`], each retry counted into `retries`.
+    /// The rule's own final point query and the service's cached-rule
+    /// tier both go through it.
+    ///
+    /// # Errors
+    ///
+    /// [`LcaError::Oracle`] with the last fault once it is not
+    /// retryable or the retries are spent.
     // lcakp-lint: probe-budget(retry-attempts) reason="one counted try_query per loop iteration, and the retry loop below is bounded by retry-attempts = 1 + max_retries"
-    fn query_with_retry<O>(
+    pub fn query_with_retry<O>(
         &self,
         oracle: &O,
         id: ItemId,

@@ -449,7 +449,6 @@ pub fn smoke_parts(root: &Seed) -> Result<SmokeParts, LcaError> {
         workers: 3,
         queue_depth: 16,
         deadline_ticks: 60_000,
-        dispatch_cost_ticks: 1,
         cost: CostModel::flat(1).with_spike(crate::deadline::LatencyWindow {
             start_tick: 100_000,
             end_tick: 160_000,

@@ -22,13 +22,28 @@
 //! frontier reaches their tick. The result is a pure function of
 //! `(inputs, config, events)` — no thread scheduling, no wall clock.
 //!
+//! # One membership model
+//!
+//! Both engines in this module — the closed batch above and the
+//! traffic-driven cluster below — route through one crate-private
+//! membership: node liveness with crash/restart counts, every
+//! partition's groups, and the tick-sorted fault timeline. It fires
+//! each due op (skipping a crash of a dead node and a restart of a live
+//! one), answers who is alive, reachable and the router's pick, writes
+//! the shed audits, and keeps the per-node liveness traces. Each engine
+//! keeps only its own reaction to an op: the closed batch ships a
+//! crashed owner's (possibly torn) journal and re-places its shards;
+//! the traffic engine tears the node's journal, wipes its RAM, and
+//! records the epoch replay. A node event naming a node outside the
+//! membership is rejected up front.
+//!
 //! # Failover
 //!
 //! When a shard's hosting node crashes, the surviving replicas hold the
 //! shard's journal (synchronously replicated appends; the crash may
 //! tear the tail of the last in-flight append). The router promotes the
-//! first alive, reachable replica in ring order (the traffic engine's
-//! pick, below); the new owner replays the shipped journal through the
+//! first alive, reachable replica in ring order (the membership's pick,
+//! shared with the traffic engine); the new owner replays the shipped journal through the
 //! worker pool's recovery path — restoring the virtual clock, breaker,
 //! and budget from the last snapshot — and resumes byte-identically. When no replica is reachable the shard's
 //! remaining queries shed explicitly: [`ShedReason::NodeUnreachable`]
@@ -352,8 +367,8 @@ struct ShardTask<'a, O> {
     live_valid: bool,
 }
 
-/// A fault op on the scheduler's timeline (heals are split out of
-/// their `Partition` event so the timeline is a flat sorted list).
+/// A fault op on the membership's timeline (a partition's cut and heal
+/// are separate ops, so the timeline is a flat sorted list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Crash {
@@ -371,109 +386,207 @@ enum Op {
     },
 }
 
-/// Flattens fault events into a tick-sorted op timeline; a partition's
-/// heal is its own op so the list stays flat. Stable sort keeps the
-/// submission order on tick ties. Returns the (initially inactive)
-/// partition slots, the pending cut groups, and the timeline.
-#[allow(clippy::type_complexity)]
-fn flatten_node_events(
-    node_events: &[NodeEvent],
-) -> (
-    Vec<Option<Vec<Vec<NodeId>>>>,
-    Vec<(usize, Vec<Vec<NodeId>>)>,
-    Vec<(u64, Op)>,
-) {
-    let mut partitions: Vec<Option<Vec<Vec<NodeId>>>> = Vec::new();
-    let mut pending_cuts: Vec<(usize, Vec<Vec<NodeId>>)> = Vec::new();
-    let mut ops: Vec<(u64, Op)> = Vec::new();
-    for event in node_events {
-        match event {
-            NodeEvent::NodeCrash {
-                node,
-                at_tick,
-                torn_keep,
-            } => ops.push((
-                *at_tick,
-                Op::Crash {
-                    node: node.0,
-                    torn_keep: *torn_keep,
-                },
-            )),
-            NodeEvent::NodeRestart { node, at_tick } => {
-                ops.push((*at_tick, Op::Restart { node: node.0 }));
-            }
-            NodeEvent::Partition {
-                groups,
-                at_tick,
-                heal_at,
-            } => {
-                let slot = partitions.len();
-                partitions.push(None);
-                pending_cuts.push((slot, groups.clone()));
-                ops.push((*at_tick, Op::Cut { slot }));
-                if *heal_at != u64::MAX {
-                    ops.push((*heal_at, Op::Heal { slot }));
+/// The node-fault model both cluster engines share: node liveness with
+/// crash/restart counts, every partition's groups with whether its cut
+/// is active, and the tick-sorted fault timeline. By statelessness
+/// (Definition 2.4) and consistency (Theorem 4.1) a shard answers the
+/// same on any node, so this is pure placement bookkeeping: it decides
+/// who may serve, never what is served.
+struct Membership {
+    alive: Vec<bool>,
+    crashes: Vec<usize>,
+    restarts: Vec<usize>,
+    /// `(groups, active)` per partition event, in submission order.
+    partitions: Vec<(Vec<Vec<NodeId>>, bool)>,
+    /// Fault ops sorted by tick; the stable sort keeps submission order
+    /// on ties.
+    timeline: Vec<(u64, Op)>,
+    next: usize,
+}
+
+impl Membership {
+    /// A membership of `nodes` live, connected nodes facing `events`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a node outside `0..nodes`.
+    fn new(nodes: usize, events: &[NodeEvent]) -> Membership {
+        let mut partitions = Vec::new();
+        let mut timeline = Vec::new();
+        for event in events {
+            let check = |node: &NodeId| {
+                assert!(
+                    node.0 < nodes,
+                    "node event {event} names {node}, outside the membership of {nodes} nodes"
+                );
+            };
+            match event {
+                NodeEvent::NodeCrash {
+                    node,
+                    at_tick,
+                    torn_keep,
+                } => {
+                    check(node);
+                    let (node, torn_keep) = (node.0, *torn_keep);
+                    timeline.push((*at_tick, Op::Crash { node, torn_keep }));
+                }
+                NodeEvent::NodeRestart { node, at_tick } => {
+                    check(node);
+                    timeline.push((*at_tick, Op::Restart { node: node.0 }));
+                }
+                NodeEvent::Partition {
+                    groups,
+                    at_tick,
+                    heal_at,
+                } => {
+                    groups.iter().flatten().for_each(check);
+                    let slot = partitions.len();
+                    partitions.push((groups.clone(), false));
+                    timeline.push((*at_tick, Op::Cut { slot }));
+                    if *heal_at != u64::MAX {
+                        timeline.push((*heal_at, Op::Heal { slot }));
+                    }
                 }
             }
         }
+        timeline.sort_by_key(|&(at_tick, _)| at_tick);
+        Membership {
+            alive: vec![true; nodes],
+            crashes: vec![0; nodes],
+            restarts: vec![0; nodes],
+            partitions,
+            timeline,
+            next: 0,
+        }
     }
-    ops.sort_by_key(|&(at_tick, _)| at_tick);
-    (partitions, pending_cuts, ops)
+
+    /// Applies the next op due by `tick` and hands it back with its
+    /// timeline tick; `None` when nothing is due. A crash of a dead node
+    /// and a restart of a live one are no events: they are skipped.
+    fn fire(&mut self, tick: u64) -> Option<(u64, Op)> {
+        while let Some(&(at_tick, op)) = self.timeline.get(self.next) {
+            if at_tick > tick {
+                break;
+            }
+            self.next += 1;
+            match op {
+                Op::Crash { node, .. } => {
+                    if !self.alive[node] {
+                        continue;
+                    }
+                    self.alive[node] = false;
+                    self.crashes[node] += 1;
+                }
+                Op::Restart { node } => {
+                    if self.alive[node] {
+                        continue;
+                    }
+                    self.alive[node] = true;
+                    self.restarts[node] += 1;
+                }
+                Op::Cut { slot } => self.partitions[slot].1 = true,
+                Op::Heal { slot } => self.partitions[slot].1 = false,
+            }
+            return Some((at_tick, op));
+        }
+        None
+    }
+
+    fn alive(&self, node: NodeId) -> bool {
+        self.alive[node.0]
+    }
+
+    /// Whether the client — wired to node 0's side of every active
+    /// partition — can reach `node`. Nodes absent from every group stay
+    /// on the client's side.
+    fn reachable(&self, node: NodeId) -> bool {
+        let side = |groups: &[Vec<NodeId>], node: NodeId| {
+            groups.iter().position(|group| group.contains(&node))
+        };
+        self.partitions
+            .iter()
+            .filter(|(_, active)| *active)
+            .all(|(groups, _)| side(groups, node) == side(groups, NodeId(0)))
+    }
+
+    /// Whether `node` can serve: alive and reachable.
+    fn usable(&self, node: NodeId) -> bool {
+        self.alive(node) && self.reachable(node)
+    }
+
+    /// The router's pick for `shard` in `view`: the first usable replica
+    /// in ring order. The one router of both cluster engines.
+    fn pick_owner(&self, view: &RingView, shard: usize) -> Option<NodeId> {
+        view.replica_set(shard)
+            .nodes()
+            .iter()
+            .copied()
+            .find(|&node| self.usable(node))
+    }
+
+    /// The audit of a routing shed for `shard`: the true replica state —
+    /// its alive replicas, and those of them the client can reach — and
+    /// the honest reason for a router that found no owner. Live replicas
+    /// all cut off ⇒ a partition shed; otherwise the group is gone (or
+    /// the router *claims* it is — the audit keeps the evidence either
+    /// way).
+    fn shed_audit(&self, view: &RingView, shard: usize) -> ShedAudit {
+        let alive_replicas: Vec<NodeId> = view
+            .replica_set(shard)
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|&node| self.alive(node))
+            .collect();
+        let reachable_replicas: Vec<NodeId> = alive_replicas
+            .iter()
+            .copied()
+            .filter(|&node| self.reachable(node))
+            .collect();
+        let reason = if !alive_replicas.is_empty() && reachable_replicas.is_empty() {
+            ShedReason::Partitioned { shard }
+        } else {
+            ShedReason::NodeUnreachable { shard }
+        };
+        ShedAudit {
+            shard,
+            reason,
+            alive_replicas,
+            reachable_replicas,
+        }
+    }
+
+    /// The liveness trace of `node`.
+    fn trace(&self, node: usize) -> NodeTrace {
+        NodeTrace {
+            node: NodeId(node),
+            crashes: self.crashes[node],
+            restarts: self.restarts[node],
+            alive_at_end: self.alive[node],
+        }
+    }
 }
 
 /// The single-threaded cluster scheduler state.
 struct Cluster<'a, O> {
     tasks: Vec<ShardTask<'a, O>>,
     view: RingView,
-    alive: Vec<bool>,
-    crashes: Vec<usize>,
-    restarts: Vec<usize>,
-    /// `partitions[slot]` is `Some(groups)` while that cut is active.
-    partitions: Vec<Option<Vec<Vec<NodeId>>>>,
+    membership: Membership,
     routing: RoutingDiscipline,
     shed_audits: Vec<ShedAudit>,
-}
-
-/// Which side of `groups` a node is on (`usize::MAX` = unlisted, which
-/// stays on the client's side).
-fn partition_side(groups: &[Vec<NodeId>], node: NodeId) -> usize {
-    groups
-        .iter()
-        .position(|group| group.contains(&node))
-        .unwrap_or(usize::MAX)
-}
-
-/// Whether the client (wired to node 0's side of every active
-/// partition) can reach `node`.
-fn client_reachable(partitions: &[Option<Vec<Vec<NodeId>>>], node: NodeId) -> bool {
-    partitions
-        .iter()
-        .flatten()
-        .all(|groups| partition_side(groups, node) == partition_side(groups, NodeId(0)))
 }
 
 impl<'a, O> Cluster<'a, O>
 where
     O: ItemOracle + WeightedSampler,
 {
-    /// Whether the client (wired to node 0's side of every active
-    /// partition) can reach `node`.
-    fn reachable(&self, node: NodeId) -> bool {
-        client_reachable(&self.partitions, node)
-    }
-
     /// The router's pick for `shard`, per the configured discipline.
     fn route(&self, shard: usize) -> Option<NodeId> {
         match self.routing {
-            RoutingDiscipline::Faithful => pick_owner(
-                &self.view,
-                shard,
-                |node| self.alive[node.0],
-                &self.partitions,
-            ),
+            RoutingDiscipline::Faithful => self.membership.pick_owner(&self.view, shard),
             RoutingDiscipline::StaleRing => {
                 let primary = self.view.primary(shard);
-                (self.alive[primary.0] && self.reachable(primary)).then_some(primary)
+                self.membership.usable(primary).then_some(primary)
             }
         }
     }
@@ -481,12 +594,7 @@ where
     /// Sheds the shard's remaining queries with an honest reason and
     /// records the true replica state for the simulator's audit.
     fn salvage(&mut self, shard: usize) {
-        let audit = shed_audit(
-            &self.view,
-            shard,
-            |node| self.alive[node.0],
-            &self.partitions,
-        );
+        let audit = self.membership.shed_audit(&self.view, shard);
         self.tasks[shard].core.salvage(audit.reason);
         self.tasks[shard].status = TaskStatus::Abandoned;
         self.shed_audits.push(audit);
@@ -499,8 +607,7 @@ where
     /// router finds nothing.
     fn resolve(&mut self, shard: usize, ctx: &SharedCtx<'a, O>) {
         let owner = self.tasks[shard].owner;
-        let owner_usable = self.alive[owner.0] && self.reachable(owner);
-        if owner_usable && self.tasks[shard].live_valid {
+        if self.membership.usable(owner) && self.tasks[shard].live_valid {
             self.tasks[shard].status = if self.tasks[shard].core.finished() {
                 TaskStatus::Done
             } else {
@@ -536,7 +643,7 @@ where
                     .replica_set(shard)
                     .nodes()
                     .iter()
-                    .any(|node| self.alive[node.0]);
+                    .any(|&node| self.membership.alive(node));
                 if any_alive && self.routing == RoutingDiscipline::Faithful {
                     self.tasks[shard].status = TaskStatus::Parked;
                 } else {
@@ -546,17 +653,12 @@ where
         }
     }
 
-    /// Applies one fault op at its timeline position.
+    /// Reacts to one fault op the membership has just applied.
     fn apply(&mut self, op: Op, ctx: &SharedCtx<'a, O>) {
         match op {
             Op::Crash { node, torn_keep } => {
-                if node >= self.alive.len() || !self.alive[node] {
-                    return;
-                }
-                self.alive[node] = false;
-                self.crashes[node] += 1;
                 for shard in 0..self.tasks.len() {
-                    let task = &self.tasks[shard];
+                    let task = &mut self.tasks[shard];
                     if task.owner != NodeId(node)
                         || !matches!(task.status, TaskStatus::Running | TaskStatus::Parked)
                     {
@@ -565,48 +667,30 @@ where
                     // The owner's memory is gone; what survives is the
                     // replicated journal, whose last in-flight append
                     // the crash may have torn.
-                    self.tasks[shard].live_valid = false;
-                    if let Some(keep) = torn_keep {
-                        let tail = self.tasks[shard].core.last_append_len();
-                        if tail > 0 {
-                            let keep = keep.min(tail);
-                            let mut shipped = self.tasks[shard].core.journal().clone();
-                            let len = shipped.bytes().len();
-                            shipped.truncate(len - (tail - keep));
-                            self.tasks[shard].core.adopt_journal(shipped);
-                        }
+                    task.live_valid = false;
+                    let tail = task.core.last_append_len();
+                    if let Some(keep) = torn_keep.filter(|_| tail > 0) {
+                        let mut shipped = task.core.journal().clone();
+                        let len = shipped.bytes().len();
+                        shipped.truncate(len - (tail - keep.min(tail)));
+                        task.core.adopt_journal(shipped);
                     }
                     self.resolve(shard, ctx);
                 }
             }
-            Op::Restart { node } => {
-                if node >= self.alive.len() || self.alive[node] {
-                    return;
-                }
-                self.alive[node] = true;
-                self.restarts[node] += 1;
-                self.resolve_parked(ctx);
-            }
-            Op::Cut { slot } => {
-                // The cut is already active (the scheduler installs the
-                // groups before dispatching the op); strand every
-                // running shard whose owner fell off the client's side.
-                debug_assert!(self.partitions[slot].is_some());
-                for shard in 0..self.tasks.len() {
-                    if self.tasks[shard].status == TaskStatus::Running
-                        && !self.reachable(self.tasks[shard].owner)
+            Op::Cut { .. } => {
+                // Strand every running shard whose owner fell off the
+                // client's side; parking first makes `resolve` re-route
+                // instead of resuming on the now-unreachable owner.
+                for task in &mut self.tasks {
+                    if task.status == TaskStatus::Running && !self.membership.reachable(task.owner)
                     {
-                        // Park first so `resolve` re-routes instead of
-                        // resuming on the now-unreachable owner.
-                        self.tasks[shard].status = TaskStatus::Parked;
+                        task.status = TaskStatus::Parked;
                     }
                 }
                 self.resolve_parked(ctx);
             }
-            Op::Heal { slot } => {
-                self.partitions[slot] = None;
-                self.resolve_parked(ctx);
-            }
+            Op::Restart { .. } | Op::Heal { .. } => self.resolve_parked(ctx),
         }
     }
 
@@ -638,7 +722,8 @@ where
 /// # Panics
 ///
 /// Panics if `nodes`, `shards`, `vnodes`, or `base.queue_depth` is
-/// zero.
+/// zero, or if a node event (a crash, a restart, or a partition group)
+/// names a node outside `0..nodes`.
 pub fn serve_cluster<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -699,15 +784,10 @@ where
         })
         .collect();
 
-    let (partitions, mut pending_cuts, ops) = flatten_node_events(node_events);
-
     let mut cluster = Cluster {
         tasks,
         view,
-        alive: vec![true; config.nodes],
-        crashes: vec![0; config.nodes],
-        restarts: vec![0; config.nodes],
-        partitions,
+        membership: Membership::new(config.nodes, node_events),
         routing: config.routing,
         shed_audits: Vec::new(),
     };
@@ -715,7 +795,6 @@ where
     // The discrete-event loop: always step the runnable shard with the
     // smallest (tick, shard) key; fire fault ops once the cluster
     // frontier reaches their tick (immediately when nothing runs).
-    let mut next_op = 0usize;
     loop {
         let runnable = cluster
             .tasks
@@ -724,25 +803,10 @@ where
             .filter(|(_, task)| task.status == TaskStatus::Running)
             .min_by_key(|&(shard, task)| (task.core.now(), shard))
             .map(|(shard, _)| shard);
-        if next_op < ops.len() {
-            let (at_tick, op) = ops[next_op];
-            let due = match runnable {
-                Some(shard) => at_tick <= cluster.tasks[shard].core.now(),
-                None => true,
-            };
-            if due {
-                next_op += 1;
-                if let Op::Cut { slot } = op {
-                    let position = pending_cuts
-                        .iter()
-                        .position(|(pending, _)| *pending == slot)
-                        .expect("each cut activates exactly once");
-                    let (_, groups) = pending_cuts.remove(position);
-                    cluster.partitions[slot] = Some(groups);
-                }
-                cluster.apply(op, &shared);
-                continue;
-            }
+        let frontier = runnable.map_or(u64::MAX, |shard| cluster.tasks[shard].core.now());
+        if let Some((_, op)) = cluster.membership.fire(frontier) {
+            cluster.apply(op, &shared);
+            continue;
         }
         let Some(shard) = runnable else {
             break;
@@ -762,12 +826,7 @@ where
     }
 
     let nodes: Vec<NodeTrace> = (0..config.nodes)
-        .map(|node| NodeTrace {
-            node: NodeId(node),
-            crashes: cluster.crashes[node],
-            restarts: cluster.restarts[node],
-            alive_at_end: cluster.alive[node],
-        })
+        .map(|node| cluster.membership.trace(node))
         .collect();
 
     let mut shards = Vec::with_capacity(config.shards);
@@ -1030,7 +1089,6 @@ impl ClusterTrafficReport {
 /// with the shards routed here, which is exactly what rebalancing
 /// relieves.
 struct NodeRt {
-    alive: bool,
     /// Completion tick of the last query this node finished serving.
     horizon: u64,
     /// `(completion_tick, deadline_met, shard)` of every in-flight or
@@ -1044,8 +1102,6 @@ struct NodeRt {
     /// Journal length before the most recent append (for crash-time
     /// tearing of the last in-flight replication).
     last_append_start: usize,
-    crashes: usize,
-    restarts: usize,
     // Trace statistics (durable — they survive crashes and restarts).
     offered: u64,
     answered: u64,
@@ -1058,7 +1114,6 @@ struct NodeRt {
 impl NodeRt {
     fn new(admission: AdmissionConfig, discipline: AdmissionDiscipline) -> NodeRt {
         NodeRt {
-            alive: true,
             horizon: 0,
             completions: Vec::new(),
             drained: 0,
@@ -1066,8 +1121,6 @@ impl NodeRt {
             controller: AdaptiveAdmission::new(admission, discipline),
             journal: Journal::new(),
             last_append_start: 0,
-            crashes: 0,
-            restarts: 0,
             offered: 0,
             answered: 0,
             shed: 0,
@@ -1135,57 +1188,6 @@ fn replayed_ring_epoch(nodes: &[NodeRt]) -> RingEpoch {
     best
 }
 
-/// The router's pick for `shard` in `view`: the first alive, reachable
-/// replica in ring order. The one router of both cluster runtimes.
-fn pick_owner(
-    view: &RingView,
-    shard: usize,
-    alive: impl Fn(NodeId) -> bool,
-    partitions: &[Option<Vec<Vec<NodeId>>>],
-) -> Option<NodeId> {
-    view.replica_set(shard)
-        .nodes()
-        .iter()
-        .copied()
-        .find(|&node| alive(node) && client_reachable(partitions, node))
-}
-
-/// The audit of a routing shed for `shard`: the true replica state —
-/// its alive replicas, and those of them the client can reach — and
-/// the honest reason for a router that found no owner. Live replicas
-/// all cut off ⇒ a partition shed; otherwise the group is gone (or the
-/// router *claims* it is — the audit keeps the evidence either way).
-fn shed_audit(
-    view: &RingView,
-    shard: usize,
-    alive: impl Fn(NodeId) -> bool,
-    partitions: &[Option<Vec<Vec<NodeId>>>],
-) -> ShedAudit {
-    let alive_replicas: Vec<NodeId> = view
-        .replica_set(shard)
-        .nodes()
-        .iter()
-        .copied()
-        .filter(|&node| alive(node))
-        .collect();
-    let reachable_replicas: Vec<NodeId> = alive_replicas
-        .iter()
-        .copied()
-        .filter(|&node| client_reachable(partitions, node))
-        .collect();
-    let reason = if !alive_replicas.is_empty() && reachable_replicas.is_empty() {
-        ShedReason::Partitioned { shard }
-    } else {
-        ShedReason::NodeUnreachable { shard }
-    };
-    ShedAudit {
-        shard,
-        reason,
-        alive_replicas,
-        reachable_replicas,
-    }
-}
-
 /// Serves an open-loop arrival trace on the simulated cluster,
 /// deterministically, with per-node adaptive admission and (optionally)
 /// admission-coupled ring rebalancing.
@@ -1213,9 +1215,10 @@ fn shed_audit(
 ///
 /// # Panics
 ///
-/// Panics if `nodes`, `shards`, or `vnodes` is zero, or if an
-/// arrival's `shard` is not below `shards` (build the trace with the
-/// engine's own shard count).
+/// Panics if `nodes`, `shards`, or `vnodes` is zero, if an arrival's
+/// `shard` is not below `shards` (build the trace with the engine's own
+/// shard count), or if a node event (a crash, a restart, or a partition
+/// group) names a node outside `0..nodes`.
 pub fn serve_cluster_traffic<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -1256,7 +1259,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if an arrival's shard is not below the view's shard count.
+/// Panics if an arrival's shard is not below the view's shard count, or
+/// if a node event names a node outside `0..node_count`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_traffic<O>(
     lca: &LcaKp,
@@ -1301,7 +1305,7 @@ where
         .rebalance
         .map(|rebalance| RebalanceController::new(rebalance, shard_count));
 
-    let (mut partitions, mut pending_cuts, ops) = flatten_node_events(node_events);
+    let mut membership = Membership::new(node_count, node_events);
 
     let mut outcomes = Vec::with_capacity(arrivals.len());
     let mut transitions = Vec::new();
@@ -1315,23 +1319,14 @@ where
     // Per-shard in-flight counts, rebuilt per hottest-shard scan.
     let mut heat = vec![0u32; shard_count];
 
-    let mut next_op = 0usize;
-    let mut fire_ops_through = |tick: u64,
-                                nodes: &mut Vec<NodeRt>,
-                                partitions: &mut Vec<Option<Vec<Vec<NodeId>>>>,
-                                epoch_replays: &mut Vec<EpochReplay>,
-                                view: &RingView,
-                                next_op: &mut usize| {
-        while *next_op < ops.len() && ops[*next_op].0 <= tick {
-            let (at_tick, op) = ops[*next_op];
-            *next_op += 1;
+    // One pass per arrival plus a final one past the last arrival, so
+    // fault ops after the trace still fire and late crashes still leave
+    // their epoch-replay records.
+    for (index, arrival) in arrivals.iter().map(Some).chain([None]).enumerate() {
+        let due_by = arrival.map_or(u64::MAX, |arrival| arrival.at_tick);
+        while let Some((at_tick, op)) = membership.fire(due_by) {
             match op {
                 Op::Crash { node, torn_keep } => {
-                    if node >= nodes.len() || !nodes[node].alive {
-                        continue;
-                    }
-                    nodes[node].alive = false;
-                    nodes[node].crashes += 1;
                     if let Some(keep) = torn_keep {
                         nodes[node].tear_last_append(keep);
                     }
@@ -1340,41 +1335,16 @@ where
                         node: NodeId(node),
                         at_tick,
                         epoch_at_crash: view.epoch(),
-                        replayed_epoch: replayed_ring_epoch(nodes),
+                        replayed_epoch: replayed_ring_epoch(&nodes),
                     });
                 }
-                Op::Restart { node } => {
-                    if node >= nodes.len() || nodes[node].alive {
-                        continue;
-                    }
-                    nodes[node].alive = true;
-                    nodes[node].restarts += 1;
-                    nodes[node].wipe_memory(config.admission, discipline);
-                }
-                Op::Cut { slot } => {
-                    let position = pending_cuts
-                        .iter()
-                        .position(|(pending, _)| *pending == slot)
-                        .expect("each cut activates exactly once");
-                    let (_, groups) = pending_cuts.remove(position);
-                    partitions[slot] = Some(groups);
-                }
-                Op::Heal { slot } => {
-                    partitions[slot] = None;
-                }
+                Op::Restart { node } => nodes[node].wipe_memory(config.admission, discipline),
+                Op::Cut { .. } | Op::Heal { .. } => {}
             }
         }
-    };
-
-    for (index, arrival) in arrivals.iter().enumerate() {
-        fire_ops_through(
-            arrival.at_tick,
-            &mut nodes,
-            &mut partitions,
-            &mut epoch_replays,
-            &view,
-            &mut next_op,
-        );
+        let Some(arrival) = arrival else {
+            break;
+        };
         let shard = arrival.shard;
         assert!(
             shard < shard_count,
@@ -1390,15 +1360,14 @@ where
 
         // Route per the configured discipline. The faithful pick is the
         // truth; the stale router consults the boot view instead.
-        let alive = |node: NodeId| nodes[node.0].alive;
-        let faithful_pick = pick_owner(&view, shard, alive, &partitions);
+        let faithful_pick = membership.pick_owner(&view, shard);
         let routed = match config.routing {
             RebalanceDiscipline::Faithful => faithful_pick,
-            RebalanceDiscipline::StaleEpoch => pick_owner(&boot_view, shard, alive, &partitions),
+            RebalanceDiscipline::StaleEpoch => membership.pick_owner(&boot_view, shard),
         };
         let Some(node_id) = routed else {
             // No replica to even refuse the query: typed shed + audit.
-            let audit = shed_audit(&view, shard, alive, &partitions);
+            let audit = membership.shed_audit(&view, shard);
             shed_count += 1;
             outcomes.push(RoutedOutcome {
                 node: None,
@@ -1428,7 +1397,7 @@ where
             shed_count += 1;
             shed_audits.push(ShedAudit {
                 reason,
-                ..shed_audit(&view, shard, |node| nodes[node.0].alive, &partitions)
+                ..membership.shed_audit(&view, shard)
             });
             outcomes.push(RoutedOutcome {
                 node: Some(node_id),
@@ -1483,7 +1452,7 @@ where
                     &mut nodes,
                     &mut shards,
                     &mut rebalance_audits,
-                    &partitions,
+                    &membership,
                     &mut heat,
                     node_id,
                     signal,
@@ -1545,24 +1514,13 @@ where
             &mut nodes,
             &mut shards,
             &mut rebalance_audits,
-            &partitions,
+            &membership,
             &mut heat,
             node_id,
             signal,
             arrival.at_tick,
         );
     }
-
-    // Fire any fault ops past the last arrival so late crashes still
-    // leave their epoch-replay records.
-    fire_ops_through(
-        u64::MAX,
-        &mut nodes,
-        &mut partitions,
-        &mut epoch_replays,
-        &view,
-        &mut next_op,
-    );
 
     let end_tick = cores
         .iter()
@@ -1573,20 +1531,23 @@ where
     let node_traces: Vec<NodeLoadTrace> = nodes
         .into_iter()
         .enumerate()
-        .map(|(id, node)| NodeLoadTrace {
-            node: NodeId(id),
-            slo: SloReport::from_counts(
-                node.offered,
-                node.answered,
-                node.shed,
-                node.missed,
-                &node.histogram,
-            ),
-            max_queue_depth: node.max_queue_depth,
-            crashes: node.crashes,
-            restarts: node.restarts,
-            alive_at_end: node.alive,
-            journal: node.journal,
+        .map(|(id, node)| {
+            let liveness = membership.trace(id);
+            NodeLoadTrace {
+                node: liveness.node,
+                slo: SloReport::from_counts(
+                    node.offered,
+                    node.answered,
+                    node.shed,
+                    node.missed,
+                    &node.histogram,
+                ),
+                max_queue_depth: node.max_queue_depth,
+                crashes: liveness.crashes,
+                restarts: liveness.restarts,
+                alive_at_end: liveness.alive_at_end,
+                journal: node.journal,
+            }
         })
         .collect();
 
@@ -1621,7 +1582,7 @@ fn maybe_rebalance(
     nodes: &mut [NodeRt],
     shards: &mut [ShardOwnership],
     rebalance_audits: &mut Vec<RebalanceAudit>,
-    partitions: &[Option<Vec<Vec<NodeId>>>],
+    membership: &Membership,
     heat: &mut [u32],
     from: NodeId,
     signal: LoadSignal,
@@ -1654,10 +1615,7 @@ fn maybe_rebalance(
     // on depth ties).
     let mut target: Option<(u32, NodeId)> = None;
     for &candidate in view.replica_set(shard).nodes() {
-        if candidate == from
-            || !nodes[candidate.0].alive
-            || !client_reachable(partitions, candidate)
-        {
+        if candidate == from || !membership.usable(candidate) {
             continue;
         }
         let depth = nodes[candidate.0].queue_depth_at(at_tick);
@@ -1694,8 +1652,10 @@ fn maybe_rebalance(
         from,
         to,
     };
-    for node in nodes.iter_mut().filter(|node| node.alive) {
-        node.journal_append(&record);
+    for (id, node) in nodes.iter_mut().enumerate() {
+        if membership.alive(NodeId(id)) {
+            node.journal_append(&record);
+        }
     }
     if *shards[shard]
         .owners
@@ -2450,5 +2410,36 @@ mod tests {
             extra_cost_ticks: 0,
         };
         let _ = run_traffic(&world, &config, &[arrival], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "names node-4, outside the membership of 4 nodes")]
+    fn closed_batch_rejects_a_node_outside_the_membership() {
+        let world = world(8, 5);
+        let _ = run(
+            &world,
+            &[NodeEvent::NodeCrash {
+                node: NodeId(world.config.nodes),
+                at_tick: 1,
+                torn_keep: None,
+            }],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "names node-3, outside the membership of 3 nodes")]
+    fn traffic_engine_rejects_a_node_outside_the_membership() {
+        let world = world(8, 5);
+        let config = ClusterTrafficConfig::default();
+        let _ = run_traffic(
+            &world,
+            &config,
+            &[],
+            &[NodeEvent::Partition {
+                groups: vec![vec![NodeId(1), NodeId(config.nodes)]],
+                at_tick: 1,
+                heal_at: u64::MAX,
+            }],
+        );
     }
 }

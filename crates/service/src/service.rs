@@ -42,13 +42,9 @@ use crate::clock::{TickClock, VirtualClock};
 use crate::deadline::{CostModel, DeadlineOracle};
 use crate::journal::{Journal, JournalRecord, RecoveryError, WorkerSnapshot};
 use crate::traffic::Arrival;
-use lcakp_core::{
-    DegradationReason, LcaError, LcaKp, QueryScratch, ResponseTier, RetryPolicy, SolutionRule,
-};
-use lcakp_knapsack::{Item, ItemId, Selection};
-use lcakp_oracle::{
-    BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, OracleError, Seed, WeightedSampler,
-};
+use lcakp_core::{DegradationReason, LcaError, LcaKp, QueryScratch, ResponseTier, SolutionRule};
+use lcakp_knapsack::{ItemId, Selection};
+use lcakp_oracle::{BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, Seed, WeightedSampler};
 use std::fmt;
 
 /// Seed domain for per-query sampling entropy.
@@ -57,6 +53,10 @@ const QUERY_DOMAIN: &str = "service/query";
 const FAULT_DOMAIN: &str = "service/fault";
 /// Seed domain for the cached-rule construction stream.
 const CACHE_DOMAIN: &str = "service/cache";
+/// Ticks charged when a query is picked up (request overhead; also
+/// guarantees the clock advances even for trivial-tier answers and
+/// budget pre-sheds).
+const DISPATCH_COST_TICKS: u64 = 1;
 
 /// One scheduled worker death, as the worker consumes it: kill the
 /// worker at the first journal-consistent point after `at_tick` on its
@@ -137,9 +137,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Per-query deadline, in virtual ticks from the query's start.
     pub deadline_ticks: u64,
-    /// Ticks charged when a query is picked up (request overhead; also
-    /// guarantees the clock advances even for trivial-tier answers).
-    pub dispatch_cost_ticks: u64,
     /// Latency model for counted oracle accesses.
     pub cost: CostModel,
     /// Query-level retry pacing.
@@ -161,7 +158,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_depth: 64,
             deadline_ticks: 1 << 20,
-            dispatch_cost_ticks: 1,
             cost: CostModel::flat(1),
             backoff: BackoffPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -606,7 +602,8 @@ where
 
     /// The shard step: charges the dispatch cost, layers the query's
     /// fault plan over the budget slice, and serves `item` through the
-    /// degradation ladder.
+    /// degradation ladder — full-rule attempts under backoff and the
+    /// breaker, then the cached-rule tier, then the trivial answer.
     pub(crate) fn serve_query(
         &mut self,
         ctx: &SharedCtx<'a, O>,
@@ -614,7 +611,9 @@ where
         index: usize,
         item: ItemId,
     ) -> Result<Answered, LcaError> {
-        self.clock.advance(ctx.config.dispatch_cost_ticks);
+        let config = ctx.config;
+        let clock = &self.clock;
+        clock.advance(DISPATCH_COST_TICKS);
         let plan = ctx
             .chaos
             .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
@@ -623,17 +622,86 @@ where
             plan,
             ctx.service_root.derive(FAULT_DOMAIN, index as u64),
         );
-        serve_one(
-            ctx,
-            &self.clock,
-            &mut self.breaker,
-            &faulty,
-            &self.budgeted,
-            &mut self.scratch,
+        let query_seed = ctx.service_root.derive(QUERY_DOMAIN, index as u64);
+        let start_tick = clock.now();
+        let deadline_tick = start_tick.saturating_add(config.deadline_ticks);
+        let budget_before = self.budgeted.used();
+
+        let mut attempts = 0u32;
+        let mut retries_used = 0u64;
+        let mut fallback: Option<FallbackTrigger> = None;
+        let mut full_include: Option<bool> = None;
+
+        if self.breaker.allow_full(clock.now()) {
+            // lcakp-lint: loop-bound(backoff-max-attempts) reason="every iteration increments attempts and only the attempts < config.backoff.max_attempts arm continues, so the body runs at most max_attempts times"
+            loop {
+                attempts += 1;
+                let guarded = DeadlineOracle::new(&faulty, clock, deadline_tick, &config.cost);
+                // Every attempt replays the SAME sampling stream: a retry
+                // that succeeds is byte-identical to a fault-free first
+                // try (the fault layer never consumes this stream).
+                let mut rng = query_seed.derive("service/sampling", 0).rng();
+                let (answer, audit) = ctx.lca.query_with_audit_in(
+                    &guarded,
+                    &mut rng,
+                    item,
+                    ctx.shared_seed,
+                    &mut self.scratch,
+                )?;
+                retries_used += audit.retries_used;
+                let Some(reason) = audit.degraded else {
+                    self.breaker.on_success(clock.now());
+                    full_include = Some(answer.include);
+                    break;
+                };
+                if reason.is_reattemptable() && attempts < config.backoff.max_attempts {
+                    let delay =
+                        config
+                            .backoff
+                            .delay_ticks(ctx.service_root, index as u64, attempts - 1);
+                    if clock.now().saturating_add(delay) < deadline_tick {
+                        clock.advance(delay);
+                        continue;
+                    }
+                }
+                self.breaker.on_failure(clock.now());
+                fallback = Some(FallbackTrigger::Degraded(reason));
+                break;
+            }
+        } else {
+            fallback = Some(FallbackTrigger::BreakerOpen);
+        }
+
+        let (include, tier) = match full_include {
+            Some(include) => (include, ResponseTier::Full),
+            None => {
+                let cached_include = ctx.cached.and_then(|rule| {
+                    let guarded = DeadlineOracle::new(&faulty, clock, deadline_tick, &config.cost);
+                    ctx.lca
+                        .query_with_retry(&guarded, item, &mut retries_used)
+                        .ok()
+                        .map(|queried| rule.decide(guarded.norms(), item, queried).include)
+                });
+                match cached_include {
+                    Some(include) => (include, ResponseTier::CachedRule),
+                    None => (false, ResponseTier::Trivial),
+                }
+            }
+        };
+
+        let end_tick = clock.now();
+        Ok(Answered {
+            include,
+            tier,
+            fallback,
+            attempts,
+            retries_used,
+            accesses: self.budgeted.used() - budget_before,
+            start_tick,
+            end_tick,
+            deadline_met: end_tick <= deadline_tick,
             worker,
-            index,
-            item,
-        )
+        })
     }
 
     /// Serves one admitted arrival of the traffic engine: idles the
@@ -764,7 +832,7 @@ where
         // budget slice cannot see through.
         let remaining = self.live.budgeted.remaining();
         let disposition = if config.worker_access_cap.is_some() && remaining < self.worst_case {
-            self.live.clock.advance(config.dispatch_cost_ticks);
+            self.live.clock.advance(DISPATCH_COST_TICKS);
             Disposition::Shed(ShedReason::BudgetInsufficient {
                 needed: self.worst_case,
                 remaining,
@@ -983,124 +1051,6 @@ where
     }
 
     Ok(core.into_output(crashes))
-}
-
-/// Serves one admitted query through the degradation ladder — the
-/// kernel of [`ShardCore::serve_query`].
-#[allow(clippy::too_many_arguments)]
-fn serve_one<O, F>(
-    ctx: &SharedCtx<'_, O>,
-    clock: &TickClock,
-    breaker: &mut CircuitBreaker,
-    faulty: &F,
-    budgeted: &BudgetedOracle<'_, O>,
-    scratch: &mut QueryScratch,
-    worker: usize,
-    index: usize,
-    item: ItemId,
-) -> Result<Answered, LcaError>
-where
-    O: ItemOracle + WeightedSampler,
-    F: ItemOracle + WeightedSampler,
-{
-    let config = ctx.config;
-    let query_seed = ctx.service_root.derive(QUERY_DOMAIN, index as u64);
-    let start_tick = clock.now();
-    let deadline_tick = start_tick.saturating_add(config.deadline_ticks);
-    let budget_before = budgeted.used();
-
-    let mut attempts = 0u32;
-    let mut retries_used = 0u64;
-    let mut fallback: Option<FallbackTrigger> = None;
-    let mut full_include: Option<bool> = None;
-
-    if breaker.allow_full(clock.now()) {
-        // lcakp-lint: loop-bound(backoff-max-attempts) reason="every iteration increments attempts and only the attempts < config.backoff.max_attempts arm continues, so the body runs at most max_attempts times"
-        loop {
-            attempts += 1;
-            let guarded = DeadlineOracle::new(faulty, clock, deadline_tick, &config.cost);
-            // Every attempt replays the SAME sampling stream: a retry
-            // that succeeds is byte-identical to a fault-free first try
-            // (the fault layer never consumes this stream).
-            let mut rng = query_seed.derive("service/sampling", 0).rng();
-            let (answer, audit) =
-                ctx.lca
-                    .query_with_audit_in(&guarded, &mut rng, item, ctx.shared_seed, scratch)?;
-            retries_used += audit.retries_used;
-            let Some(reason) = audit.degraded else {
-                breaker.on_success(clock.now());
-                full_include = Some(answer.include);
-                break;
-            };
-            if reason.is_reattemptable() && attempts < config.backoff.max_attempts {
-                let delay =
-                    config
-                        .backoff
-                        .delay_ticks(ctx.service_root, index as u64, attempts - 1);
-                if clock.now().saturating_add(delay) < deadline_tick {
-                    clock.advance(delay);
-                    continue;
-                }
-            }
-            breaker.on_failure(clock.now());
-            fallback = Some(FallbackTrigger::Degraded(reason));
-            break;
-        }
-    } else {
-        fallback = Some(FallbackTrigger::BreakerOpen);
-    }
-
-    let (include, tier) = match full_include {
-        Some(include) => (include, ResponseTier::Full),
-        None => {
-            let cached_include = ctx.cached.and_then(|rule| {
-                let guarded = DeadlineOracle::new(faulty, clock, deadline_tick, &config.cost);
-                point_query_with_retry(&guarded, item, ctx.lca.retry_policy(), &mut retries_used)
-                    .ok()
-                    .map(|queried| rule.decide(guarded.norms(), item, queried).include)
-            });
-            match cached_include {
-                Some(include) => (include, ResponseTier::CachedRule),
-                None => (false, ResponseTier::Trivial),
-            }
-        }
-    };
-
-    let end_tick = clock.now();
-    Ok(Answered {
-        include,
-        tier,
-        fallback,
-        attempts,
-        retries_used,
-        accesses: budgeted.used() - budget_before,
-        start_tick,
-        end_tick,
-        deadline_met: end_tick <= deadline_tick,
-        worker,
-    })
-}
-
-/// One point query with the LCA's access-level transient-retry
-/// semantics (mirrors `LcaKp`'s internal helper for the cached tier).
-fn point_query_with_retry<O: ItemOracle>(
-    oracle: &O,
-    id: ItemId,
-    retry: RetryPolicy,
-    retries_used: &mut u64,
-) -> Result<Item, OracleError> {
-    let mut attempts = 0u32;
-    // lcakp-lint: loop-bound(retry-attempts) reason="mirrors LcaKp::query_with_retry: every non-returning iteration increments attempts and the retryable guard admits at most max_retries of them"
-    loop {
-        match oracle.try_query(id) {
-            Ok(item) => return Ok(item),
-            Err(error) if error.is_retryable() && attempts < retry.max_retries => {
-                attempts += 1;
-                *retries_used += 1;
-            }
-            Err(error) => return Err(error),
-        }
-    }
 }
 
 #[cfg(test)]
