@@ -2158,13 +2158,43 @@ mod tests {
         assert!(moved.owners.len() >= 2);
     }
 
-    #[test]
-    fn migrated_answers_are_byte_identical_to_the_standalone_replay() {
-        let world = world(24, 12);
-        let cost = probe_cost(&world);
-        let (config, trace) = traffic_world(&world, cost);
-        let report = run_traffic(&world, &config, &trace, &[]);
-        assert!(report.promotion_count() > 0, "the check needs a migration");
+    /// The traffic world with admission and rebalancing off, so routing
+    /// alone decides every shed.
+    fn fault_world(world: &World) -> (ClusterTrafficConfig, Vec<Arrival>) {
+        let (config, trace) = traffic_world(world, probe_cost(world));
+        let config = ClusterTrafficConfig {
+            discipline: None,
+            rebalance: None,
+            ..config
+        };
+        (config, trace)
+    }
+
+    /// A shard whose boot replica group excludes node 0 and that the
+    /// trace visits, plus that group (needed to partition the group
+    /// away from the client).
+    fn replica_group_avoiding_node0(
+        config: &ClusterTrafficConfig,
+        trace: &[Arrival],
+    ) -> (usize, Vec<NodeId>) {
+        let ring = Ring::new(config.nodes, config.vnodes);
+        for shard in 0..config.shards {
+            let set = ring.replicas(shard, config.replication).unwrap();
+            if !set.contains(NodeId(0)) && trace.iter().any(|arrival| arrival.shard == shard) {
+                return (shard, set.nodes().to_vec());
+            }
+        }
+        panic!("no visited shard avoids node 0 — pick different vnodes");
+    }
+
+    /// Every acknowledged answer equals its shard's standalone replay of
+    /// the admitted subsequence, byte for byte.
+    fn assert_answers_match_the_replay(
+        world: &World,
+        config: &ClusterTrafficConfig,
+        trace: &[Arrival],
+        report: &ClusterTrafficReport,
+    ) {
         let oracle = InstanceOracle::new(&world.norm);
         for shard in 0..config.shards {
             let admitted: Vec<(usize, Arrival)> = report
@@ -2198,13 +2228,143 @@ mod tests {
                     assert_eq!(
                         replayed[position],
                         (routed.outcome.index, answer),
-                        "migration must be invisible in the answer bytes"
+                        "placement must be invisible in the answer bytes"
                     );
                     position += 1;
                 }
             }
             assert_eq!(position, replayed.len());
         }
+    }
+
+    #[test]
+    fn migrated_answers_are_byte_identical_to_the_standalone_replay() {
+        let world = world(24, 12);
+        let cost = probe_cost(&world);
+        let (config, trace) = traffic_world(&world, cost);
+        let report = run_traffic(&world, &config, &trace, &[]);
+        assert!(report.promotion_count() > 0, "the check needs a migration");
+        assert_answers_match_the_replay(&world, &config, &trace, &report);
+    }
+
+    #[test]
+    fn losing_every_replica_sheds_node_unreachable_with_an_empty_audit() {
+        let world = world(24, 12);
+        let (config, trace) = fault_world(&world);
+        let (shard, group) = replica_group_avoiding_node0(&config, &trace);
+        let events: Vec<NodeEvent> = group
+            .iter()
+            .map(|&node| NodeEvent::NodeCrash {
+                node,
+                at_tick: 1,
+                torn_keep: None,
+            })
+            .collect();
+        let report = run_traffic(&world, &config, &trace, &events);
+        assert_eq!(report.outcomes.len(), trace.len(), "no silent drops");
+        let reason = ShedReason::NodeUnreachable { shard };
+        let mut sheds = 0usize;
+        for routed in report.outcomes.iter().filter(|r| r.outcome.shard == shard) {
+            assert_eq!(routed.node, None, "no replica is left to refuse it");
+            assert_eq!(routed.outcome.disposition, TrafficDisposition::Shed(reason));
+            sheds += 1;
+        }
+        assert!(sheds > 0, "the orphaned shard must shed explicitly");
+        let audits: Vec<&ShedAudit> = report
+            .shed_audits
+            .iter()
+            .filter(|audit| audit.shard == shard)
+            .collect();
+        assert_eq!(audits.len(), sheds, "one audit per routing shed");
+        for audit in audits {
+            assert_eq!(audit.reason, reason);
+            assert!(audit.alive_replicas.is_empty());
+            assert!(audit.reachable_replicas.is_empty());
+        }
+    }
+
+    #[test]
+    fn partition_that_never_heals_sheds_partitioned_from_the_cut_on() {
+        let world = world(24, 12);
+        let (config, trace) = fault_world(&world);
+        let (shard, group) = replica_group_avoiding_node0(&config, &trace);
+        let cut = trace[trace.len() / 3].at_tick;
+        let report = run_traffic(
+            &world,
+            &config,
+            &trace,
+            &[NodeEvent::Partition {
+                groups: vec![group],
+                at_tick: cut,
+                heal_at: u64::MAX,
+            }],
+        );
+        assert_eq!(report.outcomes.len(), trace.len(), "no silent drops");
+        let mut stranded = 0usize;
+        for routed in report.outcomes.iter().filter(|r| r.outcome.shard == shard) {
+            let shed = matches!(
+                routed.outcome.disposition,
+                TrafficDisposition::Shed(ShedReason::Partitioned { shard: s }) if s == shard
+            );
+            assert_eq!(shed, routed.outcome.at_tick >= cut, "{routed:?}");
+            stranded += usize::from(shed);
+        }
+        assert!(stranded > 0, "the cut must strand some arrivals");
+        for audit in report.shed_audits.iter().filter(|a| a.shard == shard) {
+            assert_eq!(audit.reason, ShedReason::Partitioned { shard });
+            assert!(!audit.alive_replicas.is_empty());
+            assert!(audit.reachable_replicas.is_empty());
+        }
+    }
+
+    #[test]
+    fn healed_partition_serves_again_byte_identically_to_the_replay() {
+        let world = world(24, 12);
+        let (config, trace) = fault_world(&world);
+        let (shard, group) = replica_group_avoiding_node0(&config, &trace);
+        let cut = trace[trace.len() / 3].at_tick;
+        let heal = trace[trace.len() / 2].at_tick;
+        let report = run_traffic(
+            &world,
+            &config,
+            &trace,
+            &[NodeEvent::Partition {
+                groups: vec![group],
+                at_tick: cut,
+                heal_at: heal,
+            }],
+        );
+        let answered_after_heal = report
+            .outcomes
+            .iter()
+            .filter(|r| r.outcome.shard == shard && r.outcome.at_tick >= heal)
+            .inspect(|r| {
+                assert!(
+                    matches!(r.outcome.disposition, TrafficDisposition::Answered { .. }),
+                    "{r:?}"
+                );
+            })
+            .count();
+        assert!(
+            answered_after_heal > 0,
+            "the shard must serve after the heal"
+        );
+        assert!(report
+            .shed_audits
+            .iter()
+            .all(|audit| audit.reason == ShedReason::Partitioned { shard }));
+        assert_answers_match_the_replay(&world, &config, &trace, &report);
+    }
+
+    #[test]
+    #[should_panic(expected = "vnodes must be at least 1")]
+    fn zero_vnodes_is_rejected_by_the_traffic_engine() {
+        let world = world(8, 5);
+        let config = ClusterTrafficConfig {
+            vnodes: 0,
+            ..ClusterTrafficConfig::default()
+        };
+        let _ = run_traffic(&world, &config, &[], &[]);
     }
 
     #[test]
