@@ -1,32 +1,33 @@
 //! E16 — simulated multi-node cluster: replica failover, partition
 //! tolerance, and node-level fault simulation.
 //!
-//! The cluster simulator (`lcakp-sim::cluster`) runs each case twice —
-//! the faulted run and its fault-free twin — and checks that node
-//! crashes, torn journal shipping, restarts, and network partitions
-//! are *byte-invisible*: every outcome equals the twin's (shards that
-//! genuinely lost every reachable replica excepted, which shed with
-//! typed `node-unreachable` / `partitioned` reasons), no query is
-//! silently dropped, shipped journals stay decodable and monotone, the
-//! routing audit trail never records a shed while a live replica was
-//! reachable, and every surviving replica's standalone replay agrees
-//! byte-for-byte with the answers the cluster acknowledged (Theorem
-//! 4.1's consistency guarantee is what makes replication free).
+//! The cluster simulator (`lcakp-sim::cluster`) sends one fixed steady
+//! trace through the arrival-driven cluster engine, with admission and
+//! rebalancing off, under each case's node crashes (some tearing the
+//! node's last journal append), restarts, and network partitions. It
+//! checks that no arrival is silently dropped (a shard that genuinely
+//! lost every reachable replica sheds with a typed `node-unreachable` /
+//! `partitioned` reason), that the routing audit trail never records a
+//! shed while a live replica was reachable, that every node's journal
+//! stays decodable and holds every answer it acknowledged, and that
+//! every acknowledged answer is byte-identical to its shard's
+//! standalone replay (Theorem 4.1's consistency guarantee is what makes
+//! replication free).
 //!
 //! Two demonstrations:
 //!
 //! * the default seed range under faithful routing reports **zero**
 //!   invariant violations while mixing crashes, restarts, and
 //!   partitions;
-//! * the deliberately planted stale-ring routing bug (the router
-//!   consults boot-time membership and refuses to promote replicas) is
-//!   caught and auto-shrunk to a minimal replayable repro.
+//! * the deliberately planted stale-ring routing bug (the router routes
+//!   to the boot primary only and never fails over) is caught and
+//!   auto-shrunk to a minimal replayable repro.
 //!
 //! `--smoke` prints only the committed smoke range's canonical JSON
 //! for CI to diff against `crates/sim/tests/golden/e16_smoke.json`.
 
 use lcakp_bench::{banner, experiment_root, Table};
-use lcakp_service::RoutingDiscipline;
+use lcakp_service::RebalanceDiscipline;
 use lcakp_sim::{
     run_cluster_smoke, run_range, ClusterSimConfig, ClusterWorld, SimEvent, Violation,
 };
@@ -48,7 +49,7 @@ fn main() {
     banner(
         "E16",
         "simulated cluster: failover and partitions are byte-invisible, and a stale router shrinks",
-        "Definition 2.4 statelessness makes replication free; failover ships only the journal",
+        "Definition 2.4 statelessness makes replication free: any replica serves a shard byte-identically",
     );
 
     // ---- Part 1: faithful routing survives the default range. ----
@@ -116,7 +117,7 @@ fn main() {
 
     // ---- Part 2: the planted stale-ring routing bug shrinks. ----
     let buggy = ClusterSimConfig {
-        routing: RoutingDiscipline::StaleRing,
+        routing: RebalanceDiscipline::StaleRing,
         ..ClusterSimConfig::default()
     };
     let buggy_world = ClusterWorld::build(&root, &buggy).expect("buggy world builds");
@@ -151,11 +152,11 @@ fn main() {
         .any(|violation| matches!(violation, Violation::ShedWithLiveReplica { .. })));
 
     println!(
-        "\nExpected shape: every faithful case matches its fault-free twin byte for byte\n\
-         (node-unreachable/partitioned sheds excepted for shards that truly lost every\n\
-         reachable replica), while the planted stale-ring router sheds work the audit\n\
-         trail proves a live replica could have served, and shrinks to a bare\n\
-         node-crash repro.\n\n\
+        "\nExpected shape: every faithful case answers each arrival byte-identically to\n\
+         its shard's standalone replay (node-unreachable/partitioned sheds only for\n\
+         shards that truly lost every reachable replica), while the planted stale-ring\n\
+         router sheds work the audit trail proves a live replica could have served, and\n\
+         shrinks to a bare node-crash repro.\n\n\
          All E16 acceptance assertions passed."
     );
 }

@@ -96,14 +96,6 @@ pub enum ResponseTier {
     Trivial,
 }
 
-impl ResponseTier {
-    /// Whether the tier still carries the Theorem 4.1 approximation
-    /// guarantee for the solution its answers are consistent with.
-    pub fn has_theorem_guarantee(&self) -> bool {
-        matches!(self, ResponseTier::Full | ResponseTier::CachedRule)
-    }
-}
-
 impl fmt::Display for ResponseTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

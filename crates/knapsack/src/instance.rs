@@ -209,12 +209,6 @@ impl Norms {
         Rat::new(profit as u128, self.total_profit as u128)
     }
 
-    /// Normalized weight of a raw weight value: `w / W`, exact.
-    #[inline]
-    pub fn nweight_of(&self, weight: u64) -> Rat {
-        Rat::new(weight as u128, self.total_weight as u128)
-    }
-
     /// Exact normalized efficiency of an item.
     pub fn efficiency_of(&self, item: Item) -> Efficiency {
         if item.weight == 0 {
@@ -362,12 +356,6 @@ impl NormalizedInstance {
     #[inline]
     pub fn as_instance(&self) -> &Instance {
         &self.inner
-    }
-
-    /// Consumes the view and returns the raw instance.
-    #[inline]
-    pub fn into_instance(self) -> Instance {
-        self.inner
     }
 
     /// Number of items `n`.

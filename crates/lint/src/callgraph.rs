@@ -435,16 +435,15 @@ pub(crate) fn parse_expr_directive(text: &str, directive: &str) -> Option<String
 }
 
 /// Whether a fn definition is a serving entry point: the per-query
-/// paths (`LcaKp::query*`, `WorkerCore::serve_step`, `Cluster`
-/// routing, the oracle `try_*` API). Per-run drivers like
-/// `serve_cluster` and recovery paths like `Cluster::salvage` are
-/// not roots — they amortize across a run or a node failure, not a
-/// query — but can be rooted with a `hot-path-root` directive.
+/// paths (`LcaKp::query*`, `WorkerCore::serve_step`, the oracle
+/// `try_*` API). Per-run drivers like `serve_cluster_traffic` and
+/// recovery paths like `WorkerCore::salvage` are not roots — they
+/// amortize across a run or a crash, not a query — but can be rooted
+/// with a `hot-path-root` directive.
 fn is_builtin_root(qualifier: Option<&str>, name: &str) -> bool {
     match qualifier {
         Some("LcaKp") => name.starts_with("query"),
         Some("WorkerCore") => name == "serve_step",
-        Some("Cluster") => name == "route",
         _ => crate::budget::is_probe_name(name) || crate::budget::is_batch_probe_name(name),
     }
 }

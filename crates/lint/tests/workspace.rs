@@ -109,11 +109,7 @@ fn callgraph_emission_is_deterministic_and_rooted() {
         .filter(|def| def.root)
         .map(|def| def.display())
         .collect();
-    for expected in [
-        "LcaKp::query_with_audit_in",
-        "WorkerCore::serve_step",
-        "Cluster::route",
-    ] {
+    for expected in ["LcaKp::query_with_audit_in", "WorkerCore::serve_step"] {
         assert!(
             roots.iter().any(|r| r == expected),
             "`{expected}` missing from roots: {roots:#?}"
@@ -192,7 +188,6 @@ fn budget_certificate_matches_golden_and_certifies_every_root() {
         "LcaKp::query_with_audit",
         "LcaKp::query_with_audit_in",
         "WorkerCore::serve_step",
-        "Cluster::route",
         "InstanceOracle::try_query",
         "InstanceOracle::try_sample_weighted",
         "InstanceOracle::try_sample_weighted_many",

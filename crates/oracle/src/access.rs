@@ -110,12 +110,6 @@ impl<'a> InstanceOracle<'a> {
     pub fn reset_stats(&self) {
         self.stats.reset();
     }
-
-    /// The underlying normalized instance — for *auditing only*; an LCA
-    /// must not use this (it would be a free scan of the whole input).
-    pub fn audit_instance(&self) -> &NormalizedInstance {
-        self.norm
-    }
 }
 
 impl ItemOracle for InstanceOracle<'_> {

@@ -18,8 +18,7 @@
 
 use crate::deadline::CostModel;
 use crate::service::{
-    serve_batch, BatchReport, CrashDirective, Disposition, FaultSchedule, RecoveryDiscipline,
-    ServiceConfig,
+    serve_batch, BatchReport, CrashDirective, Disposition, RecoveryDiscipline, ServiceConfig,
 };
 use lcakp_canon::{line, list, object, quote};
 use lcakp_core::solution_audit::{audit_selection, exact_optimum, ApproxAudit};
@@ -89,25 +88,15 @@ impl ChaosPlan {
         }
     }
 
-    /// This plan with every crash/restart removed — the crash-free twin
-    /// the E15 simulator compares against.
-    #[must_use]
-    pub fn without_worker_events(&self) -> Self {
-        ChaosPlan {
-            worker_events: Vec::new(),
-            ..self.clone()
-        }
-    }
-
     /// Whether batch position `index` falls inside a burst.
     #[must_use]
     pub fn in_burst(&self, index: usize) -> bool {
         self.burst_period > 0 && index % self.burst_period < self.burst_len
     }
-}
 
-impl FaultSchedule for ChaosPlan {
-    fn plan_for(&self, index: usize) -> FaultPlan {
+    /// The fault plan injected for the query at batch position `index`.
+    #[must_use]
+    pub fn plan_for(&self, index: usize) -> FaultPlan {
         if self.in_burst(index) {
             self.burst
         } else {
@@ -115,7 +104,11 @@ impl FaultSchedule for ChaosPlan {
         }
     }
 
-    fn crash_directives(&self, worker: usize) -> Vec<CrashDirective> {
+    /// Crash/restart directives for `worker`, ordered by `at_tick`:
+    /// each crash paired with the first unclaimed later restart of the
+    /// same worker.
+    #[must_use]
+    pub fn crash_directives(&self, worker: usize) -> Vec<CrashDirective> {
         let mut claimed = vec![false; self.worker_events.len()];
         let mut directives = Vec::new();
         for (position, event) in self.worker_events.iter().enumerate() {

@@ -1,105 +1,83 @@
-//! The simulated multi-node cluster runtime (experiment E16).
+//! The simulated multi-node cluster runtime: one arrival-driven engine
+//! behind experiments E16, E17 and E18.
 //!
-//! [`serve_cluster`] generalizes [`serve_batch`](crate::serve_batch)
-//! from one worker pool to a cluster of nodes hosting replicated
-//! shards. The paper's Theorem 4.1 consistency plus Definition 2.4
+//! [`serve_cluster_traffic`] serves an open-loop arrival trace from
+//! [`crate::traffic`] on a cluster of nodes hosting replicated shards,
+//! placed by the consistent-hash [`Ring`] through an epoch-versioned
+//! [`RingView`]. The paper's Theorem 4.1 consistency plus Definition 2.4
 //! statelessness make replication *free*: every replica derives from
-//! the same root seed, so any node serving a shard produces
-//! byte-identical answers — all failover has to preserve is the durable
-//! journal, and PR 5's checksummed write-ahead journal/snapshot is
-//! exactly the artifact to ship.
+//! the same root seeds, so any node serving a shard produces
+//! byte-identical answers. [`replay_shard_traffic`] — one shard's
+//! admitted arrivals on a fresh core — is what every replica computes,
+//! and the simulators compare the cluster's answers against it. The
+//! result is a pure function of `(inputs, config, events)`: no thread
+//! scheduling, no wall clock.
 //!
-//! # The deterministic scheduler
+//! # State split
 //!
-//! Admission is the thread pool's: queries shard over `index % shards`
-//! into bounded queues before anything runs. Each shard is then a
-//! `WorkerCore` — the same journaled actor, over the same per-shard
-//! `ShardCore`, that a pool worker runs — hosted on a node picked by
-//! the consistent-hash [`Ring`] through its boot [`RingView`]. A
-//! single-threaded discrete-event scheduler always steps the runnable
-//! shard with the smallest `(virtual tick, shard id)` key, firing
-//! node-level fault events ([`NodeEvent`]) whenever the cluster
-//! frontier reaches their tick. The result is a pure function of
-//! `(inputs, config, events)` — no thread scheduling, no wall clock.
+//! Each *shard* owns the pool's `ShardCore` (clock, breaker, budget,
+//! scratch), so answer bytes depend only on the admitted per-shard
+//! subsequence, never on placement. Each *node* owns the queueing model
+//! (a busy horizon plus in-flight completions, so end-to-end latency
+//! and overload signals genuinely move when a shard does) and its
+//! write-ahead journal of admissions, answers, sheds and ring changes.
 //!
-//! # One membership model
+//! # The membership
 //!
-//! Both engines in this module — the closed batch above and the
-//! traffic-driven cluster below — route through one crate-private
-//! membership: node liveness with crash/restart counts, every
-//! partition's groups, and the tick-sorted fault timeline. It fires
-//! each due op (skipping a crash of a dead node and a restart of a live
-//! one), answers who is alive, reachable and the router's pick, writes
-//! the shed audits, and keeps the per-node liveness traces. Each engine
-//! keeps only its own reaction to an op: the closed batch ships a
-//! crashed owner's (possibly torn) journal and re-places its shards;
-//! the traffic engine tears the node's journal, wipes its RAM, and
-//! records the epoch replay. A node event naming a node outside the
-//! membership is rejected up front.
+//! One crate-private membership holds node liveness with crash/restart
+//! counts, every partition's groups, and the tick-sorted fault timeline
+//! of [`NodeEvent`]s. Due ops fire before the first arrival at or after
+//! their tick, and once more after the last arrival; a crash of a dead
+//! node and a restart of a live one are skipped. The membership answers
+//! who is alive and reachable, picks the router's owner, and writes the
+//! shed audits. A crash tears the node's last journal append (if the
+//! event says so), wipes its RAM and records the epoch replay; a
+//! restart discards a torn tail before the node appends again. A node
+//! event naming a node outside the membership is rejected up front.
 //!
-//! # Failover
+//! # Failover and partitions
 //!
-//! When a shard's hosting node crashes, the surviving replicas hold the
-//! shard's journal (synchronously replicated appends; the crash may
-//! tear the tail of the last in-flight append). The router promotes the
-//! first alive, reachable replica in ring order (the membership's pick,
-//! shared with the traffic engine); the new owner replays the shipped journal through the
-//! worker pool's recovery path — restoring the virtual clock, breaker,
-//! and budget from the last snapshot — and resumes byte-identically. When no replica is reachable the shard's
-//! remaining queries shed explicitly: [`ShedReason::NodeUnreachable`]
-//! when the replica group is gone, [`ShedReason::Partitioned`] when
-//! live replicas exist but a partition cut them all off. Never a silent
-//! drop.
+//! The router sends each arrival to the first alive, reachable replica
+//! of its shard in ring order. Reachability is judged from the client's
+//! vantage point, wired to node 0's side of every active partition
+//! ([`NodeEvent::Partition`]). When no replica is usable the arrival
+//! sheds explicitly — [`ShedReason::NodeUnreachable`] when the replica
+//! group is gone, [`ShedReason::Partitioned`] when live replicas exist
+//! but a partition cut them all off — with a [`ShedAudit`] of the true
+//! replica state. Never a silent drop. A healed partition or a
+//! restarted node serves again from the next arrival on; a query in
+//! flight at a crash survives, because the journal is synchronously
+//! replicated and any replica recomputes the identical answer.
 //!
-//! # Partitions
+//! # Admission and rebalancing
 //!
-//! [`NodeEvent::Partition`] splits the membership into groups;
-//! reachability is judged from the client's vantage point, wired to
-//! node 0's side of every active partition. A partition with a
-//! `heal_at` tick reconnects everyone at that tick and parked shards
-//! resume (the old owner's live state is intact, so healing costs zero
-//! virtual ticks); one that never heals strands its shards until
-//! end-of-batch salvage.
-//!
-//! # The planted routing bug
-//!
-//! [`RoutingDiscipline::StaleRing`] is E16's deliberately planted bug:
-//! the router keeps consulting the membership view captured at batch
-//! start, where every node is alive and connected — so after an owner
-//! loss it re-picks the boot primary forever and gives up, shedding
-//! `NodeUnreachable` while a live replica sits idle. The simulator must
-//! catch this (divergence from the twin plus a shed audit showing a
-//! reachable replica) and shrink it to a minimal repro.
-//!
-//! # The traffic-driven cluster (experiments E17 and E18)
-//!
-//! [`serve_cluster_traffic`] replaces the closed-loop batch above with
-//! the crate's one arrival-driven engine, serving an open-loop trace
-//! from [`crate::traffic`]: every node runs its own [`SignalWindow`]
-//! and [`AdaptiveAdmission`] controller over the queries routed to it,
-//! and when a node's [`LoadSignal`] crosses
-//! the overload threshold while a live standby replica sits
-//! under-loaded, the [`RebalanceController`] promotes that standby to
-//! acting owner of the node's hottest shard through an epoch-versioned
-//! [`RingView`] update. Service state is split so migration is provably
-//! byte-invisible: each *shard* owns the pool's `ShardCore` (clock,
-//! breaker, budget, scratch — so answer bytes depend only on the
-//! admitted per-shard subsequence, never on placement), while each
-//! *node* owns the queueing model (a busy horizon plus in-flight
-//! completions — so end-to-end latency and overload signals genuinely
-//! move when a shard does). Every promotion is journaled as a
+//! Every node runs its own [`SignalWindow`] and [`AdaptiveAdmission`]
+//! controller over the queries routed to it. When a node's
+//! [`LoadSignal`] crosses the overload threshold while a live standby
+//! replica sits under-loaded, the [`RebalanceController`] promotes that
+//! standby to acting owner of the node's hottest shard through an
+//! epoch-versioned view update. Every promotion is journaled as a
 //! [`JournalRecord::RingChange`] on all live nodes, and a crash records
 //! the epoch recovered from the surviving journals next to the epoch
-//! the cluster had actually reached. The planted bug here is
-//! [`RebalanceDiscipline::StaleEpoch`]: a router frozen on the boot
-//! view, whose misroutes shed [`ShedReason::StaleRingEpoch`] with both
-//! epochs on record.
+//! the cluster had actually reached.
 //!
-//! E17's [`run_open_loop`](crate::traffic::run_open_loop) is the same
-//! engine on a dedicated view — shard `s` alone on node `s`,
-//! replication 1, no rebalancing, no node events — which is exactly a
-//! set of independent single-server shards: with one shard per node,
-//! the node's busy horizon is the shard's clock.
+//! E16 runs the engine with admission and rebalancing off: a fixed
+//! trace under node faults alone. E17's
+//! [`run_open_loop`](crate::traffic::run_open_loop) runs it on a
+//! dedicated view — shard `s` alone on node `s`, replication 1, no
+//! rebalancing, no node events — which is exactly a set of independent
+//! single-server shards: with one shard per node, the node's busy
+//! horizon is the shard's clock. E18 runs all of it.
+//!
+//! # The planted routing bugs
+//!
+//! [`RebalanceDiscipline::StaleRing`] is E16's: the router consults only
+//! the boot primary, so after that primary is lost it sheds
+//! `NodeUnreachable` while a live replica sits idle — the shed audit
+//! names the reachable replica it never tried.
+//! [`RebalanceDiscipline::StaleEpoch`] is E18's: a router frozen on the
+//! boot view, whose misroutes shed [`ShedReason::StaleRingEpoch`] with
+//! both epochs on record.
 
 use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
@@ -108,75 +86,47 @@ use crate::admission::{
 use crate::journal::{DecodeMode, Journal, JournalRecord};
 use crate::rebalance::{RebalanceAudit, RebalanceConfig, RebalanceController, RebalanceDiscipline};
 use crate::ring::{NodeId, Ring, RingEpoch, RingView};
-use crate::service::{
-    admit, run_worker, serve_batch_cached_rule, Answered, Disposition, QueryOutcome, ServiceConfig,
-    ShardCore, SharedCtx, WorkerCore,
-};
+use crate::service::{Answered, ServiceConfig, ShardCore, SharedCtx};
 use crate::slo::{LatencyHistogram, LoadSignal, SignalWindow, SloReport};
 use crate::traffic::{Arrival, TrafficDisposition, TrafficOutcome};
 use lcakp_core::{LcaError, LcaKp};
-use lcakp_knapsack::ItemId;
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use std::fmt;
 
-/// How the cluster router resolves shard ownership after a node loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingDiscipline {
-    /// Consult the live membership: promote the first alive, reachable
-    /// replica in ring order.
-    #[default]
-    Faithful,
-    /// Planted bug: consult the membership view captured at batch
-    /// start, where every node is alive and connected — the router
-    /// re-picks the boot primary forever, so an owner loss sheds
-    /// `NodeUnreachable` even while a live replica is reachable. E16
-    /// must catch and shrink exactly this mistake.
-    StaleRing,
-}
-
-impl fmt::Display for RoutingDiscipline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutingDiscipline::Faithful => write!(f, "faithful"),
-            RoutingDiscipline::StaleRing => write!(f, "stale-ring"),
-        }
-    }
-}
-
-/// One node-level fault event on the cluster scheduler's frontier.
+/// One node-level fault event. It fires before the first arrival at or
+/// after its tick; an event past the last arrival fires after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeEvent {
-    /// Kill a node at the first scheduling point at or after `at_tick`:
-    /// its live state is lost, its shards fail over to replicas via the
-    /// shipped journal.
+    /// Kill a node at `at_tick`: its RAM (queue, signal window,
+    /// admission controller) is lost, its journal survives, and its
+    /// shards fail over to the next usable replica.
     NodeCrash {
         /// The node to kill.
         node: NodeId,
-        /// Cluster-frontier tick the crash fires at.
+        /// Tick the crash fires at.
         at_tick: u64,
-        /// How many bytes of each owned shard's last in-flight journal
-        /// append survived replication — `None` ships the journal
-        /// clean, `Some(k)` keeps the first `k` bytes of the final
-        /// append (recovery truncates the torn tail).
+        /// How many bytes of the node's last journal append survived
+        /// replication — `None` keeps it whole, `Some(k)` keeps its
+        /// first `k` bytes (a restart discards the torn tail).
         torn_keep: Option<usize>,
     },
-    /// Revive a dead node at `at_tick` with empty memory; it re-adopts
-    /// shards only through the ring (journal replay, never resumption).
+    /// Revive a dead node at `at_tick` with empty memory; it serves
+    /// again from the next arrival routed to it.
     NodeRestart {
         /// The node to revive.
         node: NodeId,
-        /// Cluster-frontier tick the restart fires at.
+        /// Tick the restart fires at.
         at_tick: u64,
     },
     /// Split the membership into disjoint `groups` at `at_tick`; nodes
     /// absent from every group stay on the client's side. Heals at
-    /// `heal_at` (`u64::MAX` = never within this batch).
+    /// `heal_at` (`u64::MAX` = never).
     Partition {
         /// The partition's sides; cross-group traffic is dropped.
         groups: Vec<Vec<NodeId>>,
-        /// Cluster-frontier tick the cut fires at.
+        /// Tick the cut fires at.
         at_tick: u64,
-        /// Cluster-frontier tick the cut heals at (`u64::MAX` = never).
+        /// Tick the cut heals at (`u64::MAX` = never).
         heal_at: u64,
     },
 }
@@ -225,146 +175,19 @@ impl fmt::Display for NodeEvent {
     }
 }
 
-/// Tuning of the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Nodes in the membership. Must be ≥ 1.
-    pub nodes: usize,
-    /// Replicas per shard (clamped to the membership size).
-    pub replication: usize,
-    /// Shards queries are routed over (`index % shards`). Must be ≥ 1.
-    pub shards: usize,
-    /// Virtual points per node on the consistent-hash ring.
-    pub vnodes: usize,
-    /// How the router resolves ownership after a node loss.
-    pub routing: RoutingDiscipline,
-    /// The per-shard serving configuration. `workers` is ignored:
-    /// queries shard over `shards` instead, and one scheduler thread
-    /// steps every shard.
-    pub base: ServiceConfig,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            nodes: 4,
-            replication: 2,
-            shards: 8,
-            vnodes: 64,
-            routing: RoutingDiscipline::Faithful,
-            base: ServiceConfig::default(),
-        }
-    }
-}
-
-/// Per-shard execution trace of one cluster run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTrace {
-    /// The shard id (also the batch-position residue).
-    pub shard: usize,
-    /// Ownership history: the boot primary first, then every promoted
-    /// owner in order.
-    pub owners: Vec<NodeId>,
-    /// The shard clock when it drained (or was abandoned).
-    pub end_tick: u64,
-    /// Accesses charged against the shard's budget slice.
-    pub accesses_used: u64,
-    /// Owner changes the shard survived.
-    pub failovers: usize,
-    /// The shard's write-ahead journal, byte-for-byte.
-    pub journal: Journal,
-}
-
-/// Per-node liveness trace of one cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeTrace {
-    /// The node.
-    pub node: NodeId,
-    /// Crashes the node suffered.
-    pub crashes: usize,
-    /// Restarts that revived it.
-    pub restarts: usize,
-    /// Whether the node was alive when the batch ended.
-    pub alive_at_end: bool,
-}
-
-/// Audit record of a shard the router gave up on: the *true* replica
-/// state at shed time, so the simulator can prove a shed was honest
-/// (no live reachable replica existed) or catch a routing bug lying.
+/// Audit record of one routing shed: the *true* replica state at shed
+/// time, so the simulator can prove a shed was honest (no live
+/// reachable replica existed) or catch a routing bug lying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShedAudit {
-    /// The abandoned shard.
+    /// The shard of the shed arrival.
     pub shard: usize,
-    /// The reason its remaining queries shed with.
+    /// The reason the arrival shed with.
     pub reason: ShedReason,
     /// Replicas that were actually alive at shed time.
     pub alive_replicas: Vec<NodeId>,
     /// Alive replicas that were also reachable from the client.
     pub reachable_replicas: Vec<NodeId>,
-}
-
-/// The merged result of one [`serve_cluster`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[must_use]
-pub struct ClusterReport {
-    /// One outcome per submitted query, sorted by batch position.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Per-shard traces, sorted by shard id.
-    pub shards: Vec<ShardTrace>,
-    /// Per-node liveness traces, sorted by node id.
-    pub nodes: Vec<NodeTrace>,
-    /// One audit per abandoned shard, in salvage order.
-    pub shed_audits: Vec<ShedAudit>,
-    /// Whether the cached-rule tier was available for this batch.
-    pub cached_rule_available: bool,
-}
-
-impl ClusterReport {
-    /// Queries rejected (by admission control or failover salvage).
-    #[must_use]
-    pub fn shed_count(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|outcome| matches!(outcome.disposition, Disposition::Shed(_)))
-            .count()
-    }
-
-    /// Queries answered at some tier of the ladder.
-    #[must_use]
-    pub fn answered_count(&self) -> usize {
-        self.outcomes.len() - self.shed_count()
-    }
-
-    /// Owner changes across all shards.
-    #[must_use]
-    pub fn failover_count(&self) -> usize {
-        self.shards.iter().map(|trace| trace.failovers).sum()
-    }
-}
-
-/// What a shard task is currently doing on the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskStatus {
-    /// Hosted on an alive, reachable owner; eligible for stepping.
-    Running,
-    /// No owner right now; waiting for a heal or restart.
-    Parked,
-    /// Shard drained.
-    Done,
-    /// Salvaged: remaining queries shed, never scheduled again.
-    Abandoned,
-}
-
-/// One shard task: a serving core plus its placement state.
-struct ShardTask<'a, O> {
-    core: WorkerCore<'a, O>,
-    owner: NodeId,
-    owners: Vec<NodeId>,
-    failovers: usize,
-    status: TaskStatus,
-    /// Whether the owner's in-memory state matches the core (false
-    /// after the owner's crash until a journal restore completes).
-    live_valid: bool,
 }
 
 /// A fault op on the membership's timeline (a partition's cut and heal
@@ -386,7 +209,7 @@ enum Op {
     },
 }
 
-/// The node-fault model both cluster engines share: node liveness with
+/// The node-fault model of the cluster: node liveness with
 /// crash/restart counts, every partition's groups with whether its cut
 /// is active, and the tick-sorted fault timeline. By statelessness
 /// (Definition 2.4) and consistency (Theorem 4.1) a shard answers the
@@ -515,7 +338,7 @@ impl Membership {
     }
 
     /// The router's pick for `shard` in `view`: the first usable replica
-    /// in ring order. The one router of both cluster engines.
+    /// in ring order.
     fn pick_owner(&self, view: &RingView, shard: usize) -> Option<NodeId> {
         view.replica_set(shard)
             .nodes()
@@ -555,343 +378,9 @@ impl Membership {
             reachable_replicas,
         }
     }
-
-    /// The liveness trace of `node`.
-    fn trace(&self, node: usize) -> NodeTrace {
-        NodeTrace {
-            node: NodeId(node),
-            crashes: self.crashes[node],
-            restarts: self.restarts[node],
-            alive_at_end: self.alive[node],
-        }
-    }
 }
 
-/// The single-threaded cluster scheduler state.
-struct Cluster<'a, O> {
-    tasks: Vec<ShardTask<'a, O>>,
-    view: RingView,
-    membership: Membership,
-    routing: RoutingDiscipline,
-    shed_audits: Vec<ShedAudit>,
-}
-
-impl<'a, O> Cluster<'a, O>
-where
-    O: ItemOracle + WeightedSampler,
-{
-    /// The router's pick for `shard`, per the configured discipline.
-    fn route(&self, shard: usize) -> Option<NodeId> {
-        match self.routing {
-            RoutingDiscipline::Faithful => self.membership.pick_owner(&self.view, shard),
-            RoutingDiscipline::StaleRing => {
-                let primary = self.view.primary(shard);
-                self.membership.usable(primary).then_some(primary)
-            }
-        }
-    }
-
-    /// Sheds the shard's remaining queries with an honest reason and
-    /// records the true replica state for the simulator's audit.
-    fn salvage(&mut self, shard: usize) {
-        let audit = self.membership.shed_audit(&self.view, shard);
-        self.tasks[shard].core.salvage(audit.reason);
-        self.tasks[shard].status = TaskStatus::Abandoned;
-        self.shed_audits.push(audit);
-    }
-
-    /// Re-places a shard whose owner was lost (or resumes it): resume
-    /// in place when the owner is back and its memory is intact,
-    /// promote the router's pick via journal restore otherwise, park
-    /// when live replicas exist but none is reachable, salvage when the
-    /// router finds nothing.
-    fn resolve(&mut self, shard: usize, ctx: &SharedCtx<'a, O>) {
-        let owner = self.tasks[shard].owner;
-        if self.membership.usable(owner) && self.tasks[shard].live_valid {
-            self.tasks[shard].status = if self.tasks[shard].core.finished() {
-                TaskStatus::Done
-            } else {
-                TaskStatus::Running
-            };
-            return;
-        }
-        match self.route(shard) {
-            Some(next_owner) => {
-                let task = &mut self.tasks[shard];
-                if next_owner != task.owner {
-                    task.failovers += 1;
-                }
-                task.owner = next_owner;
-                task.owners.push(next_owner);
-                match task.core.restore(ctx) {
-                    Ok(()) => {
-                        task.live_valid = true;
-                        task.status = if task.core.finished() {
-                            TaskStatus::Done
-                        } else {
-                            TaskStatus::Running
-                        };
-                    }
-                    // The shipped journal could not be replayed: the
-                    // replica group effectively lost the shard.
-                    Err(_) => self.salvage(shard),
-                }
-            }
-            None => {
-                let any_alive = self
-                    .view
-                    .replica_set(shard)
-                    .nodes()
-                    .iter()
-                    .any(|&node| self.membership.alive(node));
-                if any_alive && self.routing == RoutingDiscipline::Faithful {
-                    self.tasks[shard].status = TaskStatus::Parked;
-                } else {
-                    self.salvage(shard);
-                }
-            }
-        }
-    }
-
-    /// Reacts to one fault op the membership has just applied.
-    fn apply(&mut self, op: Op, ctx: &SharedCtx<'a, O>) {
-        match op {
-            Op::Crash { node, torn_keep } => {
-                for shard in 0..self.tasks.len() {
-                    let task = &mut self.tasks[shard];
-                    if task.owner != NodeId(node)
-                        || !matches!(task.status, TaskStatus::Running | TaskStatus::Parked)
-                    {
-                        continue;
-                    }
-                    // The owner's memory is gone; what survives is the
-                    // replicated journal, whose last in-flight append
-                    // the crash may have torn.
-                    task.live_valid = false;
-                    let tail = task.core.last_append_len();
-                    if let Some(keep) = torn_keep.filter(|_| tail > 0) {
-                        let mut shipped = task.core.journal().clone();
-                        let len = shipped.bytes().len();
-                        shipped.truncate(len - (tail - keep.min(tail)));
-                        task.core.adopt_journal(shipped);
-                    }
-                    self.resolve(shard, ctx);
-                }
-            }
-            Op::Cut { .. } => {
-                // Strand every running shard whose owner fell off the
-                // client's side; parking first makes `resolve` re-route
-                // instead of resuming on the now-unreachable owner.
-                for task in &mut self.tasks {
-                    if task.status == TaskStatus::Running && !self.membership.reachable(task.owner)
-                    {
-                        task.status = TaskStatus::Parked;
-                    }
-                }
-                self.resolve_parked(ctx);
-            }
-            Op::Restart { .. } | Op::Heal { .. } => self.resolve_parked(ctx),
-        }
-    }
-
-    /// Tries to re-place every parked shard, ascending.
-    fn resolve_parked(&mut self, ctx: &SharedCtx<'a, O>) {
-        for shard in 0..self.tasks.len() {
-            if self.tasks[shard].status == TaskStatus::Parked {
-                self.resolve(shard, ctx);
-            }
-        }
-    }
-}
-
-/// Serves `queries` on the simulated cluster, deterministically.
-///
-/// Semantics mirror [`serve_batch`](crate::serve_batch) — same cached
-/// rule stream, same per-query seed derivation, same admission rules
-/// with `index % shards` routing — plus node-level fault injection via
-/// `node_events`. With an empty event list and faithful routing the
-/// outcomes are byte-identical to a fault-free run. There is no
-/// per-query fault plan and no worker crash schedule: node events are
-/// the cluster's faults.
-///
-/// # Errors
-///
-/// Propagates hard configuration errors ([`LcaError`]); node faults
-/// shed or fail over instead of erroring.
-///
-/// # Panics
-///
-/// Panics if `nodes`, `shards`, `vnodes`, or `base.queue_depth` is
-/// zero, or if a node event (a crash, a restart, or a partition group)
-/// names a node outside `0..nodes`.
-pub fn serve_cluster<O>(
-    lca: &LcaKp,
-    oracle: &O,
-    shared_seed: &Seed,
-    service_root: &Seed,
-    queries: &[ItemId],
-    config: &ClusterConfig,
-    node_events: &[NodeEvent],
-) -> Result<ClusterReport, LcaError>
-where
-    O: ItemOracle + WeightedSampler + Sync,
-{
-    assert!(config.nodes >= 1, "nodes must be at least 1");
-    assert!(config.shards >= 1, "shards must be at least 1");
-    assert!(config.vnodes >= 1, "vnodes must be at least 1");
-    assert!(
-        config.base.queue_depth >= 1,
-        "queue_depth must be at least 1"
-    );
-
-    let cached = serve_batch_cached_rule(lca, oracle, shared_seed, service_root);
-    let shared = SharedCtx {
-        lca,
-        oracle,
-        shared_seed,
-        service_root,
-        config: &config.base,
-        chaos: None,
-        cached: cached.as_ref(),
-    };
-
-    let (shard_queries, mut outcomes) = admit(queries, config.shards, config.base.queue_depth);
-
-    // Placement: one replica group per shard from the boot-time ring.
-    let ring = Ring::new(config.nodes, config.vnodes);
-    let view = RingView::from_ring(&ring, config.shards, config.replication)
-        .expect("a non-empty membership always routes");
-
-    let tasks: Vec<ShardTask<'_, O>> = shard_queries
-        .into_iter()
-        .enumerate()
-        .map(|(shard, queries)| {
-            let owner = view.primary(shard);
-            let core = WorkerCore::new(shard, queries, &shared);
-            let status = if core.finished() {
-                TaskStatus::Done
-            } else {
-                TaskStatus::Running
-            };
-            ShardTask {
-                core,
-                owner,
-                owners: vec![owner],
-                failovers: 0,
-                status,
-                live_valid: true,
-            }
-        })
-        .collect();
-
-    let mut cluster = Cluster {
-        tasks,
-        view,
-        membership: Membership::new(config.nodes, node_events),
-        routing: config.routing,
-        shed_audits: Vec::new(),
-    };
-
-    // The discrete-event loop: always step the runnable shard with the
-    // smallest (tick, shard) key; fire fault ops once the cluster
-    // frontier reaches their tick (immediately when nothing runs).
-    loop {
-        let runnable = cluster
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, task)| task.status == TaskStatus::Running)
-            .min_by_key(|&(shard, task)| (task.core.now(), shard))
-            .map(|(shard, _)| shard);
-        let frontier = runnable.map_or(u64::MAX, |shard| cluster.tasks[shard].core.now());
-        if let Some((_, op)) = cluster.membership.fire(frontier) {
-            cluster.apply(op, &shared);
-            continue;
-        }
-        let Some(shard) = runnable else {
-            break;
-        };
-        let step = cluster.tasks[shard].core.serve_step(&shared)?;
-        cluster.tasks[shard].core.commit(step);
-        if cluster.tasks[shard].core.finished() {
-            cluster.tasks[shard].status = TaskStatus::Done;
-        }
-    }
-
-    // End-of-batch salvage: anything still parked never found a home.
-    for shard in 0..cluster.tasks.len() {
-        if cluster.tasks[shard].status == TaskStatus::Parked {
-            cluster.salvage(shard);
-        }
-    }
-
-    let nodes: Vec<NodeTrace> = (0..config.nodes)
-        .map(|node| cluster.membership.trace(node))
-        .collect();
-
-    let mut shards = Vec::with_capacity(config.shards);
-    for (shard, task) in cluster.tasks.into_iter().enumerate() {
-        let output = task.core.into_output(Vec::new());
-        outcomes.extend(output.outcomes);
-        shards.push(ShardTrace {
-            shard,
-            owners: task.owners,
-            end_tick: output.trace.end_tick,
-            accesses_used: output.trace.accesses_used,
-            failovers: task.failovers,
-            journal: output.trace.journal,
-        });
-    }
-    outcomes.sort_by_key(|outcome| outcome.index);
-
-    Ok(ClusterReport {
-        outcomes,
-        shards,
-        nodes,
-        shed_audits: cluster.shed_audits,
-        cached_rule_available: cached.is_some(),
-    })
-}
-
-/// Serves exactly one shard of the batch on a standalone core — the
-/// pool worker's shard loop with no crash directives, which is what
-/// any single replica would compute from the shared seeds alone. The
-/// simulator re-serves each shard on every surviving replica and
-/// asserts the answers byte-identical to the cluster run's: the
-/// paper's consistency guarantee is what makes this check meaningful.
-///
-/// # Errors
-///
-/// Propagates hard configuration errors ([`LcaError`]).
-pub fn serve_shard_standalone<O>(
-    lca: &LcaKp,
-    oracle: &O,
-    shared_seed: &Seed,
-    service_root: &Seed,
-    queries: &[ItemId],
-    shard: usize,
-    config: &ClusterConfig,
-) -> Result<Vec<QueryOutcome>, LcaError>
-where
-    O: ItemOracle + WeightedSampler + Sync,
-{
-    assert!(shard < config.shards, "shard out of range");
-    let cached = serve_batch_cached_rule(lca, oracle, shared_seed, service_root);
-    let shared = SharedCtx {
-        lca,
-        oracle,
-        shared_seed,
-        service_root,
-        config: &config.base,
-        chaos: None,
-        cached: cached.as_ref(),
-    };
-    let (mut shard_queries, _) = admit(queries, config.shards, config.base.queue_depth);
-    let queries = std::mem::take(&mut shard_queries[shard]);
-    Ok(run_worker(shard, queries, &shared)?.outcomes)
-}
-
-/// Tuning of the traffic-driven cluster runtime (experiment E18).
+/// Tuning of the cluster runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterTrafficConfig {
     /// Nodes in the membership. Must be ≥ 1.
@@ -913,8 +402,8 @@ pub struct ClusterTrafficConfig {
     /// placement; `None` is the no-rebalance twin (failover still
     /// works — only hot-shard relief is off).
     pub rebalance: Option<RebalanceConfig>,
-    /// Which ring view the router consults ([`RebalanceDiscipline::StaleEpoch`]
-    /// is the planted bug).
+    /// How the router picks a node ([`RebalanceDiscipline::StaleRing`]
+    /// and [`RebalanceDiscipline::StaleEpoch`] are planted bugs).
     pub routing: RebalanceDiscipline,
 }
 
@@ -1031,7 +520,7 @@ pub struct ClusterTrafficReport {
     pub final_epoch: RingEpoch,
     /// The cluster-wide availability/latency verdict.
     pub slo: SloReport,
-    /// The latest shard clock or node busy horizon when the trace
+    /// The latest shard clock or completion tick when the trace
     /// drained.
     pub end_tick: u64,
 }
@@ -1158,6 +647,16 @@ impl NodeRt {
         if tail > 0 {
             let keep = keep.min(tail);
             self.journal.truncate(self.last_append_start + keep);
+        }
+    }
+
+    /// Restart-time recovery: discards a torn tail, so the revived node
+    /// appends after its last complete record rather than after garbage
+    /// no decoder could read past.
+    fn discard_torn_tail(&mut self) {
+        if let Ok(decoded) = self.journal.decode(DecodeMode::Recover) {
+            let len = self.journal.bytes().len() - decoded.torn_bytes;
+            self.journal.truncate(len);
         }
     }
 
@@ -1316,6 +815,9 @@ where
     let mut answered_count = 0u64;
     let mut shed_count = 0u64;
     let mut missed_count = 0u64;
+    // The latest completion tick: a crash wipes a node's busy horizon,
+    // never this.
+    let mut last_completion = 0u64;
     // Per-shard in-flight counts, rebuilt per hottest-shard scan.
     let mut heat = vec![0u32; shard_count];
 
@@ -1338,7 +840,10 @@ where
                         replayed_epoch: replayed_ring_epoch(&nodes),
                     });
                 }
-                Op::Restart { node } => nodes[node].wipe_memory(config.admission, discipline),
+                Op::Restart { node } => {
+                    nodes[node].discard_torn_tail();
+                    nodes[node].wipe_memory(config.admission, discipline);
+                }
                 Op::Cut { .. } | Op::Heal { .. } => {}
             }
         }
@@ -1359,11 +864,15 @@ where
         };
 
         // Route per the configured discipline. The faithful pick is the
-        // truth; the stale router consults the boot view instead.
+        // truth; the stale routers consult the boot view instead.
         let faithful_pick = membership.pick_owner(&view, shard);
         let routed = match config.routing {
             RebalanceDiscipline::Faithful => faithful_pick,
             RebalanceDiscipline::StaleEpoch => membership.pick_owner(&boot_view, shard),
+            RebalanceDiscipline::StaleRing => {
+                let primary = boot_view.primary(shard);
+                membership.usable(primary).then_some(primary)
+            }
         };
         let Some(node_id) = routed else {
             // No replica to even refuse the query: typed shed + audit.
@@ -1476,6 +985,7 @@ where
         let begin = arrival.at_tick.max(node.horizon);
         let completion_tick = begin + service_ticks;
         node.horizon = completion_tick;
+        last_completion = last_completion.max(completion_tick);
         let latency_ticks = completion_tick - arrival.at_tick;
         let deadline_met = latency_ticks <= config.service.deadline_ticks;
         node.completions
@@ -1525,29 +1035,24 @@ where
     let end_tick = cores
         .iter()
         .map(ShardCore::now)
-        .chain(nodes.iter().map(|node| node.horizon))
-        .max()
-        .unwrap_or(0);
+        .fold(last_completion, u64::max);
     let node_traces: Vec<NodeLoadTrace> = nodes
         .into_iter()
         .enumerate()
-        .map(|(id, node)| {
-            let liveness = membership.trace(id);
-            NodeLoadTrace {
-                node: liveness.node,
-                slo: SloReport::from_counts(
-                    node.offered,
-                    node.answered,
-                    node.shed,
-                    node.missed,
-                    &node.histogram,
-                ),
-                max_queue_depth: node.max_queue_depth,
-                crashes: liveness.crashes,
-                restarts: liveness.restarts,
-                alive_at_end: liveness.alive_at_end,
-                journal: node.journal,
-            }
+        .map(|(id, node)| NodeLoadTrace {
+            node: NodeId(id),
+            slo: SloReport::from_counts(
+                node.offered,
+                node.answered,
+                node.shed,
+                node.missed,
+                &node.histogram,
+            ),
+            max_queue_depth: node.max_queue_depth,
+            crashes: membership.crashes[id],
+            restarts: membership.restarts[id],
+            alive_at_end: membership.alive[id],
+            journal: node.journal,
         })
         .collect();
 
@@ -1717,8 +1222,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::serve_batch;
+    use crate::traffic::{generate_trace, TrafficConfig, TrafficShape};
     use lcakp_knapsack::iky::Epsilon;
+    use lcakp_knapsack::ItemId;
     use lcakp_oracle::InstanceOracle;
     use lcakp_reproducible::SampleBudget;
     use lcakp_workloads::{Family, WorkloadSpec};
@@ -1729,14 +1235,10 @@ mod tests {
             .with_budget(SampleBudget::Calibrated { factor: 0.01 })
     }
 
-    fn batch(n: usize) -> Vec<ItemId> {
-        (0..n).map(ItemId).collect()
-    }
-
     struct World {
         norm: lcakp_knapsack::NormalizedInstance,
         lca: LcaKp,
-        config: ClusterConfig,
+        service: ServiceConfig,
     }
 
     fn world(n: usize, seed: u64) -> World {
@@ -1746,282 +1248,9 @@ mod tests {
         World {
             norm,
             lca: quick_lca(),
-            config: ClusterConfig::default(),
+            service: ServiceConfig::default(),
         }
     }
-
-    fn run(world: &World, events: &[NodeEvent]) -> ClusterReport {
-        let oracle = InstanceOracle::new(&world.norm);
-        serve_cluster(
-            &world.lca,
-            &oracle,
-            &Seed::from_entropy_u64(41),
-            &Seed::from_entropy_u64(42),
-            &batch(world.norm.len()),
-            &world.config,
-            events,
-        )
-        .unwrap()
-    }
-
-    /// A shard whose boot replica group excludes node 0, plus that
-    /// group (needed to partition the group away from the client).
-    fn shard_avoiding_node0(config: &ClusterConfig) -> (usize, Vec<NodeId>) {
-        let ring = Ring::new(config.nodes, config.vnodes);
-        for shard in 0..config.shards {
-            let set = ring.replicas(shard, config.replication).unwrap();
-            if !set.contains(NodeId(0)) {
-                return (shard, set.nodes().to_vec());
-            }
-        }
-        panic!("no shard avoids node 0 — pick different vnodes");
-    }
-
-    #[test]
-    fn clean_cluster_matches_the_worker_pool_per_query() {
-        let world = world(32, 5);
-        let report = run(&world, &[]);
-        assert_eq!(report.outcomes.len(), 32);
-        assert_eq!(report.shed_count(), 0);
-        assert_eq!(report.failover_count(), 0);
-        assert!(report.cached_rule_available);
-        assert!(report.shed_audits.is_empty());
-        // Per-query answers equal serve_batch's: seeds derive from
-        // batch position, so pool vs cluster cannot change a verdict.
-        let oracle = InstanceOracle::new(&world.norm);
-        let pool = serve_batch(
-            &world.lca,
-            &oracle,
-            &Seed::from_entropy_u64(41),
-            &Seed::from_entropy_u64(42),
-            &batch(32),
-            &world.config.base,
-            None,
-        )
-        .unwrap();
-        for (ours, theirs) in report.outcomes.iter().zip(&pool.outcomes) {
-            let a = ours.disposition.answered().unwrap();
-            let b = theirs.disposition.answered().unwrap();
-            assert_eq!((a.include, a.tier), (b.include, b.tier));
-        }
-    }
-
-    #[test]
-    fn node_crash_fails_over_byte_invisibly() {
-        let world = world(32, 6);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        let crashed = run(
-            &world,
-            &[NodeEvent::NodeCrash {
-                node: victim,
-                at_tick: horizon / 2,
-                torn_keep: Some(7),
-            }],
-        );
-        assert_eq!(
-            crashed.outcomes, twin.outcomes,
-            "failover must be invisible"
-        );
-        assert!(crashed.failover_count() > 0, "the victim owned shards");
-        assert!(crashed.shed_audits.is_empty());
-        let trace = &crashed.nodes[victim.0];
-        assert_eq!((trace.crashes, trace.restarts), (1, 0));
-        assert!(!trace.alive_at_end);
-        // Promoted shards record their new owner.
-        let moved = crashed
-            .shards
-            .iter()
-            .filter(|s| s.owners.first() == Some(&victim))
-            .count();
-        assert!(moved > 0);
-        for shard in crashed.shards.iter().filter(|s| s.failovers > 0) {
-            assert_ne!(*shard.owners.last().unwrap(), victim);
-        }
-    }
-
-    #[test]
-    fn losing_every_replica_sheds_node_unreachable_not_silently() {
-        let world = world(32, 7);
-        let (shard, group) = shard_avoiding_node0(&world.config);
-        let events: Vec<NodeEvent> = group
-            .iter()
-            .map(|&node| NodeEvent::NodeCrash {
-                node,
-                at_tick: 1,
-                torn_keep: None,
-            })
-            .collect();
-        let report = run(&world, &events);
-        let mut sheds = 0usize;
-        for outcome in &report.outcomes {
-            if outcome.index % world.config.shards == shard {
-                if let Disposition::Shed(reason) = outcome.disposition {
-                    assert_eq!(reason, ShedReason::NodeUnreachable { shard });
-                    sheds += 1;
-                }
-            }
-        }
-        assert!(sheds > 0, "the orphaned shard must shed explicitly");
-        let audit = report
-            .shed_audits
-            .iter()
-            .find(|audit| audit.shard == shard)
-            .expect("an abandoned shard leaves an audit");
-        assert!(audit.alive_replicas.is_empty());
-        assert_eq!(report.outcomes.len(), 32, "no silent drops");
-    }
-
-    #[test]
-    fn healed_partition_is_byte_invisible_and_unhealed_sheds_partitioned() {
-        let world = world(32, 8);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let (shard, group) = shard_avoiding_node0(&world.config);
-        let cut = |heal_at: u64| NodeEvent::Partition {
-            groups: vec![group.clone()],
-            at_tick: horizon / 3,
-            heal_at,
-        };
-        // Healed: parked shards resume with intact memory, zero ticks.
-        let healed = run(&world, &[cut(horizon / 2)]);
-        assert_eq!(healed.outcomes, twin.outcomes);
-        assert!(healed.shed_audits.is_empty());
-        // Never healed: the stranded shard sheds with the typed reason.
-        let stranded = run(&world, &[cut(u64::MAX)]);
-        assert_eq!(stranded.outcomes.len(), 32, "no silent drops");
-        let audit = stranded
-            .shed_audits
-            .iter()
-            .find(|audit| audit.shard == shard)
-            .expect("the stranded shard leaves an audit");
-        assert_eq!(audit.reason, ShedReason::Partitioned { shard });
-        assert!(!audit.alive_replicas.is_empty());
-        assert!(audit.reachable_replicas.is_empty());
-        let shed = stranded
-            .outcomes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.disposition,
-                    Disposition::Shed(ShedReason::Partitioned { .. })
-                )
-            })
-            .count();
-        assert!(shed > 0);
-    }
-
-    #[test]
-    fn crash_then_restart_rejoins_through_journal_replay() {
-        let world = world(32, 9);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        let report = run(
-            &world,
-            &[
-                NodeEvent::NodeCrash {
-                    node: victim,
-                    at_tick: horizon / 3,
-                    torn_keep: None,
-                },
-                NodeEvent::NodeRestart {
-                    node: victim,
-                    at_tick: horizon / 2,
-                },
-            ],
-        );
-        assert_eq!(report.outcomes, twin.outcomes);
-        let trace = &report.nodes[victim.0];
-        assert_eq!((trace.crashes, trace.restarts), (1, 1));
-        assert!(trace.alive_at_end);
-    }
-
-    #[test]
-    fn stale_ring_routing_sheds_while_a_live_replica_waits() {
-        let mut world = world(32, 10);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        world.config.routing = RoutingDiscipline::StaleRing;
-        let report = run(
-            &world,
-            &[NodeEvent::NodeCrash {
-                node: victim,
-                at_tick: horizon / 2,
-                torn_keep: None,
-            }],
-        );
-        // The bug's signature: a NodeUnreachable shed whose audit shows
-        // an alive, reachable replica the router never consulted.
-        let lying = report
-            .shed_audits
-            .iter()
-            .find(|audit| !audit.reachable_replicas.is_empty())
-            .expect("the stale router must strand a shard with live replicas");
-        assert_eq!(
-            lying.reason,
-            ShedReason::NodeUnreachable { shard: lying.shard }
-        );
-        assert_ne!(report.outcomes, twin.outcomes);
-        assert_eq!(
-            report.outcomes.len(),
-            32,
-            "even the bug never drops silently"
-        );
-    }
-
-    #[test]
-    fn restart_of_a_live_node_and_recrash_of_a_dead_one_change_no_batch() {
-        let world = world(32, 6);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        let restart_live = run(
-            &world,
-            &[NodeEvent::NodeRestart {
-                node: victim,
-                at_tick: horizon / 2,
-            }],
-        );
-        assert_eq!(restart_live, twin, "a live node's restart is no event");
-        let crash = |at_tick: u64| NodeEvent::NodeCrash {
-            node: victim,
-            at_tick,
-            torn_keep: Some(5),
-        };
-        let once = run(&world, &[crash(horizon / 3)]);
-        let twice = run(&world, &[crash(horizon / 3), crash(horizon / 2)]);
-        assert_eq!(twice, once, "a dead node's crash is no event");
-        assert_eq!(once.nodes[victim.0].crashes, 1);
-    }
-
-    #[test]
-    fn crash_after_the_batch_drained_shows_only_in_the_node_trace() {
-        let world = world(32, 6);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        let late = run(
-            &world,
-            &[NodeEvent::NodeCrash {
-                node: victim,
-                at_tick: horizon + 1,
-                torn_keep: Some(5),
-            }],
-        );
-        assert_eq!(late.outcomes, twin.outcomes);
-        assert_eq!(late.shards, twin.shards, "no drained shard fails over");
-        assert_eq!(late.shed_audits, twin.shed_audits);
-        let trace = late.nodes[victim.0];
-        assert_eq!(
-            (trace.crashes, trace.restarts, trace.alive_at_end),
-            (1, 0, false)
-        );
-    }
-
-    use crate::traffic::{generate_trace, TrafficConfig, TrafficShape};
 
     /// Measures the per-query service cost the way E17's simulator
     /// does: a back-to-back steady probe, mean ticks per answer.
@@ -2047,7 +1276,7 @@ mod tests {
             &Seed::from_entropy_u64(42),
             &admitted,
             0,
-            &world.config.base,
+            &world.service,
         )
         .unwrap();
         (answers.last().unwrap().1.end_tick / 32).max(1)
@@ -2056,7 +1285,7 @@ mod tests {
     /// An overload-ready traffic cluster: thresholds scaled to the
     /// measured per-query cost, hot-shard arrivals at twice capacity.
     fn traffic_world(world: &World, cost: u64) -> (ClusterTrafficConfig, Vec<Arrival>) {
-        let mut service = world.config.base.clone();
+        let mut service = world.service.clone();
         service.deadline_ticks = cost * 8;
         let admission = AdmissionConfig {
             enter_queue_depth: 6,
@@ -2367,6 +1596,106 @@ mod tests {
         let _ = run_traffic(&world, &config, &[], &[]);
     }
 
+    /// The boot primary of the trace's hot shard 0.
+    fn hot_primary(config: &ClusterTrafficConfig) -> NodeId {
+        let ring = Ring::new(config.nodes, config.vnodes);
+        ring.replicas(0, config.replication).unwrap().nodes()[0]
+    }
+
+    #[test]
+    fn stale_ring_routing_sheds_while_a_live_replica_waits() {
+        let world = world(24, 12);
+        let (config, trace) = fault_world(&world);
+        let crash = [NodeEvent::NodeCrash {
+            node: hot_primary(&config),
+            at_tick: trace[trace.len() / 3].at_tick,
+            torn_keep: None,
+        }];
+        let faithful = run_traffic(&world, &config, &trace, &crash);
+        assert!(faithful.shed_audits.is_empty(), "a live replica takes over");
+        let stale = ClusterTrafficConfig {
+            routing: RebalanceDiscipline::StaleRing,
+            ..config
+        };
+        let report = run_traffic(&world, &stale, &trace, &crash);
+        // The bug's signature: a NodeUnreachable shed whose audit shows
+        // an alive, reachable replica the router never consulted.
+        let lying = report
+            .shed_audits
+            .iter()
+            .find(|audit| !audit.reachable_replicas.is_empty())
+            .expect("the stale router must strand a shard with live replicas");
+        assert_eq!(lying.shard, 0);
+        assert_eq!(lying.reason, ShedReason::NodeUnreachable { shard: 0 });
+        assert_eq!(
+            report.outcomes.len(),
+            trace.len(),
+            "even the bug never drops silently"
+        );
+    }
+
+    #[test]
+    fn restart_discards_the_torn_tail_and_serves_again() {
+        let world = world(24, 12);
+        let (config, trace) = fault_world(&world);
+        let victim = hot_primary(&config);
+        let restart = trace[trace.len() / 2].at_tick;
+        let report = run_traffic(
+            &world,
+            &config,
+            &trace,
+            &[
+                NodeEvent::NodeCrash {
+                    node: victim,
+                    at_tick: trace[trace.len() / 3].at_tick,
+                    torn_keep: Some(5),
+                },
+                NodeEvent::NodeRestart {
+                    node: victim,
+                    at_tick: restart,
+                },
+            ],
+        );
+        let node = &report.nodes[victim.0];
+        assert_eq!((node.crashes, node.restarts), (1, 1));
+        assert!(node.alive_at_end);
+        assert!(
+            report
+                .outcomes
+                .iter()
+                .any(|r| r.node == Some(victim) && r.outcome.at_tick >= restart),
+            "the revived primary must take its shard back"
+        );
+        // Appends after the restart follow the last complete record, so
+        // even a strict decode reads the whole journal.
+        node.journal
+            .decode(DecodeMode::Strict)
+            .expect("the restart discarded the torn tail");
+        assert!(report.shed_audits.is_empty());
+        assert_answers_match_the_replay(&world, &config, &trace, &report);
+    }
+
+    #[test]
+    fn crash_after_the_last_arrival_keeps_the_end_tick() {
+        let world = world(24, 12);
+        let (config, trace) = traffic_world(&world, probe_cost(&world));
+        let clean = run_traffic(&world, &config, &trace, &[]);
+        let at_tick = trace.last().unwrap().at_tick + 1;
+        let events: Vec<NodeEvent> = (0..config.nodes)
+            .map(|node| NodeEvent::NodeCrash {
+                node: NodeId(node),
+                at_tick,
+                torn_keep: None,
+            })
+            .collect();
+        let late = run_traffic(&world, &config, &trace, &events);
+        assert_eq!(late.outcomes, clean.outcomes);
+        assert_eq!(
+            late.end_tick, clean.end_tick,
+            "a crash after every answer completed cannot move the end"
+        );
+    }
+
     #[test]
     fn stale_epoch_routing_sheds_with_both_epochs_on_record() {
         let world = world(24, 12);
@@ -2513,52 +1842,6 @@ mod tests {
     }
 
     #[test]
-    fn standalone_shard_replay_matches_the_faulted_cluster_run() {
-        let world = world(32, 11);
-        let twin = run(&world, &[]);
-        let horizon = twin.shards.iter().map(|s| s.end_tick).max().unwrap();
-        let victim = twin.shards[0].owners[0];
-        let crashed = run(
-            &world,
-            &[NodeEvent::NodeCrash {
-                node: victim,
-                at_tick: horizon / 2,
-                torn_keep: Some(3),
-            }],
-        );
-        let oracle = InstanceOracle::new(&world.norm);
-        for shard in 0..world.config.shards {
-            let standalone = serve_shard_standalone(
-                &world.lca,
-                &oracle,
-                &Seed::from_entropy_u64(41),
-                &Seed::from_entropy_u64(42),
-                &batch(32),
-                shard,
-                &world.config,
-            )
-            .unwrap();
-            let from_cluster: Vec<&QueryOutcome> = crashed
-                .outcomes
-                .iter()
-                .filter(|o| o.index % world.config.shards == shard)
-                .collect();
-            assert_eq!(standalone.len(), from_cluster.len());
-            for (a, b) in standalone.iter().zip(from_cluster) {
-                assert_eq!(a, b, "replica answers must be byte-identical");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "vnodes must be at least 1")]
-    fn zero_vnodes_is_rejected_up_front() {
-        let mut world = world(8, 5);
-        world.config.vnodes = 0;
-        let _ = run(&world, &[]);
-    }
-
-    #[test]
     #[should_panic(expected = "arrival 0 is on shard 4, but the engine has 4 shards")]
     fn out_of_range_arrival_shard_is_rejected() {
         let world = world(8, 5);
@@ -2570,20 +1853,6 @@ mod tests {
             extra_cost_ticks: 0,
         };
         let _ = run_traffic(&world, &config, &[arrival], &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "names node-4, outside the membership of 4 nodes")]
-    fn closed_batch_rejects_a_node_outside_the_membership() {
-        let world = world(8, 5);
-        let _ = run(
-            &world,
-            &[NodeEvent::NodeCrash {
-                node: NodeId(world.config.nodes),
-                at_tick: 1,
-                torn_keep: None,
-            }],
-        );
     }
 
     #[test]

@@ -421,12 +421,6 @@ impl Journal {
         Journal::default()
     }
 
-    /// Adopts raw bytes (e.g. read back from a dead worker).
-    #[must_use]
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Journal { bytes }
-    }
-
     /// The raw journal bytes.
     #[must_use]
     pub fn bytes(&self) -> &[u8] {

@@ -29,11 +29,9 @@
 //!   extended with worker crash/restart events for E15.
 //! * [`ring`] — the consistent-hash ring placing replicated shards on
 //!   simulated cluster nodes.
-//! * [`cluster`] — [`serve_cluster`], the simulated multi-node runtime:
-//!   replica failover via journal shipping, partition tolerance, and
-//!   node-level fault events (experiment E16); and
-//!   [`serve_cluster_traffic`], the one arrival-driven serving engine
-//!   behind both E17 and E18.
+//! * [`cluster`] — [`serve_cluster_traffic`], the simulated multi-node
+//!   runtime: the one arrival-driven engine behind E16 (replica
+//!   failover, partitions and node-level fault events), E17 and E18.
 //! * [`traffic`] — seed-derived open-loop arrival processes, and
 //!   [`run_open_loop`]: the arrival-driven engine on a dedicated
 //!   topology, one node per shard (experiment E17).
@@ -78,10 +76,9 @@ pub use chaos::{
 };
 pub use clock::{TickClock, VirtualClock};
 pub use cluster::{
-    replay_shard_traffic, serve_cluster, serve_cluster_traffic, serve_shard_standalone,
-    ClusterConfig, ClusterReport, ClusterTrafficConfig, ClusterTrafficReport, EpochReplay,
-    NodeEvent, NodeLoadTrace, NodeTrace, NodeTransition, RoutedOutcome, RoutingDiscipline,
-    ShardOwnership, ShardTrace, ShedAudit,
+    replay_shard_traffic, serve_cluster_traffic, ClusterTrafficConfig, ClusterTrafficReport,
+    EpochReplay, NodeEvent, NodeLoadTrace, NodeTransition, RoutedOutcome, ShardOwnership,
+    ShedAudit,
 };
 pub use deadline::{CostModel, DeadlineOracle, LatencyWindow};
 pub use journal::{
@@ -94,7 +91,7 @@ pub use rebalance::{
 pub use ring::{NodeId, ReplicaSet, Ring, RingEpoch, RingView, RouteError};
 pub use service::{
     serve_batch, Answered, BatchReport, CrashDirective, CrashReport, Disposition, FallbackTrigger,
-    FaultSchedule, QueryOutcome, RecoveryDiscipline, ServiceConfig, WorkerTrace,
+    QueryOutcome, RecoveryDiscipline, ServiceConfig, WorkerTrace,
 };
 pub use slo::{LatencyHistogram, LoadSignal, SignalWindow, SloReport};
 pub use traffic::{

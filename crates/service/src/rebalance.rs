@@ -35,22 +35,26 @@ use crate::ring::{NodeId, RingEpoch};
 use crate::slo::LoadSignal;
 use std::fmt;
 
-/// How faithfully the cluster's router tracks ring epochs.
-/// [`StaleEpoch`](RebalanceDiscipline::StaleEpoch) is the deliberately
-/// planted bug the E18 simulator exists to catch (and shrink): a router
-/// that keeps consulting the boot view after the controller has moved
-/// shards, turning every arrival for a migrated shard into a typed,
-/// auditable [`ShedReason::StaleRingEpoch`](crate::admission::ShedReason)
-/// shed.
+/// How faithfully the cluster's router tracks membership and ring
+/// epochs. Everything but [`Faithful`](RebalanceDiscipline::Faithful) is
+/// a deliberately planted bug a simulator exists to catch (and shrink):
+/// [`StaleRing`](RebalanceDiscipline::StaleRing) for E16,
+/// [`StaleEpoch`](RebalanceDiscipline::StaleEpoch) for E18.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RebalanceDiscipline {
-    /// Route every arrival against the current [`RingView`](crate::ring::RingView).
+    /// Route every arrival to the first alive, reachable replica in the
+    /// current [`RingView`](crate::ring::RingView).
     #[default]
     Faithful,
     /// Bug: route against the boot view forever. Arrivals for shards
     /// the controller has since moved reach a node that no longer owns
     /// them and shed with the stale/current epoch pair on record.
     StaleEpoch,
+    /// Bug: route to the boot primary only, never failing over. While
+    /// that primary is dead or cut off, its shard's arrivals shed
+    /// `NodeUnreachable` even when a live replica is reachable — the
+    /// shed audit names that replica.
+    StaleRing,
 }
 
 impl fmt::Display for RebalanceDiscipline {
@@ -58,6 +62,7 @@ impl fmt::Display for RebalanceDiscipline {
         match self {
             RebalanceDiscipline::Faithful => write!(f, "faithful"),
             RebalanceDiscipline::StaleEpoch => write!(f, "stale-epoch"),
+            RebalanceDiscipline::StaleRing => write!(f, "stale-ring"),
         }
     }
 }
@@ -283,6 +288,7 @@ mod tests {
     fn display_is_stable() {
         assert_eq!(RebalanceDiscipline::Faithful.to_string(), "faithful");
         assert_eq!(RebalanceDiscipline::StaleEpoch.to_string(), "stale-epoch");
+        assert_eq!(RebalanceDiscipline::StaleRing.to_string(), "stale-ring");
         let decision = RebalanceDecision {
             shard: 5,
             from: NodeId(2),

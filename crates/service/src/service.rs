@@ -29,15 +29,15 @@
 //!   answer the fault-free run would have.
 //!
 //! The same `ShardCore` serves every shard in the crate: a pool
-//! worker here, a shard task of the closed-batch cluster, a traffic
-//! shard of the arrival-driven engine, and both standalone replays
-//! (`serve_shard_standalone`, `replay_shard_traffic`).
+//! worker here, a shard of the arrival-driven cluster engine, and its
+//! standalone replay (`replay_shard_traffic`).
 //!
 //! Responses are merged and sorted by batch position at the end.
 
 use crate::admission::ShedReason;
 use crate::backoff::BackoffPolicy;
 use crate::breaker::{BreakerConfig, BreakerEvent, CircuitBreaker};
+use crate::chaos::ChaosPlan;
 use crate::clock::{TickClock, VirtualClock};
 use crate::deadline::{CostModel, DeadlineOracle};
 use crate::journal::{Journal, JournalRecord, RecoveryError, WorkerSnapshot};
@@ -110,28 +110,13 @@ impl fmt::Display for RecoveryDiscipline {
     }
 }
 
-/// Deterministic per-query fault assignment — implemented by the chaos
-/// harness; `None` in production use. `Sync` because every worker reads
-/// the schedule concurrently.
-pub trait FaultSchedule: Sync {
-    /// The fault plan injected for the query at batch position `index`.
-    fn plan_for(&self, index: usize) -> FaultPlan;
-
-    /// Crash/restart directives for `worker`, ordered by `at_tick`.
-    /// The default schedule never kills anyone.
-    fn crash_directives(&self, worker: usize) -> Vec<CrashDirective> {
-        let _ = worker;
-        Vec::new()
-    }
-}
-
 /// Tuning of the serving runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Worker threads of [`serve_batch`]'s pool; query `i` is admitted
     /// to worker `i mod workers`, which owns that shard's clock, breaker,
-    /// and budget slice. The cluster and traffic runtimes ignore it
-    /// (their shard count is their own). Must be ≥ 1.
+    /// and budget slice. The cluster runtime ignores it (its shard count
+    /// is its own). Must be ≥ 1.
     pub workers: usize,
     /// Bound of each worker's admission queue. Must be ≥ 1.
     pub queue_depth: usize,
@@ -369,12 +354,18 @@ impl BatchReport {
 ///   random tape `r`);
 /// * `service_root` — the runtime's own entropy root: per-query
 ///   sampling streams, fault streams, and backoff jitter derive from it
-///   by batch position.
+///   by batch position;
+/// * `chaos` — the chaos harness's per-query faults and worker
+///   crash/restart schedule; `None` in production use.
 ///
-/// The cached-rule tier is built once per batch from the dedicated
-/// `"service/cache"` stream against the *bare* oracle (a rule cached
-/// before the incident), and each degraded answer costs one guarded
-/// point query.
+/// Admission shards queries over `index % workers` into bounded queues
+/// before any worker starts, so overflow sheds `QueueFull` as a pure
+/// function of the batch. The cached-rule tier is built once per batch
+/// from the dedicated `"service/cache"` stream against the *bare*
+/// oracle (a rule cached before the incident); failing to build it
+/// (e.g. a miscalibrated sample budget) disables the tier instead of
+/// failing the batch. Each degraded answer costs one guarded point
+/// query.
 ///
 /// # Errors
 ///
@@ -393,7 +384,7 @@ pub fn serve_batch<O>(
     service_root: &Seed,
     queries: &[ItemId],
     config: &ServiceConfig,
-    chaos: Option<&dyn FaultSchedule>,
+    chaos: Option<&ChaosPlan>,
 ) -> Result<BatchReport, LcaError>
 where
     O: ItemOracle + WeightedSampler + Sync,
@@ -401,8 +392,29 @@ where
     assert!(config.workers >= 1, "workers must be at least 1");
     assert!(config.queue_depth >= 1, "queue_depth must be at least 1");
 
-    let cached = serve_batch_cached_rule(lca, oracle, shared_seed, service_root);
-    let (shards, mut outcomes) = admit(queries, config.workers, config.queue_depth);
+    let cached = lca
+        .build_rule(
+            oracle,
+            &mut service_root.derive(CACHE_DOMAIN, 0).rng(),
+            shared_seed,
+        )
+        .ok();
+    let mut shards: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); config.workers];
+    let mut outcomes = Vec::new();
+    for (index, &item) in queries.iter().enumerate() {
+        let shard = &mut shards[crate::traffic::shard_of(index, config.workers)];
+        if shard.len() < config.queue_depth {
+            shard.push((index, item));
+        } else {
+            outcomes.push(QueryOutcome {
+                index,
+                item,
+                disposition: Disposition::Shed(ShedReason::QueueFull {
+                    depth: config.queue_depth,
+                }),
+            });
+        }
+    }
     let shared = SharedCtx {
         lca,
         oracle,
@@ -443,65 +455,21 @@ where
     })
 }
 
-/// Admission for a closed batch: shards queries over `index % shards`
-/// into bounded per-shard queues, before anything runs, so overflow
-/// sheds `QueueFull` as a pure function of the batch. Shared by the
-/// worker pool and the cluster runtime.
-pub(crate) fn admit(
-    queries: &[ItemId],
-    shards: usize,
-    queue_depth: usize,
-) -> (Vec<Vec<(usize, ItemId)>>, Vec<QueryOutcome>) {
-    let mut shard_queries: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); shards];
-    let mut shed = Vec::new();
-    for (index, &item) in queries.iter().enumerate() {
-        let shard = crate::traffic::shard_of(index, shards);
-        if shard_queries[shard].len() < queue_depth {
-            shard_queries[shard].push((index, item));
-        } else {
-            shed.push(QueryOutcome {
-                index,
-                item,
-                disposition: Disposition::Shed(ShedReason::QueueFull { depth: queue_depth }),
-            });
-        }
-    }
-    (shard_queries, shed)
-}
-
-/// Cached-rule tier: one rule per batch from its own dedicated stream
-/// against the *bare* oracle (a rule cached before the incident).
-/// Failure to build it (e.g. a miscalibrated sample budget) disables
-/// the tier instead of failing the batch. The cluster runtime shares
-/// this helper so pool and cluster runs serve from the same rule.
-pub(crate) fn serve_batch_cached_rule<O>(
-    lca: &LcaKp,
-    oracle: &O,
-    shared_seed: &Seed,
-    service_root: &Seed,
-) -> Option<SolutionRule>
-where
-    O: ItemOracle + WeightedSampler,
-{
-    let mut rng = service_root.derive(CACHE_DOMAIN, 0).rng();
-    lca.build_rule(oracle, &mut rng, shared_seed).ok()
-}
-
 /// Read-only state shared by every worker (and, in the cluster runtime,
-/// by every shard task on every node).
+/// by every shard).
 pub(crate) struct SharedCtx<'a, O> {
     pub(crate) lca: &'a LcaKp,
     pub(crate) oracle: &'a O,
     pub(crate) shared_seed: &'a Seed,
     pub(crate) service_root: &'a Seed,
     pub(crate) config: &'a ServiceConfig,
-    pub(crate) chaos: Option<&'a dyn FaultSchedule>,
+    pub(crate) chaos: Option<&'a ChaosPlan>,
     pub(crate) cached: Option<&'a SolutionRule>,
 }
 
-pub(crate) struct WorkerOutput {
-    pub(crate) outcomes: Vec<QueryOutcome>,
-    pub(crate) trace: WorkerTrace,
+struct WorkerOutput {
+    outcomes: Vec<QueryOutcome>,
+    trace: WorkerTrace,
 }
 
 /// The next unconsumed crash directive, if it is due at tick `now`.
@@ -548,8 +516,8 @@ fn replay_outcomes(records: &[JournalRecord], items: &[(usize, ItemId)]) -> Vec<
 /// sampling workspace. Only the queries the shard serves drive this
 /// state, so by statelessness (Definition 2.4) and consistency
 /// (Theorem 4.1) any node that serves the shard from the shared seeds
-/// produces the same bytes — a pool worker, a cluster shard task, a
-/// traffic shard, and the standalone replays all run this one core.
+/// produces the same bytes — a pool worker, a cluster shard, and the
+/// standalone replay all run this one core.
 pub(crate) struct ShardCore<'a, O> {
     clock: TickClock,
     breaker: CircuitBreaker,
@@ -616,7 +584,7 @@ where
         clock.advance(DISPATCH_COST_TICKS);
         let plan = ctx
             .chaos
-            .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
+            .map_or_else(FaultPlan::none, |chaos| chaos.plan_for(index));
         let faulty = FaultyOracle::new(
             &self.budgeted,
             plan,
@@ -728,23 +696,21 @@ where
 /// One serving step the core has produced but not yet committed: the
 /// outcome plus the encoded `disposition ‖ snapshot` bytes whose append
 /// is the step's durability point (a crash may tear it).
-pub(crate) struct PendingStep {
-    pub(crate) outcome: QueryOutcome,
-    pub(crate) bytes: Vec<u8>,
+struct PendingStep {
+    outcome: QueryOutcome,
+    bytes: Vec<u8>,
 }
 
-/// The journaled serving actor of a closed batch: a worker thread in
-/// [`serve_batch`]'s pool, or a shard task hosted on a cluster node in
-/// [`serve_cluster`](crate::cluster::serve_cluster).
+/// The journaled serving actor of a worker thread in [`serve_batch`]'s
+/// pool.
 ///
 /// The actor owns its durable write-ahead [`Journal`] and its
 /// crash-wipeable live state (the [`ShardCore`], shard cursor, and
 /// completed outcomes), and serves exactly one query per
 /// [`serve_step`](WorkerCore::serve_step) /
-/// [`commit`](WorkerCore::commit) pair — so a deterministic scheduler
-/// can interleave crash, restart, and partition events between steps
-/// without ever racing a query mid-flight.
-pub(crate) struct WorkerCore<'a, O> {
+/// [`commit`](WorkerCore::commit) pair — so crash directives land
+/// between steps or inside a step's journal append, never mid-query.
+struct WorkerCore<'a, O> {
     worker: usize,
     queries: Vec<(usize, ItemId)>,
     journal: Journal,
@@ -752,9 +718,6 @@ pub(crate) struct WorkerCore<'a, O> {
     position: usize,
     outcomes: Vec<QueryOutcome>,
     worst_case: u64,
-    /// Bytes of the most recent committed append — the largest suffix a
-    /// cluster crash may tear off the journal copy shipped to a replica.
-    last_append_len: usize,
     /// Reusable payload buffer for journal-record encoding.
     enc_payload: Vec<u8>,
     /// Recycled byte buffer for the next [`PendingStep`]; a committed
@@ -769,11 +732,7 @@ where
     /// Builds a fresh core over its shard: admitted queries are
     /// journaled *before* any of them runs (write-ahead), then an
     /// initial snapshot.
-    pub(crate) fn new(
-        worker: usize,
-        queries: Vec<(usize, ItemId)>,
-        ctx: &SharedCtx<'a, O>,
-    ) -> Self {
+    fn new(worker: usize, queries: Vec<(usize, ItemId)>, ctx: &SharedCtx<'a, O>) -> Self {
         let mut journal = Journal::new();
         for &(index, item) in &queries {
             journal.append(&JournalRecord::Admitted {
@@ -792,31 +751,19 @@ where
             position: 0,
             outcomes: Vec::new(),
             worst_case: ctx.lca.worst_case_accesses(),
-            last_append_len: 0,
             enc_payload: Vec::new(),
             step_bytes: Vec::new(),
         }
     }
 
-    /// The actor's virtual clock — the scheduler's ordering key.
-    pub(crate) fn now(&self) -> u64 {
+    /// The actor's virtual clock, which crash directives are due on.
+    fn now(&self) -> u64 {
         self.live.now()
     }
 
     /// Whether the shard cursor has drained the shard.
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.position >= self.queries.len()
-    }
-
-    /// The durable journal, byte-for-byte (what a replica would ship).
-    pub(crate) fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// Bytes of the most recent committed append (0 right after a
-    /// restore or adoption) — bounds how much a mid-append crash tears.
-    pub(crate) fn last_append_len(&self) -> usize {
-        self.last_append_len
     }
 
     /// Serves the query under the cursor: pre-sheds on budget (still
@@ -824,7 +771,7 @@ where
     /// the not-yet-durable step. The caller decides whether the append
     /// [`commit`](Self::commit)s or tears.
     // lcakp-lint: probe-budget(backoff-max-attempts * retry-attempts * (coupon-samples + eps-estimation-samples + 1) + retry-attempts) reason="the degradation ladder re-runs a full audited query per backoff attempt, then falls back to at most one cached-tier point query with access-level retries"
-    pub(crate) fn serve_step(&mut self, ctx: &SharedCtx<'a, O>) -> Result<PendingStep, LcaError> {
+    fn serve_step(&mut self, ctx: &SharedCtx<'a, O>) -> Result<PendingStep, LcaError> {
         let config = ctx.config;
         let (index, item) = self.queries[self.position];
 
@@ -880,9 +827,8 @@ where
     /// Makes a served step durable and acknowledges its outcome. The
     /// step's byte buffer is recycled for the next
     /// [`serve_step`](Self::serve_step).
-    pub(crate) fn commit(&mut self, step: PendingStep) {
+    fn commit(&mut self, step: PendingStep) {
         self.journal.append_encoded(&step.bytes);
-        self.last_append_len = step.bytes.len();
         self.outcomes.push(step.outcome);
         self.step_bytes = step.bytes;
         self.position += 1;
@@ -890,7 +836,7 @@ where
 
     /// Crashes inside the step's journal append, keeping only the first
     /// `keep` bytes. The outcome is *not* acknowledged.
-    pub(crate) fn crash_torn(&mut self, step: &PendingStep, keep: usize) {
+    fn crash_torn(&mut self, step: &PendingStep, keep: usize) {
         self.journal.append_torn(&step.bytes, keep);
     }
 
@@ -898,7 +844,7 @@ where
     /// configured [`RecoveryDiscipline`]: the torn tail (if any) is
     /// discarded, the [`ShardCore`] restored from the last snapshot, and
     /// the completed outcomes replayed from the journal.
-    pub(crate) fn restore(&mut self, ctx: &SharedCtx<'a, O>) -> Result<(), RecoveryError> {
+    fn restore(&mut self, ctx: &SharedCtx<'a, O>) -> Result<(), RecoveryError> {
         let recovered = self.journal.recover()?;
         // Discard the torn tail (if any) before the revived worker
         // appends: bytes after torn garbage would be unreachable to
@@ -911,23 +857,14 @@ where
             RecoveryDiscipline::SkipJournalReplay => Vec::new(),
             _ => replay_outcomes(&recovered.records, &self.queries),
         };
-        self.last_append_len = 0;
         Ok(())
-    }
-
-    /// Replaces the journal with a copy shipped from a replica (cluster
-    /// failover); the live state is rebuilt by the following
-    /// [`restore`](Self::restore).
-    pub(crate) fn adopt_journal(&mut self, journal: Journal) {
-        self.journal = journal;
-        self.last_append_len = 0;
     }
 
     /// Supervisor salvage when the actor stays dead: rebuild what the
     /// journal proves completed, then shed the rest of the shard with
     /// the given explicit reason — a dead actor must never become a
     /// silent drop.
-    pub(crate) fn salvage(&mut self, reason: ShedReason) {
+    fn salvage(&mut self, reason: ShedReason) {
         self.outcomes = self
             .journal
             .recover()
@@ -951,7 +888,7 @@ where
     /// trace. A torn snapshot can make a re-executed query appear twice
     /// (the journal keeps both byte-identical records as evidence); the
     /// outcome list keeps the first.
-    pub(crate) fn into_output(self, crashes: Vec<CrashReport>) -> WorkerOutput {
+    fn into_output(self, crashes: Vec<CrashReport>) -> WorkerOutput {
         let mut outcomes = self.outcomes;
         outcomes.sort_by_key(|outcome| outcome.index);
         outcomes.dedup_by_key(|outcome| outcome.index);
@@ -979,10 +916,10 @@ impl<O> fmt::Debug for WorkerCore<'_, O> {
     }
 }
 
-/// Drains one closed-batch shard sequentially on a [`WorkerCore`],
+/// Drains one pool worker's shard sequentially on a [`WorkerCore`],
 /// journaling every disposition ahead of acknowledging it, and firing
 /// the crash directives `ctx.chaos` schedules for `worker` (none
-/// without a chaos plan — the standalone replay). A crash due between
+/// without a chaos plan). A crash due between
 /// queries tears nothing; one due right after a step lands inside that
 /// step's journal append and tears it. A restarted worker rebuilds
 /// itself from the journal and resumes — byte-identically to a worker
@@ -990,7 +927,7 @@ impl<O> fmt::Debug for WorkerCore<'_, O> {
 /// every random stream is keyed on batch position. A worker that stays
 /// dead has the rest of its shard shed as
 /// [`ShedReason::WorkerCrashed`].
-pub(crate) fn run_worker<O>(
+fn run_worker<O>(
     worker: usize,
     queries: Vec<(usize, ItemId)>,
     ctx: &SharedCtx<'_, O>,
@@ -1000,7 +937,7 @@ where
 {
     let directives = ctx
         .chaos
-        .map_or_else(Vec::new, |schedule| schedule.crash_directives(worker));
+        .map_or_else(Vec::new, |chaos| chaos.crash_directives(worker));
     let mut core = WorkerCore::new(worker, queries, ctx);
 
     let mut crashes: Vec<CrashReport> = Vec::new();
@@ -1265,7 +1202,7 @@ mod tests {
                 &Seed::from_entropy_u64(6),
                 &batch(30),
                 &config,
-                plan.map(|plan| plan as &dyn FaultSchedule),
+                plan,
             )
             .unwrap()
         };

@@ -160,8 +160,8 @@ pub struct Arrival {
 }
 
 /// Shard placement by key residue — the one routing rule shared by
-/// trace generation and the closed-batch cluster's admission path, so a
-/// "shard" means the same thing in both.
+/// trace generation and the worker pool's admission path, so a "shard"
+/// means the same thing in both.
 pub(crate) fn shard_of(key: usize, shards: usize) -> usize {
     key % shards
 }

@@ -7,10 +7,6 @@
 //! * a crash at an arbitrary virtual tick, tearing an arbitrary number
 //!   of bytes off the in-flight journal write, followed by a restart,
 //!   is byte-invisible: the batch report equals the fault-free run's;
-//! * a *node* crash at an arbitrary cluster tick, shipping an
-//!   arbitrarily torn journal to a replica, is byte-invisible under
-//!   faithful routing: every outcome equals the fault-free cluster
-//!   run's (the E16 failover satellite);
 //! * a node crash at an arbitrary tick of a hot-shard trace that is
 //!   actively *rebalancing* never perturbs the answer bytes: every
 //!   acknowledged answer equals the shard's standalone replay of the
@@ -23,12 +19,11 @@ use lcakp_knapsack::ItemId;
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    decode, generate_trace, replay_shard_traffic, serve_batch, serve_cluster,
-    serve_cluster_traffic, AdmissionConfig, AdmissionDiscipline, Arrival, BreakerEvent,
-    BreakerSnapshot, BreakerState, ChaosPlan, ClusterConfig, ClusterTrafficConfig, DecodeMode,
-    FaultSchedule, JournalRecord, NodeEvent, NodeId, RebalanceConfig, RebalanceDiscipline,
-    RingEpoch, ServiceConfig, TrafficConfig, TrafficDisposition, TrafficShape, TransitionCause,
-    WorkerEvent, WorkerSnapshot,
+    decode, generate_trace, replay_shard_traffic, serve_batch, serve_cluster_traffic,
+    AdmissionConfig, AdmissionDiscipline, Arrival, BreakerEvent, BreakerSnapshot, BreakerState,
+    ChaosPlan, ClusterTrafficConfig, DecodeMode, JournalRecord, NodeEvent, NodeId, RebalanceConfig,
+    RebalanceDiscipline, RingEpoch, ServiceConfig, TrafficConfig, TrafficDisposition, TrafficShape,
+    TransitionCause, WorkerEvent, WorkerSnapshot,
 };
 use lcakp_workloads::{Family, WorkloadSpec};
 use proptest::prelude::*;
@@ -158,7 +153,7 @@ proptest! {
                 &Seed::from_entropy_u64(10),
                 &batch,
                 &config,
-                plan.map(|plan| plan as &dyn FaultSchedule),
+                plan,
             )
             .unwrap()
         };
@@ -197,77 +192,6 @@ proptest! {
                 .decode(DecodeMode::Recover)
                 .map_err(|error| TestCaseError::fail(format!("journal corrupt: {error}")))?;
             prop_assert_eq!(decoded.torn_bytes, 0, "recovery must truncate torn tails");
-        }
-    }
-}
-
-proptest! {
-    // Each case runs the full cluster twice (twin + faulted), so keep
-    // the case count modest; the tick/torn/node space is what matters.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn node_crash_at_an_arbitrary_tick_fails_over_byte_identically(
-        tick_permille in 0u64..1000,
-        torn_keep in (0u8..2, 0usize..64).prop_map(|(some, keep)| (some == 1).then_some(keep)),
-        crashed_node in 0usize..4,
-    ) {
-        let norm = WorkloadSpec::new(Family::SmallDominated, 16, 29)
-            .generate_normalized()
-            .unwrap();
-        let oracle = InstanceOracle::new(&norm);
-        let lca = LcaKp::new(Epsilon::new(1, 3).unwrap())
-            .unwrap()
-            .with_budget(SampleBudget::Calibrated { factor: 0.01 });
-        let config = ClusterConfig {
-            nodes: 4,
-            replication: 2,
-            shards: 4,
-            ..ClusterConfig::default()
-        };
-        let batch: Vec<ItemId> = (0..16).map(ItemId).collect();
-        let run = |events: &[NodeEvent]| {
-            serve_cluster(
-                &lca,
-                &oracle,
-                &Seed::from_entropy_u64(9),
-                &Seed::from_entropy_u64(10),
-                &batch,
-                &config,
-                events,
-            )
-            .unwrap()
-        };
-        let twin = run(&[]);
-        let horizon = twin
-            .shards
-            .iter()
-            .map(|trace| trace.end_tick)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let faulted = run(&[NodeEvent::NodeCrash {
-            node: NodeId(crashed_node),
-            at_tick: horizon * tick_permille / 1000,
-            torn_keep,
-        }]);
-        // With two replicas per shard, a single unrevived node crash
-        // never exhausts a replica group: failover via the shipped
-        // (possibly torn) journal must be byte-invisible — no sheds, no
-        // divergence, not even in the tick traces.
-        prop_assert_eq!(
-            &twin.outcomes,
-            &faulted.outcomes,
-            "failover must be byte-invisible (node {}, permille {}, torn {:?})",
-            crashed_node,
-            tick_permille,
-            torn_keep
-        );
-        prop_assert_eq!(faulted.shed_count(), 0);
-        prop_assert!(faulted.shed_audits.is_empty());
-        for (trace, twin_trace) in faulted.shards.iter().zip(&twin.shards) {
-            prop_assert_eq!(trace.end_tick, twin_trace.end_tick);
-            prop_assert_eq!(trace.accesses_used, twin_trace.accesses_used);
         }
     }
 }

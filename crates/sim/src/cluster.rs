@@ -1,50 +1,53 @@
 //! The E16 cluster simulator: node-level fault schedules against the
-//! simulated multi-node runtime.
+//! arrival-driven cluster engine.
 //!
 //! Each case derives node crashes, restarts, and partitions from
-//! `(root, case)`, runs [`serve_cluster`] twice — the faulted run and
-//! its fault-free twin — and checks the cluster invariants: failover
-//! transparency, exactly-one outcome per query, routing honesty (no
-//! shed while a live replica was reachable), journal discipline on the
-//! shipped per-shard journals, and **replica byte-identity**: every
-//! shard is re-served standalone (what any replica computes from the
-//! shared seeds alone, per Theorem 4.1's consistency guarantee) and the
-//! answers the cluster acknowledged must match byte-for-byte on every
-//! surviving replica.
-//!
-//! Schedule ticks are permille of the fault-free *cluster horizon* (the
-//! max shard end tick), so shrunk schedules stay meaningful across
-//! instance sizes exactly as in the E15 harness.
+//! `(root, case)`, maps their permille ticks onto the horizon of one
+//! fixed steady trace, and sends that trace through
+//! [`serve_cluster_traffic`] with admission and rebalancing off, so
+//! routing alone decides every shed. [`check_cluster_run`] checks the
+//! run's own records: exactly one outcome per arrival, routing honesty
+//! (no shed while a live replica was reachable), and journal discipline
+//! on every node's journal. The world adds **replica byte-identity**:
+//! every shard's admitted arrivals are replayed standalone — what any
+//! replica computes from the shared seeds alone, per Theorem 4.1's
+//! consistency guarantee — and every answer the cluster acknowledged
+//! must match byte-for-byte. That check covers every acknowledged
+//! answer, so no fault-free twin runs.
 
 use crate::driver::{smoke, JsonFields, Scenario};
 use crate::invariants::{check_cluster_run, Violation};
 use crate::schedule::{generate_cluster_schedule, SimEvent};
-use crate::world::{WorldBase, BREAKER};
+use crate::world::{TrafficWorld, WorldBase};
 use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_service::{
-    serve_cluster, serve_shard_standalone, ClusterConfig, ClusterReport, Disposition, NodeEvent,
-    NodeId, QueryOutcome, Ring, RoutingDiscipline, ServiceConfig,
+    serve_cluster_traffic, Arrival, ClusterTrafficConfig, NodeEvent, NodeId, RebalanceDiscipline,
+    TrafficShape,
 };
-use std::collections::BTreeMap;
 
-/// Cluster-simulator tuning. The defaults keep one case (twin +
-/// faulted run + per-shard standalone replays) in the hundreds of
-/// milliseconds so seed ranges and shrink loops stay affordable.
+/// The fixed trace's mean arrival gap, permille of the calibrated
+/// per-query cost: one server's capacity, spread over every node.
+const TRACE_GAP_PERMILLE: u32 = 1000;
+
+/// Cluster-simulator tuning. The defaults keep one case (the faulted
+/// run plus per-shard standalone replays) in the tens of milliseconds
+/// so seed ranges and shrink loops stay affordable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterSimConfig {
-    /// Instance size (= batch size: the batch queries every item).
+    /// Instance size, and the fixed trace's length (arrivals query
+    /// items `0..n`).
     pub n: usize,
     /// Nodes in the simulated membership.
     pub nodes: usize,
     /// Replicas per shard.
     pub replication: usize,
-    /// Shards queries are routed over.
+    /// Shards arrivals are routed over.
     pub shards: usize,
-    /// Routing discipline under test — [`RoutingDiscipline::Faithful`]
-    /// must survive every schedule; [`RoutingDiscipline::StaleRing`] is
-    /// the planted bug the simulator exists to catch.
-    pub routing: RoutingDiscipline,
+    /// Routing discipline under test — [`RebalanceDiscipline::Faithful`]
+    /// must survive every schedule; [`RebalanceDiscipline::StaleRing`]
+    /// is the planted bug the simulator exists to catch.
+    pub routing: RebalanceDiscipline,
 }
 
 impl Default for ClusterSimConfig {
@@ -54,49 +57,50 @@ impl Default for ClusterSimConfig {
             nodes: 4,
             replication: 2,
             shards: 6,
-            routing: RoutingDiscipline::Faithful,
+            routing: RebalanceDiscipline::Faithful,
         }
     }
 }
 
-/// The fixed world one cluster simulation runs in. The fault-free twin
-/// and the per-shard standalone replays depend only on the world (node
-/// events never touch them), so both are computed once at build time
-/// and shared by every case and shrink candidate.
+/// The fixed world one cluster simulation runs in: the calibrated
+/// traffic world, its one steady trace, and the cluster it serves on.
+/// Everything here depends only on `(root, config)` — the schedule is
+/// the entire difference between two cases.
 #[derive(Debug)]
 pub struct ClusterWorld {
-    base: WorldBase,
+    traffic: TrafficWorld,
     config: ClusterSimConfig,
-    cluster: ClusterConfig,
-    twin: ClusterReport,
-    horizon: u64,
-    standalone: Vec<Vec<QueryOutcome>>,
+    cluster: ClusterTrafficConfig,
+    trace: Vec<Arrival>,
 }
 
 /// Headline counters of one faulted cluster run (rendered into the
 /// smoke JSON).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterCaseStats {
-    /// Queries answered (any tier).
-    pub answered: usize,
-    /// Queries shed with a typed reason.
-    pub shed: usize,
+    /// Arrivals answered (any tier).
+    pub answered: u64,
+    /// Arrivals shed with a typed reason.
+    pub shed: u64,
     /// Node crashes that actually fired.
     pub node_crashes: usize,
-    /// Shard ownership changes survived via journal shipping.
+    /// Arrival-time acting-owner changes: a shard moving to another
+    /// replica, or back to a revived or reconnected one.
     pub failovers: usize,
 }
 
 impl ClusterWorld {
     /// Builds the world for `root`: the same dominated instance family
-    /// and tuning as the E15 [`SimWorld`](crate::SimWorld) — under
-    /// cluster-specific domain labels, so the two simulators' random
-    /// streams stay independent — with the worker pool replaced by a
-    /// simulated cluster.
+    /// and tuning as the other simulators' worlds — under
+    /// cluster-specific domain labels, so their random streams stay
+    /// independent — calibrated by the shared probe, plus one steady
+    /// trace at [`TRACE_GAP_PERMILLE`] and a cluster with admission and
+    /// rebalancing off.
     ///
     /// # Errors
     ///
-    /// Propagates workload generation and LCA construction errors.
+    /// Propagates workload generation, LCA construction, and probe-run
+    /// errors.
     pub fn build(root: &Seed, config: &ClusterSimConfig) -> Result<ClusterWorld, LcaError> {
         let base = WorldBase::build(
             config.n,
@@ -106,105 +110,33 @@ impl ClusterWorld {
                 root.derive("sim/cluster-serving", 0),
             ],
         )?;
-        let cluster = ClusterConfig {
+        let traffic = TrafficWorld::build(
+            base,
+            root.derive("sim/cluster-trace", 0),
+            config.shards,
+            config.n,
+        )?;
+        let trace = traffic.build_trace(&[SimEvent::Traffic {
+            shape: TrafficShape::Steady,
+            gap_permille: TRACE_GAP_PERMILLE,
+        }]);
+        let cluster = ClusterTrafficConfig {
             nodes: config.nodes,
             replication: config.replication,
             shards: config.shards,
+            vnodes: 64,
+            service: traffic.service.clone(),
+            admission: traffic.admission,
+            discipline: None,
+            rebalance: None,
             routing: config.routing,
-            base: ServiceConfig {
-                workers: 1,
-                queue_depth: config.n.max(1),
-                breaker: BREAKER,
-                ..ServiceConfig::default()
-            },
-            ..ClusterConfig::default()
         };
-        let batch = base.batch();
-        let oracle = InstanceOracle::new(&base.norm);
-        let twin = serve_cluster(
-            &base.lca,
-            &oracle,
-            &base.shared_seed,
-            &base.service_root,
-            &batch,
-            &cluster,
-            &[],
-        )?;
-        let horizon = twin
-            .shards
-            .iter()
-            .map(|trace| trace.end_tick)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let standalone = (0..cluster.shards)
-            .map(|shard| {
-                serve_shard_standalone(
-                    &base.lca,
-                    &oracle,
-                    &base.shared_seed,
-                    &base.service_root,
-                    &batch,
-                    shard,
-                    &cluster,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(ClusterWorld {
-            base,
+            traffic,
             config: *config,
             cluster,
-            twin,
-            horizon,
-            standalone,
+            trace,
         })
-    }
-
-    /// The replica byte-identity check: every shard's precomputed
-    /// standalone replay — what each replica computes from the shared
-    /// seeds alone — must match every answer the faulted cluster
-    /// acknowledged byte-for-byte. A mismatch is reported against each
-    /// surviving replica of the shard's boot-time group.
-    fn replica_mismatches(&self, faulted: &ClusterReport) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let ring = Ring::new(self.cluster.nodes, self.cluster.vnodes);
-        for (shard, standalone) in self.standalone.iter().enumerate() {
-            let set = ring
-                .replicas(shard, self.cluster.replication)
-                .expect("a non-empty membership always routes");
-            let alive: Vec<NodeId> = set
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|node| {
-                    faulted
-                        .nodes
-                        .get(node.0)
-                        .is_some_and(|trace| trace.alive_at_end)
-                })
-                .collect();
-            if alive.is_empty() {
-                continue;
-            }
-            let reference: BTreeMap<usize, &Disposition> = standalone
-                .iter()
-                .map(|outcome| (outcome.index, &outcome.disposition))
-                .collect();
-            let mismatch = faulted.outcomes.iter().any(|outcome| {
-                outcome.index % self.cluster.shards == shard
-                    && outcome.disposition.answered().is_some()
-                    && reference.get(&outcome.index) != Some(&&outcome.disposition)
-            });
-            if mismatch {
-                for node in alive {
-                    violations.push(Violation::ReplicaAnswerMismatch {
-                        shard,
-                        node: node.0,
-                    });
-                }
-            }
-        }
-        violations
     }
 }
 
@@ -228,33 +160,36 @@ impl Scenario for ClusterWorld {
         generate_cluster_schedule(root, case, self.config.nodes)
     }
 
-    /// Runs one node-level schedule against the precomputed fault-free
-    /// twin: maps permille ticks onto the twin's horizon, runs the
-    /// faulted cluster, then checks every cluster invariant including
-    /// replica byte-identity.
+    /// Runs one node-level schedule: maps its permille ticks onto the
+    /// trace horizon, serves the trace, then checks every cluster
+    /// invariant including replica byte-identity.
     fn run_schedule(
         &self,
         events: &[SimEvent],
     ) -> Result<(ClusterCaseStats, Vec<Violation>), LcaError> {
-        let batch = self.base.batch();
-        let oracle = InstanceOracle::new(&self.base.norm);
-        let node_events = map_node_events(events, self.horizon, self.cluster.nodes);
-        let faulted = serve_cluster(
-            &self.base.lca,
-            &oracle,
-            &self.base.shared_seed,
-            &self.base.service_root,
-            &batch,
+        let base = &self.traffic.base;
+        let horizon = self
+            .trace
+            .last()
+            .map_or(0, |arrival| arrival.at_tick)
+            .max(1);
+        let node_events = map_node_events(events, horizon, self.cluster.nodes);
+        let faulted = serve_cluster_traffic(
+            &base.lca,
+            &InstanceOracle::new(&base.norm),
+            &base.shared_seed,
+            &base.service_root,
+            &self.trace,
             &self.cluster,
             &node_events,
         )?;
-        let mut violations = check_cluster_run(&self.twin, &faulted, batch.len());
-        violations.extend(self.replica_mismatches(&faulted));
+        let mut violations = check_cluster_run(&faulted, self.trace.len());
+        violations.extend(self.traffic.replica_mismatches(&faulted, &self.trace));
         let stats = ClusterCaseStats {
-            answered: faulted.answered_count(),
-            shed: faulted.shed_count(),
-            node_crashes: faulted.nodes.iter().map(|trace| trace.crashes).sum(),
-            failovers: faulted.failover_count(),
+            answered: faulted.slo.answered,
+            shed: faulted.slo.shed,
+            node_crashes: faulted.nodes.iter().map(|node| node.crashes).sum(),
+            failovers: faulted.shards.iter().map(|shard| shard.failovers).sum(),
         };
         Ok((stats, violations))
     }
@@ -272,10 +207,10 @@ impl JsonFields for ClusterCaseStats {
 }
 
 /// Turns the schedule's permille ticks into absolute [`NodeEvent`]s on
-/// the twin's cluster horizon. Events naming a node the membership
-/// doesn't have, worker-level E15 events, and degenerate partitions
-/// (cutting nobody or everybody) are dropped — shrunk or hand-written
-/// schedules may contain them.
+/// the trace horizon. Events naming a node the membership doesn't have,
+/// worker-level E15 events, and degenerate partitions (cutting nobody
+/// or everybody) are dropped — shrunk or hand-written schedules may
+/// contain them.
 pub(crate) fn map_node_events(events: &[SimEvent], horizon: u64, nodes: usize) -> Vec<NodeEvent> {
     let at = |permille: u32| horizon * u64::from(permille) / 1000;
     let mut mapped = Vec::new();

@@ -14,8 +14,8 @@ use crate::world::{WorldBase, BREAKER};
 use lcakp_core::LcaError;
 use lcakp_oracle::{FaultPlan, InstanceOracle, Seed};
 use lcakp_service::{
-    serve_batch, BatchReport, ChaosPlan, FaultSchedule, LatencyWindow, RecoveryDiscipline,
-    ServiceConfig, WorkerEvent,
+    serve_batch, BatchReport, ChaosPlan, LatencyWindow, RecoveryDiscipline, ServiceConfig,
+    WorkerEvent,
 };
 
 /// Simulator tuning. The defaults keep one case (twin + faulted run)
@@ -178,7 +178,7 @@ impl Scenario for SimWorld {
                 &self.base.service_root,
                 &batch,
                 &config,
-                Some(plan as &dyn FaultSchedule),
+                Some(plan),
             )
         };
         let twin = serve(&twin_plan)?;

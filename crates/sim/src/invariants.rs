@@ -18,12 +18,12 @@
 //!   truncates torn tails; only an unrevived final crash may leave one)
 //!   and snapshots are monotone in `(tick, next_position)`.
 //!
-//! [`check_cluster_run`] applies the same discipline to E16 cluster
-//! runs — there the per-task journals belong to *shards* (which survive
-//! node failover by journal shipping), the tolerated sheds widen to the
-//! cluster-level reasons, and two cluster-only invariants join: a shed
-//! while a live replica was reachable is a routing bug, and surviving
-//! replicas must agree byte-for-byte on every answer.
+//! [`check_cluster_run`] covers the E16 runs of the arrival engine,
+//! with no twin: exactly one outcome per arrival, a shed while a live
+//! replica was reachable is a routing bug, and every node's journal
+//! decodes, never conflicts, and holds every answer the node
+//! acknowledged (but the one a crash tore off its tail). Replicas must
+//! agree byte-for-byte on every answer, in E16 and E18 alike.
 //!
 //! [`check_rebalance_run`] covers the E18 traffic-driven cluster: every
 //! promotion must be justified by its own audit trail (rebalance
@@ -32,9 +32,9 @@
 //! always violations.
 
 use lcakp_service::{
-    AdmissionConfig, BatchReport, ClusterReport, ClusterTrafficReport, DecodeMode, Disposition,
-    Journal, JournalRecord, QueryOutcome, RebalanceConfig, RecoveryError, RingEpoch, ShedReason,
-    TrafficDisposition,
+    AdmissionConfig, BatchReport, ClusterTrafficReport, DecodeMode, Disposition, Journal,
+    JournalRecord, QueryOutcome, RebalanceConfig, RecoveryError, RingEpoch, RoutedOutcome,
+    ShedReason, TrafficDisposition,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -59,16 +59,16 @@ pub enum Violation {
         /// The duplicated batch position.
         index: usize,
     },
-    /// An acknowledged answer is absent from its worker's journal.
+    /// An acknowledged answer is absent from its server's journal.
     UnjournaledAnswer {
-        /// The worker that served the answer.
+        /// The worker (E15) or node (E16) that served the answer.
         worker: usize,
         /// Batch position of the unjournaled answer.
         index: usize,
     },
     /// The same index was journaled twice with different bytes.
     ConflictingJournalRecords {
-        /// The worker whose journal conflicts.
+        /// The worker (E15) or node (E16) whose journal conflicts.
         worker: usize,
         /// The conflicting batch position.
         index: usize,
@@ -80,18 +80,20 @@ pub enum Violation {
     },
     /// A journal failed to decode even in recovery mode.
     JournalCorrupt {
-        /// The worker whose journal is unreadable.
+        /// The worker (E15) or node (E16) whose journal is unreadable.
         worker: usize,
         /// The decoder's typed error.
         error: RecoveryError,
     },
-    /// A surviving replica's standalone replay of a shard disagrees
-    /// with the answer the cluster acknowledged.
+    /// Replica byte-identity (E16, E18): an answer the cluster
+    /// acknowledged for a (possibly failed-over or migrated) shard
+    /// diverged from the shard's standalone replay of the same admitted
+    /// subsequence.
     ReplicaAnswerMismatch {
-        /// The shard whose replicas disagree.
+        /// The shard whose answers diverged.
         shard: usize,
-        /// The disagreeing replica node.
-        node: usize,
+        /// Trace position of the first diverging answer.
+        index: usize,
     },
     /// A query was shed for a cluster-level reason while the router had
     /// a live, reachable replica it should have promoted instead.
@@ -154,15 +156,6 @@ pub enum Violation {
         /// Trace position of the stale-shed arrival.
         index: usize,
     },
-    /// Migration transparency (E18): an answer the cluster acknowledged
-    /// for a (possibly migrated) shard diverged byte-for-byte from the
-    /// shard's standalone replay of the same admitted subsequence.
-    MigratedAnswerMismatch {
-        /// The shard whose answers diverged.
-        shard: usize,
-        /// Trace position of the first diverging answer.
-        index: usize,
-    },
     /// Epoch replay (E18): a crashed node's surviving journals replayed
     /// an older ring epoch than the cluster had reached at crash time.
     EpochReplayMismatch {
@@ -198,8 +191,8 @@ impl fmt::Display for Violation {
             Violation::JournalCorrupt { worker, error } => {
                 write!(f, "journal-corrupt(worker={worker}, error={error})")
             }
-            Violation::ReplicaAnswerMismatch { shard, node } => {
-                write!(f, "replica-answer-mismatch(shard={shard}, node={node})")
+            Violation::ReplicaAnswerMismatch { shard, index } => {
+                write!(f, "replica-answer-mismatch(shard={shard}, index={index})")
             }
             Violation::ShedWithLiveReplica { shard, index } => {
                 write!(f, "shed-with-live-replica(shard={shard}, index={index})")
@@ -227,9 +220,6 @@ impl fmt::Display for Violation {
             }
             Violation::StaleEpochShed { index } => {
                 write!(f, "stale-epoch-shed(index={index})")
-            }
-            Violation::MigratedAnswerMismatch { shard, index } => {
-                write!(f, "migrated-answer-mismatch(shard={shard}, index={index})")
             }
             Violation::EpochReplayMismatch { node } => {
                 write!(f, "epoch-replay-mismatch(node={node})")
@@ -259,12 +249,19 @@ pub fn check_run(twin: &BatchReport, faulted: &BatchReport, n: usize) -> Vec<Vio
         },
     ));
 
-    // Per-worker journal checks on the faulted run.
+    // Per-worker journal checks on the faulted run: acknowledged
+    // answers must be journaled by the worker that served them.
     for trace in &faulted.workers {
+        let served = faulted.outcomes.iter().filter(|outcome| {
+            outcome
+                .disposition
+                .answered()
+                .is_some_and(|answered| answered.worker == trace.worker)
+        });
         violations.extend(journal_violations(
             trace.worker,
             &trace.journal,
-            &faulted.outcomes,
+            served.map(|outcome| outcome.index),
         ));
     }
 
@@ -313,15 +310,14 @@ fn divergence_violations(
         .collect()
 }
 
-/// The journal-discipline checks for one task's write-ahead journal
-/// (`worker` is the task's id — a pool worker in E15, a shard in E16):
-/// decodes cleanly, snapshots are monotone, records per index are
-/// byte-identical, and every acknowledged answer owned by this task is
-/// journaled.
+/// The journal-discipline checks for one write-ahead journal (`worker`
+/// is its owner — a pool worker in E15, a node in E16): decodes
+/// cleanly, snapshots are monotone, records per index are
+/// byte-identical, and every index in `acknowledged` is journaled.
 fn journal_violations(
     worker: usize,
     journal: &Journal,
-    outcomes: &[QueryOutcome],
+    acknowledged: impl Iterator<Item = usize>,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let decoded = match journal.decode(DecodeMode::Recover) {
@@ -357,91 +353,84 @@ fn journal_violations(
             JournalRecord::Admitted { .. } | JournalRecord::RingChange { .. } => {}
         }
     }
-    // Write-ahead discipline: acknowledged answers must be journaled by
-    // their owning task.
-    for outcome in outcomes {
-        let Some(answered) = outcome.disposition.answered() else {
-            continue;
-        };
-        if answered.worker == worker && !disposed.contains_key(&(outcome.index as u64)) {
-            violations.push(Violation::UnjournaledAnswer {
-                worker,
-                index: outcome.index,
-            });
+    // Write-ahead discipline: acknowledged answers must be journaled.
+    for index in acknowledged {
+        if !disposed.contains_key(&(index as u64)) {
+            violations.push(Violation::UnjournaledAnswer { worker, index });
         }
     }
     violations
 }
 
-/// Whether a faulted-run shed is one the cluster twin-check tolerates:
-/// the loss of every replica (or of the whole reachable side) is the
-/// *only* sanctioned divergence from the fault-free twin.
-fn cluster_tolerated(disposition: &Disposition) -> bool {
-    matches!(
-        disposition,
-        Disposition::Shed(
-            ShedReason::WorkerCrashed { .. }
-                | ShedReason::NodeUnreachable { .. }
-                | ShedReason::Partitioned { .. }
-        )
-    )
-}
+/// Checks the E16 cluster invariants of one faulted run of the arrival
+/// engine. `arrivals` is the offered trace length. The checks need no
+/// twin — every one reads the run's own records:
+///
+/// * **liveness** — every arrival terminates in exactly one outcome;
+/// * **routing honesty** — a shed whose audit names a reachable replica
+///   refused work that replica could have served:
+///   [`Violation::ShedWithLiveReplica`] at the shard's first such shed,
+///   the planted stale-ring bug's signature;
+/// * **journal discipline** — every node's journal decodes under
+///   recovery, never records one index twice with different bytes, and
+///   holds every answer the node acknowledged, except the last arrival
+///   the node took before each of its crashes (a crash may tear that
+///   append off). Node journals hold no snapshots, so there is no
+///   monotonicity to check.
+///
+/// Replica byte-identity needs the world's oracle to replay shards
+/// standalone, so it lives in [`ClusterWorld`](crate::ClusterWorld).
+pub fn check_cluster_run(faulted: &ClusterTrafficReport, arrivals: usize) -> Vec<Violation> {
+    let mut violations = coverage_violations(
+        faulted.outcomes.iter().map(|routed| routed.outcome.index),
+        arrivals,
+    );
 
-/// Checks every cluster invariant of one faulted E16 run against its
-/// fault-free twin. `n` is the submitted batch size. On top of the
-/// [`check_run`] discipline (liveness, divergence, per-shard journal
-/// checks), the routing audit trail is inspected: any shed recorded
-/// while a live replica was reachable becomes
-/// [`Violation::ShedWithLiveReplica`] — the signature of the planted
-/// stale-ring bug.
-pub fn check_cluster_run(
-    twin: &ClusterReport,
-    faulted: &ClusterReport,
-    n: usize,
-) -> Vec<Violation> {
-    let mut violations =
-        coverage_violations(faulted.outcomes.iter().map(|outcome| outcome.index), n);
-
-    // Failover transparency: outcomes equal the twin's, cluster-level
-    // sheds of genuinely unreachable shards excepted.
-    violations.extend(divergence_violations(
-        &twin.outcomes,
-        &faulted.outcomes,
-        cluster_tolerated,
-    ));
-
-    // Routing honesty: a shed audit naming reachable replicas means the
-    // router refused work it could have failed over.
-    for audit in &faulted.shed_audits {
-        if !audit.reachable_replicas.is_empty() {
-            let index = faulted
-                .outcomes
-                .iter()
-                .find(|outcome| {
-                    matches!(
-                        outcome.disposition,
-                        Disposition::Shed(
-                            ShedReason::NodeUnreachable { shard }
-                                | ShedReason::Partitioned { shard }
-                        ) if shard == audit.shard
-                    )
-                })
-                .map_or(0, |outcome| outcome.index);
+    // Routing honesty. Every arrival no replica took has exactly one
+    // audit, in order.
+    let routing_sheds = faulted
+        .outcomes
+        .iter()
+        .filter(|routed| routed.node.is_none());
+    let mut flagged = BTreeSet::new();
+    for (audit, routed) in faulted.shed_audits.iter().zip(routing_sheds) {
+        if !audit.reachable_replicas.is_empty() && flagged.insert(audit.shard) {
             violations.push(Violation::ShedWithLiveReplica {
                 shard: audit.shard,
-                index,
+                index: routed.outcome.index,
             });
         }
     }
 
-    // Per-shard journal checks: the shipped journal that survived
-    // failover must satisfy the same discipline as a pool worker's.
-    for trace in &faulted.shards {
-        violations.extend(journal_violations(
-            trace.shard,
-            &trace.journal,
-            &faulted.outcomes,
-        ));
+    // Journal discipline per node.
+    for node in &faulted.nodes {
+        let routed_here = |routed: &&RoutedOutcome| routed.node == Some(node.node);
+        let torn: BTreeSet<usize> = faulted
+            .epoch_replays
+            .iter()
+            .filter(|replay| replay.node == node.node)
+            .filter_map(|replay| {
+                faulted
+                    .outcomes
+                    .iter()
+                    .filter(routed_here)
+                    .take_while(|routed| routed.outcome.at_tick < replay.at_tick)
+                    .last()
+            })
+            .map(|routed| routed.outcome.index)
+            .collect();
+        let acknowledged = faulted
+            .outcomes
+            .iter()
+            .filter(routed_here)
+            .filter(|routed| {
+                matches!(
+                    routed.outcome.disposition,
+                    TrafficDisposition::Answered { .. }
+                ) && !torn.contains(&routed.outcome.index)
+            })
+            .map(|routed| routed.outcome.index);
+        violations.extend(journal_violations(node.node.0, &node.journal, acknowledged));
     }
 
     violations
@@ -704,8 +693,8 @@ mod tests {
             "stale-epoch-shed(index=8)"
         );
         assert_eq!(
-            Violation::MigratedAnswerMismatch { shard: 1, index: 5 }.to_string(),
-            "migrated-answer-mismatch(shard=1, index=5)"
+            Violation::ReplicaAnswerMismatch { shard: 1, index: 5 }.to_string(),
+            "replica-answer-mismatch(shard=1, index=5)"
         );
         assert_eq!(
             Violation::EpochReplayMismatch { node: 2 }.to_string(),

@@ -21,8 +21,9 @@
 //!   [`run_range`], the planted-bug [`hunt`], and the one canonical JSON
 //!   renderer [`render_json`] the `--smoke` goldens pin;
 //! * `world` — the world every scenario builds on (instance, LCA,
-//!   seeds, breaker) and, for the traffic scenarios, the calibrated
-//!   deadline, admission controller, and arrival-trace mapping;
+//!   seeds, breaker) and, for the scenarios on the arrival engine, the
+//!   calibrated deadline, admission controller, arrival-trace mapping,
+//!   and replica byte-identity check;
 //! * [`schedule`] — [`SimEvent`] and seed-derived schedule generation;
 //! * [`invariants`] — the [`Violation`] taxonomy and [`check_run`];
 //! * [`shrink`] — greedy schedule shrinking to a minimal repro;
@@ -31,8 +32,7 @@
 //! * [`harness`] — E15: worker crashes, restarts, corruption bursts,
 //!   latency spikes, and budget squeezes against the worker pool;
 //! * [`cluster`] — E16: node crashes, restarts, and partitions against
-//!   the simulated multi-node cluster, plus the replica byte-identity
-//!   check;
+//!   the arrival-driven cluster engine serving one fixed trace;
 //! * [`slo`] — E17: open-loop traffic schedules against the adaptive
 //!   admission controller, with admission-honesty, hysteresis, and
 //!   liveness invariants checked against an admission-free twin;

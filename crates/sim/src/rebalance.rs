@@ -40,9 +40,8 @@ use crate::world::{TrafficWorld, WorldBase};
 use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_service::{
-    replay_shard_traffic, serve_cluster_traffic, AdmissionDiscipline, Arrival,
-    ClusterTrafficConfig, ClusterTrafficReport, RebalanceConfig, RebalanceDiscipline,
-    TrafficDisposition, TrafficShape,
+    serve_cluster_traffic, AdmissionDiscipline, ClusterTrafficConfig, ClusterTrafficReport,
+    RebalanceConfig, RebalanceDiscipline, TrafficShape,
 };
 
 /// Rebalance-simulator tuning. The defaults keep one case (controlled
@@ -206,65 +205,6 @@ impl RebalanceWorld {
             cluster,
         })
     }
-
-    /// The migration byte-identity check: for every shard, the admitted
-    /// subsequence the cluster answered is replayed standalone — what
-    /// any replica computes from the shared seeds alone — and the
-    /// acknowledged answers must match byte-for-byte, no matter how
-    /// often the shard migrated mid-trace.
-    fn migrated_mismatches(
-        &self,
-        controlled: &ClusterTrafficReport,
-        trace: &[Arrival],
-    ) -> Vec<Violation> {
-        let base = &self.traffic.base;
-        let oracle = InstanceOracle::new(&base.norm);
-        let mut violations = Vec::new();
-        for shard in 0..self.cluster.shards {
-            let admitted: Vec<(usize, Arrival)> = controlled
-                .outcomes
-                .iter()
-                .filter(|routed| {
-                    routed.outcome.shard == shard
-                        && matches!(
-                            routed.outcome.disposition,
-                            TrafficDisposition::Answered { .. }
-                        )
-                })
-                .map(|routed| (routed.outcome.index, trace[routed.outcome.index]))
-                .collect();
-            let Ok(replayed) = replay_shard_traffic(
-                &base.lca,
-                &oracle,
-                &base.shared_seed,
-                &base.service_root,
-                &admitted,
-                shard,
-                &self.cluster.service,
-            ) else {
-                // A replay that cannot even run is a world bug, not a
-                // byte-identity violation of this schedule.
-                continue;
-            };
-            let mut position = 0usize;
-            for routed in &controlled.outcomes {
-                if routed.outcome.shard != shard {
-                    continue;
-                }
-                if let TrafficDisposition::Answered { answer, .. } = routed.outcome.disposition {
-                    if replayed.get(position) != Some(&(routed.outcome.index, answer)) {
-                        violations.push(Violation::MigratedAnswerMismatch {
-                            shard,
-                            index: routed.outcome.index,
-                        });
-                        break;
-                    }
-                    position += 1;
-                }
-            }
-        }
-        violations
-    }
 }
 
 impl Scenario for RebalanceWorld {
@@ -328,7 +268,7 @@ impl Scenario for RebalanceWorld {
             .rebalance
             .expect("the world always arms the controller");
         let mut violations = check_rebalance_run(&controlled, &rebalance, trace.len());
-        violations.extend(self.migrated_mismatches(&controlled, &trace));
+        violations.extend(self.traffic.replica_mismatches(&controlled, &trace));
         Ok((case_stats(&controlled, &twin), violations))
     }
 }

@@ -4,15 +4,17 @@
 //! same LCA against a service tuned the same way; they differ only in
 //! the label prefix their seeds derive under (`sim/`, `sim/cluster-`,
 //! `sim/slo-`, `sim/rebalance-`), which keeps their random streams
-//! independent. [`WorldBase`] is that shared part. The two traffic
-//! simulators (E17, E18) additionally share [`TrafficWorld`]: the
-//! calibrated per-query service cost, the SLO deadline and admission
-//! controller scaled to it, and the schedule → arrival-trace mapping.
+//! independent. [`WorldBase`] is that shared part. The three
+//! simulators on the arrival engine (E16–E18) additionally share
+//! [`TrafficWorld`]: the calibrated per-query service cost, the SLO
+//! deadline and admission controller scaled to it, the schedule →
+//! arrival-trace mapping, and the replica byte-identity check.
 //!
 //! Callers derive the seeds themselves, from literal labels, so
 //! `lcakp-lint` can check every label for workspace-uniqueness.
 
 use crate::calibrate::calibrate_cost;
+use crate::invariants::Violation;
 use crate::schedule::SimEvent;
 use lcakp_core::{LcaError, LcaKp};
 use lcakp_knapsack::iky::Epsilon;
@@ -20,8 +22,8 @@ use lcakp_knapsack::{ItemId, NormalizedInstance};
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    generate_trace, seed_to_u64, AdmissionConfig, Arrival, BreakerConfig, ServiceConfig,
-    TrafficConfig,
+    generate_trace, replay_shard_traffic, seed_to_u64, AdmissionConfig, Arrival, BreakerConfig,
+    ClusterTrafficReport, ServiceConfig, TrafficConfig, TrafficDisposition,
 };
 use lcakp_workloads::{Family, WorkloadSpec};
 
@@ -67,7 +69,7 @@ impl WorldBase {
     }
 }
 
-/// The calibrated world of the traffic simulators (E17, E18).
+/// The calibrated world of the traffic simulators (E16–E18).
 /// Everything here depends only on the seeds and the shape knobs — the
 /// schedule is the entire difference between two cases.
 #[derive(Debug)]
@@ -171,6 +173,57 @@ impl TrafficWorld {
             }
         }
         trace
+    }
+
+    /// Replica byte-identity: every shard's admitted subsequence of
+    /// `trace` is replayed standalone — what any replica computes from
+    /// the shared seeds alone — and every answer `report` acknowledged
+    /// must match it byte-for-byte, however often the shard failed over
+    /// or migrated. Reports each shard's first diverging answer.
+    pub(crate) fn replica_mismatches(
+        &self,
+        report: &ClusterTrafficReport,
+        trace: &[Arrival],
+    ) -> Vec<Violation> {
+        let base = &self.base;
+        let oracle = InstanceOracle::new(&base.norm);
+        let mut violations = Vec::new();
+        for shard in 0..self.shards {
+            let answered = report.outcomes.iter().filter_map(|routed| {
+                let outcome = &routed.outcome;
+                match outcome.disposition {
+                    TrafficDisposition::Answered { answer, .. } if outcome.shard == shard => {
+                        Some((outcome.index, answer))
+                    }
+                    _ => None,
+                }
+            });
+            let admitted: Vec<(usize, Arrival)> = answered
+                .clone()
+                .map(|(index, _)| (index, trace[index]))
+                .collect();
+            let Ok(replayed) = replay_shard_traffic(
+                &base.lca,
+                &oracle,
+                &base.shared_seed,
+                &base.service_root,
+                &admitted,
+                shard,
+                &self.service,
+            ) else {
+                // A replay that cannot even run is a world bug, not a
+                // byte-identity violation of this schedule.
+                continue;
+            };
+            if let Some((index, _)) = answered
+                .zip(&replayed)
+                .find(|(served, replayed)| served != *replayed)
+                .map(|(served, _)| served)
+            {
+                violations.push(Violation::ReplicaAnswerMismatch { shard, index });
+            }
+        }
+        violations
     }
 }
 
