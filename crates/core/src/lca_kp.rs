@@ -59,7 +59,10 @@ pub enum ReproProfile {
 /// cleared at each use, and a map whose key differs is rebuilt.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Distinct large items sampled from R (Algorithm 2 lines 1–3).
+    /// Distinct large items sampled from R (Algorithm 2 lines 1–3),
+    /// sorted by id. Each sample is inserted as it arrives and an id
+    /// keeps its first arrival, so the buffer holds one entry per
+    /// distinct large id drawn and is never sorted afterwards.
     large: Vec<(ItemId, Item)>,
     /// Small-item efficiency keys sampled from Q (lines 6–8).
     efficiencies: Vec<u128>,
@@ -425,11 +428,9 @@ impl LcaKp {
         // lcakp-lint: batch-count(coupon-samples) reason="m = coupon_samples() exactly; the symbolic name keeps the certificate readable across call sites"
         self.sample_many_with_retry(oracle, rng, m, retries, |id, item| {
             if !small.is_small(item.profit) {
-                scratch.large.push((id, item));
+                insert_first_arrival(&mut scratch.large, id, item);
             }
         })?;
-        scratch.large.sort_by_key(|&(id, _)| id);
-        scratch.large.dedup_by_key(|&mut (id, _)| id);
         let large = &scratch.large;
         let large_profit: u128 = large.iter().map(|&(_, item)| item.profit as u128).sum();
 
@@ -730,6 +731,17 @@ impl SmallItemFilter {
     /// Whether an item of profit `profit` is small: `profit/P ≤ ε²`.
     fn is_small(self, profit: u64) -> bool {
         u128::from(profit) * self.den_sq <= self.bound
+    }
+}
+
+/// Adds one large coupon sample to `large`, which stays sorted by id
+/// with each id once. An id already present keeps its first arrival,
+/// exactly as a stable sort followed by `dedup_by_key` keeps it, so the
+/// selected items are the same even when silent corruption delivers one
+/// id with two different profits.
+fn insert_first_arrival(large: &mut Vec<(ItemId, Item)>, id: ItemId, item: Item) {
+    if let Err(at) = large.binary_search_by_key(&id, |&(id, _)| id) {
+        large.insert(at, (id, item));
     }
 }
 
@@ -1245,6 +1257,73 @@ mod tests {
                     agrees(profit, total);
                 }
             }
+        }
+    }
+
+    /// On-arrival insertion against the sort-then-dedup it replaced.
+    mod first_arrival {
+        use super::super::insert_first_arrival;
+        use lcakp_knapsack::{Item, ItemId};
+        use proptest::prelude::*;
+
+        fn sort_then_dedup(arrivals: &[(ItemId, Item)]) -> Vec<(ItemId, Item)> {
+            let mut large = arrivals.to_vec();
+            large.sort_by_key(|&(id, _)| id);
+            large.dedup_by_key(|&mut (id, _)| id);
+            large
+        }
+
+        fn on_arrival(arrivals: &[(ItemId, Item)]) -> Vec<(ItemId, Item)> {
+            let mut large = Vec::new();
+            for &(id, item) in arrivals {
+                insert_first_arrival(&mut large, id, item);
+            }
+            large
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Ids come from a universe of 1 to 120, so sequences repeat ids
+            /// often, carry different items under one id, and can hold more
+            /// than ⌊1/ε²⌋ = 36 distinct ids (ε = 1/6).
+            #[test]
+            fn equals_a_stable_sort_then_dedup(
+                universe in 1usize..121,
+                raw in proptest::collection::vec((0usize..1 << 16, 1u64..50, 1u64..50), 0..400),
+            ) {
+                let arrivals: Vec<(ItemId, Item)> = raw
+                    .iter()
+                    .map(|&(id, profit, weight)| (ItemId(id % universe), Item::new(profit, weight)))
+                    .collect();
+                prop_assert_eq!(on_arrival(&arrivals), sort_then_dedup(&arrivals));
+            }
+        }
+
+        #[test]
+        fn keeps_the_first_arrival_of_each_id() {
+            assert!(on_arrival(&[]).is_empty());
+            let first = Item::new(9, 1);
+            let corrupted = Item::new(40, 1);
+            let arrivals = [
+                (ItemId(3), first),
+                (ItemId(1), Item::new(5, 2)),
+                (ItemId(3), corrupted),
+            ];
+            assert_eq!(
+                on_arrival(&arrivals),
+                [(ItemId(1), Item::new(5, 2)), (ItemId(3), first)]
+            );
+            // More distinct ids than ⌊1/ε²⌋ at ε = 1/6, arriving in
+            // descending order and then again.
+            let many: Vec<(ItemId, Item)> = (0..50)
+                .rev()
+                .chain(0..50)
+                .map(|id| (ItemId(id), Item::new(id as u64 + 1, 1)))
+                .collect();
+            let large = on_arrival(&many);
+            assert_eq!(large.len(), 50);
+            assert_eq!(large, sort_then_dedup(&many));
         }
     }
 }

@@ -5,8 +5,8 @@
 
 use lcakp_core::{LcaKp, QueryScratch};
 use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::NormalizedInstance;
-use lcakp_oracle::{InstanceOracle, Seed};
+use lcakp_knapsack::{ItemId, NormalizedInstance};
+use lcakp_oracle::{FaultPlan, FaultyOracle, InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_workloads::{Family, WorkloadSpec};
 
@@ -141,4 +141,51 @@ fn maps_are_reused_only_while_the_kept_key_count_repeats() {
             }
         }
     }
+}
+
+/// Silent corruption can deliver one large id with two different
+/// profits in one query, and can inflate a small item past the large
+/// cut-off. A reused scratch keeps the first arrival of each id, as a
+/// fresh one does, so the audited answers and the rules match.
+#[test]
+fn reused_scratch_matches_a_fresh_one_under_silent_corruption() {
+    let lca = LcaKp::new(Epsilon::new(1, 6).unwrap())
+        .unwrap()
+        .with_budget(SampleBudget::Calibrated { factor: 0.0001 });
+    let shared = Seed::from_entropy_u64(41);
+    let mixed = Family::LargeDominated {
+        heavy: 4,
+        heavy_profit: 100,
+    };
+    let norm = instance(mixed, 1200);
+    let oracle = InstanceOracle::new(&norm);
+    let plan = FaultPlan::corrupting(0.05, 40);
+
+    let mut reused = QueryScratch::default();
+    let mut corrupted = 0;
+    let mut with_large = 0;
+    for query in 0..12u64 {
+        let fault_seed = Seed::from_entropy_u64(500 + query);
+        let stream = Seed::from_entropy_u64(1_000 + query);
+        let item = ItemId((query as usize * 97) % norm.len());
+        let run = |scratch: &mut QueryScratch| {
+            let faulty = FaultyOracle::new(&oracle, plan, fault_seed);
+            let audited = lca
+                .query_with_audit_in(&faulty, &mut stream.rng(), item, &shared, scratch)
+                .unwrap();
+            let corrupted = faulty.fault_report().corrupted_reads;
+            let faulty = FaultyOracle::new(&oracle, plan, fault_seed);
+            let rule = lca
+                .build_rule_in(&faulty, &mut stream.rng(), &shared, scratch)
+                .unwrap();
+            (audited, rule, corrupted)
+        };
+        let with_reused = run(&mut reused);
+        let with_fresh = run(&mut QueryScratch::default());
+        assert_eq!(with_reused, with_fresh, "query {query}");
+        corrupted += with_reused.2;
+        with_large += usize::from(!with_reused.1.large_selected.is_empty());
+    }
+    assert!(corrupted > 0, "the plan must corrupt some reads");
+    assert!(with_large > 0, "some rule must select large items");
 }

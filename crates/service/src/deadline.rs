@@ -15,8 +15,8 @@
 //!
 //! A weighted-sample batch is charged per chunk of 64 samples: one clock
 //! read, a local replay of the chunk's costs to find the accesses that
-//! start before the deadline, one inner batch, then one `accesses` add
-//! and one clock advance. Ticks, counts and errors are those of one
+//! start before the deadline (in closed form when the cost is flat), one
+//! inner batch, then one `accesses` add and one clock advance. Ticks, counts and errors are those of one
 //! charge per access, because nothing reads the shard clock inside an
 //! access.
 
@@ -120,17 +120,47 @@ impl<'a, O, C> DeadlineOracle<'a, O, C> {
     }
 }
 
+/// Replays up to `limit` charges on a local clock starting at tick
+/// `now`, an access started at `tick` costing `cost(tick)`: how many
+/// accesses start before `deadline`, and the tick the clock reaches once
+/// they are charged.
+fn replay_loop(mut now: u64, limit: u64, deadline: u64, cost: impl Fn(u64) -> u64) -> (u64, u64) {
+    let mut granted = 0;
+    while granted < limit && now < deadline {
+        now = now.wrapping_add(cost(now));
+        granted += 1;
+    }
+    (granted, now)
+}
+
+/// [`replay_loop`] at a flat cost `c`, in closed form: access `j` starts
+/// at `now + j·c`, so `⌈(deadline − now)/c⌉` accesses start before the
+/// deadline. `None` when `c = 0` or the end tick overflows; there the
+/// loop, whose clock wraps, decides.
+fn flat_replay(c: u64, now: u64, limit: u64, deadline: u64) -> Option<(u64, u64)> {
+    if c == 0 {
+        return None;
+    }
+    let granted = limit.min(deadline.saturating_sub(now).div_ceil(c));
+    let end = granted.checked_mul(c)?.checked_add(now)?;
+    Some((granted, end))
+}
+
 impl<'a, O, C: VirtualClock> DeadlineOracle<'a, O, C> {
-    /// Replays up to `limit` charges on a local clock starting at tick
-    /// `now`: how many accesses start before the deadline, and the tick
-    /// the clock reaches once they are charged.
-    fn replay(&self, mut now: u64, limit: u64) -> (u64, u64) {
-        let mut granted = 0;
-        while granted < limit && now < self.deadline_tick {
-            now = now.wrapping_add(self.cost.cost_at(now));
-            granted += 1;
+    /// Replays up to `limit` charges from tick `now` (see
+    /// [`replay_loop`]), in closed form when no spike can change a
+    /// charge.
+    fn replay(&self, now: u64, limit: u64) -> (u64, u64) {
+        if self.cost.spikes.is_empty() {
+            if let Some(replayed) =
+                flat_replay(self.cost.cost_per_access, now, limit, self.deadline_tick)
+            {
+                return replayed;
+            }
         }
-        (granted, now)
+        replay_loop(now, limit, self.deadline_tick, |tick| {
+            self.cost.cost_at(tick)
+        })
     }
 
     fn charge(&self) -> Result<(), OracleError> {
@@ -179,6 +209,11 @@ impl<O: WeightedSampler, C: VirtualClock> WeightedSampler for DeadlineOracle<'_,
     /// Charges per chunk of `DEADLINE_CHUNK` samples (see the module
     /// docs). A chunk settles every access up to and including a failed
     /// one, plus the refused access when the deadline cuts it short.
+    ///
+    /// Each chunk hands the inner batch a fresh closure rather than
+    /// `&mut deliver`: the inner loop then calls the sink directly, not
+    /// through one more reference per sample.
+    #[allow(clippy::redundant_closure)]
     fn try_sample_weighted_many<R, F>(
         &self,
         rng: &mut R,
@@ -196,7 +231,7 @@ impl<O: WeightedSampler, C: VirtualClock> WeightedSampler for DeadlineOracle<'_,
             let (granted, end) = self.replay(start, len);
             if let Err((delivered, error)) =
                 self.inner
-                    .try_sample_weighted_many(rng, granted, &mut deliver)
+                    .try_sample_weighted_many(rng, granted, |id, item| deliver(id, item))
             {
                 let (_, end) = self.replay(start, delivered + 1);
                 self.accesses.fetch_add(delivered + 1, Ordering::Relaxed);
@@ -311,5 +346,68 @@ mod tests {
         }
         assert_eq!(clock.now(), 0);
         assert_eq!(guarded.accesses(), 0);
+    }
+
+    /// The closed-form replay against the charge-by-charge loop.
+    mod flat_replay_props {
+        use super::super::{flat_replay, replay_loop};
+        use proptest::prelude::*;
+
+        /// A tick, cost or count: one of the u64 edges, a small value,
+        /// or an arbitrary one.
+        fn edgy(small: u64) -> impl Strategy<Value = u64> {
+            (0u8..8, 0..=small, 0..=u64::MAX).prop_map(|(pick, low, any)| match pick {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                3 => u64::MAX - 1,
+                4 => u64::MAX - low,
+                5 | 6 => low,
+                _ => any,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn closed_form_equals_the_loop(
+                c in edgy(100),
+                now in edgy(10_000),
+                deadline in edgy(10_000),
+                limit in edgy(200),
+            ) {
+                let Some(closed) = flat_replay(c, now, limit, deadline) else {
+                    // The loop decides: a zero cost, or an end tick past u64::MAX.
+                    let overflows = limit
+                        .min(deadline.saturating_sub(now).div_ceil(c.max(1)))
+                        .checked_mul(c)
+                        .and_then(|ticks| ticks.checked_add(now))
+                        .is_none();
+                    prop_assert!(c == 0 || overflows);
+                    return Ok(());
+                };
+                // A closed form only exists when no charge wraps, so the
+                // loop runs exactly `closed.0` steps; keep them affordable.
+                prop_assume!(closed.0 <= 1 << 20);
+                prop_assert_eq!(closed, replay_loop(now, limit, deadline, |_| c));
+            }
+        }
+
+        #[test]
+        fn edge_cases() {
+            // At or past the deadline nothing starts.
+            assert_eq!(flat_replay(3, 10, 64, 10), Some((0, 10)));
+            assert_eq!(flat_replay(3, u64::MAX, 64, 10), Some((0, u64::MAX)));
+            // No accesses asked for.
+            assert_eq!(flat_replay(3, 0, 0, 10), Some((0, 0)));
+            // The last access starts one tick before the deadline.
+            assert_eq!(flat_replay(3, 0, 64, 10), Some((4, 12)));
+            assert_eq!(replay_loop(0, 64, 10, |_| 3), (4, 12));
+            // Zero cost and a wrapping end tick fall back to the loop.
+            assert_eq!(flat_replay(0, 0, 64, 10), None);
+            assert_eq!(flat_replay(u64::MAX, 1, 64, u64::MAX), None);
+            assert_eq!(replay_loop(1, 64, u64::MAX, |_| u64::MAX), (2, u64::MAX));
+        }
     }
 }

@@ -18,7 +18,7 @@
 use crate::driver::{smoke, JsonFields, Scenario};
 use crate::invariants::{check_cluster_run, Violation};
 use crate::schedule::{generate_cluster_schedule, SimEvent};
-use crate::world::{TrafficWorld, WorldBase};
+use crate::world::{ShardReplay, TrafficWorld, WorldBase};
 use lcakp_core::LcaError;
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_service::{
@@ -72,6 +72,10 @@ pub struct ClusterWorld {
     config: ClusterSimConfig,
     cluster: ClusterTrafficConfig,
     trace: Vec<Arrival>,
+    /// Every shard's replay of its full subsequence of `trace`: with
+    /// admission off, a shard that shed nothing admitted exactly that,
+    /// so most cases compare against it instead of replaying.
+    replays: Vec<ShardReplay>,
 }
 
 /// Headline counters of one faulted cluster run (rendered into the
@@ -131,11 +135,13 @@ impl ClusterWorld {
             rebalance: None,
             routing: config.routing,
         };
+        let replays = traffic.fault_free_replays(&trace);
         Ok(ClusterWorld {
             traffic,
             config: *config,
             cluster,
             trace,
+            replays,
         })
     }
 }
@@ -184,7 +190,10 @@ impl Scenario for ClusterWorld {
             &node_events,
         )?;
         let mut violations = check_cluster_run(&faulted, self.trace.len());
-        violations.extend(self.traffic.replica_mismatches(&faulted, &self.trace));
+        violations.extend(
+            self.traffic
+                .replica_mismatches(&faulted, &self.trace, &self.replays),
+        );
         let stats = ClusterCaseStats {
             answered: faulted.slo.answered,
             shed: faulted.slo.shed,

@@ -268,7 +268,8 @@ impl Scenario for RebalanceWorld {
             .rebalance
             .expect("the world always arms the controller");
         let mut violations = check_rebalance_run(&controlled, &rebalance, trace.len());
-        violations.extend(self.traffic.replica_mismatches(&controlled, &trace));
+        // Every case's trace differs, so no replay is shared.
+        violations.extend(self.traffic.replica_mismatches(&controlled, &trace, &[]));
         Ok((case_stats(&controlled, &twin), violations))
     }
 }

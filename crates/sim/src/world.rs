@@ -22,8 +22,8 @@ use lcakp_knapsack::{ItemId, NormalizedInstance};
 use lcakp_oracle::{InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_service::{
-    generate_trace, replay_shard_traffic, seed_to_u64, AdmissionConfig, Arrival, BreakerConfig,
-    ClusterTrafficReport, ServiceConfig, TrafficConfig, TrafficDisposition,
+    generate_trace, replay_shard_traffic, seed_to_u64, AdmissionConfig, Answered, Arrival,
+    BreakerConfig, ClusterTrafficReport, ServiceConfig, TrafficConfig, TrafficDisposition,
 };
 use lcakp_workloads::{Family, WorkloadSpec};
 
@@ -175,18 +175,59 @@ impl TrafficWorld {
         trace
     }
 
+    /// Replays every shard's full subsequence of `trace` standalone: what
+    /// each shard admits when nothing is shed. A world whose trace is
+    /// fixed computes this once and hands it to every case's
+    /// [`replica_mismatches`](Self::replica_mismatches).
+    pub(crate) fn fault_free_replays(&self, trace: &[Arrival]) -> Vec<ShardReplay> {
+        (0..self.shards)
+            .map(|shard| {
+                let admitted: Vec<(usize, Arrival)> = trace
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|(_, arrival)| arrival.shard == shard)
+                    .collect();
+                let answers = self.replay(&admitted, shard);
+                ShardReplay { admitted, answers }
+            })
+            .collect()
+    }
+
+    /// One shard's admitted arrivals replayed on a fresh standalone core,
+    /// or `None` when the replay cannot even run.
+    fn replay(
+        &self,
+        admitted: &[(usize, Arrival)],
+        shard: usize,
+    ) -> Option<Vec<(usize, Answered)>> {
+        let base = &self.base;
+        replay_shard_traffic(
+            &base.lca,
+            &InstanceOracle::new(&base.norm),
+            &base.shared_seed,
+            &base.service_root,
+            admitted,
+            shard,
+            &self.service,
+        )
+        .ok()
+    }
+
     /// Replica byte-identity: every shard's admitted subsequence of
     /// `trace` is replayed standalone — what any replica computes from
     /// the shared seeds alone — and every answer `report` acknowledged
     /// must match it byte-for-byte, however often the shard failed over
-    /// or migrated. Reports each shard's first diverging answer.
+    /// or migrated. A shard whose admitted arrivals equal its entry in
+    /// `cached` (replays of the same trace, possibly empty) reuses that
+    /// replay instead of running its own. Reports each shard's first
+    /// diverging answer.
     pub(crate) fn replica_mismatches(
         &self,
         report: &ClusterTrafficReport,
         trace: &[Arrival],
+        cached: &[ShardReplay],
     ) -> Vec<Violation> {
-        let base = &self.base;
-        let oracle = InstanceOracle::new(&base.norm);
         let mut violations = Vec::new();
         for shard in 0..self.shards {
             let answered = report.outcomes.iter().filter_map(|routed| {
@@ -202,21 +243,21 @@ impl TrafficWorld {
                 .clone()
                 .map(|(index, _)| (index, trace[index]))
                 .collect();
-            let Ok(replayed) = replay_shard_traffic(
-                &base.lca,
-                &oracle,
-                &base.shared_seed,
-                &base.service_root,
-                &admitted,
-                shard,
-                &self.service,
-            ) else {
-                // A replay that cannot even run is a world bug, not a
-                // byte-identity violation of this schedule.
+            let fresh;
+            let replayed = match cached.get(shard) {
+                Some(hit) if hit.admitted == admitted => &hit.answers,
+                _ => {
+                    fresh = self.replay(&admitted, shard);
+                    &fresh
+                }
+            };
+            // A replay that cannot even run is a world bug, not a
+            // byte-identity violation of this schedule.
+            let Some(replayed) = replayed else {
                 continue;
             };
             if let Some((index, _)) = answered
-                .zip(&replayed)
+                .zip(replayed)
                 .find(|(served, replayed)| served != *replayed)
                 .map(|(served, _)| served)
             {
@@ -225,6 +266,14 @@ impl TrafficWorld {
         }
         violations
     }
+}
+
+/// One shard's admitted arrivals and their standalone replay (`None`
+/// when the replay could not run).
+#[derive(Debug)]
+pub(crate) struct ShardReplay {
+    admitted: Vec<(usize, Arrival)>,
+    answers: Option<Vec<(usize, Answered)>>,
 }
 
 /// Compresses the gaps of every arrival whose (pre-surge) tick falls in
