@@ -16,9 +16,9 @@
 //! A weighted-sample batch is charged per chunk of 64 samples: one clock
 //! read, a local replay of the chunk's costs to find the accesses that
 //! start before the deadline (in closed form when the cost is flat), one
-//! inner batch, then one `accesses` add and one clock advance. Ticks, counts and errors are those of one
-//! charge per access, because nothing reads the shard clock inside an
-//! access.
+//! inner batch, then one `accesses` add and one clock advance. Ticks,
+//! counts and errors are those of one charge per access, because
+//! nothing reads the shard clock inside an access.
 
 use crate::clock::VirtualClock;
 use lcakp_knapsack::{Item, ItemId, Norms};
