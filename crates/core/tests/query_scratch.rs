@@ -5,7 +5,7 @@
 
 use lcakp_core::{LcaKp, QueryScratch};
 use lcakp_knapsack::iky::Epsilon;
-use lcakp_knapsack::{ItemId, NormalizedInstance};
+use lcakp_knapsack::{Instance, ItemId, NormalizedInstance};
 use lcakp_oracle::{FaultPlan, FaultyOracle, InstanceOracle, Seed};
 use lcakp_reproducible::SampleBudget;
 use lcakp_workloads::{Family, WorkloadSpec};
@@ -188,4 +188,54 @@ fn reused_scratch_matches_a_fresh_one_under_silent_corruption() {
     }
     assert!(corrupted > 0, "the plan must corrupt some reads");
     assert!(with_large > 0, "some rule must select large items");
+}
+
+/// An item of weight 0 and positive profit has infinite efficiency, so
+/// its key is `u64::MAX`. Next to finite keys that spreads the kept keys
+/// over the whole 64-bit range, where a key and its position no longer
+/// share one 64-bit sort record. A reused scratch that alternates
+/// between such samples and narrow ones builds the rules a fresh one
+/// builds.
+#[test]
+fn reused_scratch_switches_record_widths() {
+    let narrow = instance(Family::SmallDominated, 400);
+    // 400 small items and one of weight 0 holding ~1% of the profit:
+    // small at ε = 1/6, and drawn about once per hundred draws.
+    let wide = NormalizedInstance::new(
+        Instance::from_pairs(
+            (0..400u64)
+                .map(|i| (50 + i % 50, 10 + i * 7 % 90))
+                .chain([(300, 0)]),
+            8_000,
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let zero_weight = ItemId(400);
+    assert_eq!(wide.tie_broken_efficiency_key(zero_weight), u64::MAX);
+    let oracles = [InstanceOracle::new(&narrow), InstanceOracle::new(&wide)];
+    let lca = LcaKp::new(Epsilon::new(1, 6).unwrap())
+        .unwrap()
+        .with_budget(SampleBudget::Calibrated { factor: 0.0001 });
+    let shared = Seed::from_entropy_u64(41);
+
+    let mut reused = QueryScratch::default();
+    for query in 0..8u64 {
+        // Two queries on each side in turn: 0, 0, 1, 1, 0, 0, …
+        let oracle = &oracles[(query / 2 % 2) as usize];
+        let stream = Seed::from_entropy_u64(1_000 + query);
+        let with_reused = lca
+            .build_rule_in(oracle, &mut stream.rng(), &shared, &mut reused)
+            .unwrap();
+        let with_fresh = lca
+            .build_rule_in(
+                oracle,
+                &mut stream.rng(),
+                &shared,
+                &mut QueryScratch::default(),
+            )
+            .unwrap();
+        assert_eq!(with_reused, with_fresh, "query {query}");
+        assert!(with_reused.e_small.is_some(), "query {query}");
+    }
 }

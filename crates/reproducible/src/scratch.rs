@@ -330,37 +330,90 @@ mod tests {
         assert_eq!(position_of(rec), u32::MAX as usize);
     }
 
+    /// The sample's `(value, position)` pairs in the order the radix sort
+    /// leaves its records, decoded.
+    fn sorted_pairs(sample: &[u64]) -> Vec<(u64, usize)> {
+        let wide: Vec<u128> = sample.iter().map(|&value| u128::from(value)).collect();
+        let (mut records, mut spare) = (vec![7; 3], vec![9; 5]);
+        sort_records(&wide, &mut records, &mut spare);
+        records
+            .iter()
+            .map(|&rec| (value_of(rec) as u64, position_of(rec)))
+            .collect()
+    }
+
+    /// A sample of `len` values of shape `shape`: full-width values with
+    /// `0` and `u64::MAX` among them, one value repeated, a few distinct
+    /// values, or a range whose bit length plus the position bits of
+    /// `len` is exactly 64 (shape 3) or 65 (shape 4).
+    fn sample_of_shape(len: usize, shape: u8, rng: &mut ChaCha12Rng) -> Vec<u64> {
+        let position_bits = usize::BITS - len.saturating_sub(1).leading_zeros();
+        let mut sample: Vec<u64> = match shape {
+            0 => (0..len).map(|_| rng.gen()).collect(),
+            1 => vec![rng.gen(); len],
+            2 => {
+                let few: Vec<u64> = (0..4).map(|_| rng.gen_range(0..1 << 20)).collect();
+                (0..len).map(|_| few[rng.gen_range(0..few.len())]).collect()
+            }
+            _ => {
+                let range_bits = (64 + u32::from(shape) - 3 - position_bits).min(64);
+                let span = u64::MAX >> (64 - range_bits);
+                let min = rng.gen_range(0..=u64::MAX - span);
+                let mut sample: Vec<u64> =
+                    (0..len).map(|_| min + (rng.gen::<u64>() & span)).collect();
+                if len >= 2 {
+                    sample[0] = min;
+                    sample[len - 1] = min + span;
+                }
+                sample
+            }
+        };
+        sample.shuffle(rng);
+        if shape == 0 && len >= 2 {
+            let (low, high) = (rng.gen_range(0..len), rng.gen_range(0..len - 1));
+            sample[low] = 0;
+            sample[if high >= low { high + 1 } else { high }] = u64::MAX;
+        }
+        sample
+    }
+
+    /// Checks the decoded sort of `sample` against `sort_unstable` of its
+    /// `(value, position)` pairs.
+    fn assert_sorts_pairs(sample: &[u64]) -> Result<(), TestCaseError> {
+        let mut expected: Vec<(u64, usize)> = sample
+            .iter()
+            .enumerate()
+            .map(|(position, &value)| (value, position))
+            .collect();
+        expected.sort_unstable();
+        prop_assert_eq!(sorted_pairs(sample), expected);
+        Ok(())
+    }
+
+    /// One sample of every shape above `2^17` values, where a position
+    /// takes 18 bits.
+    #[test]
+    fn long_samples_sort_like_sort_unstable() {
+        let mut rng = ChaCha12Rng::seed_from_u64(17);
+        for shape in 0..5 {
+            let sample = sample_of_shape((1 << 17) + 1, shape, &mut rng);
+            assert_sorts_pairs(&sample).unwrap();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The radix sort gives the records in the order `sort_unstable`
-        /// gives them: full-width 64-bit values, one value repeated, and
-        /// a few distinct values (whose high digits are all skipped).
+        /// The radix sort, decoded, gives the `(value, position)` pairs in
+        /// the order `sort_unstable` gives them, for every sample shape.
         #[test]
-        fn radix_sort_equals_sort_unstable_on_records(
+        fn decoded_records_equal_sorted_pairs(
             len in 0usize..=2_000,
-            shape in 0u8..3,
+            shape in 0u8..5,
             entropy in 0u64..=u64::MAX,
         ) {
             let mut rng = ChaCha12Rng::seed_from_u64(entropy);
-            let point = u128::from(rng.gen::<u64>());
-            let few: Vec<u128> = (0..4).map(|_| rng.gen_range(0..1u128 << 20)).collect();
-            let sample: Vec<u128> = (0..len)
-                .map(|_| match shape {
-                    0 => u128::from(rng.gen::<u64>()),
-                    1 => point,
-                    _ => few[rng.gen_range(0..few.len())],
-                })
-                .collect();
-            let mut expected: Vec<u128> = sample
-                .iter()
-                .enumerate()
-                .map(|(position, &value)| record(value, position))
-                .collect();
-            expected.sort_unstable();
-            let (mut records, mut spare) = (vec![7; 3], vec![9; 5]);
-            sort_records(&sample, &mut records, &mut spare);
-            prop_assert_eq!(records, expected);
+            assert_sorts_pairs(&sample_of_shape(len, shape, &mut rng))?;
         }
     }
 }
