@@ -19,10 +19,15 @@
 //!
 //! Every printed field repeats exactly run to run (CI diffs two runs).
 //!
+//! The steady-state section also reports `scratch_bytes`: the live
+//! bytes the scratch holds after the warm-up query (the query's answer
+//! is dropped by then, so nothing else stays live).
+//!
 //! `--check` exits nonzero if the steady-state per-query allocation
-//! count exceeds `STEADY_ALLOC_BUDGET`, or the served path's per-arrival
-//! count exceeds `SERVED_ALLOCS_PER_ARRIVAL` — the CI smoke that keeps
-//! allocation regressions out of the serving loop.
+//! count exceeds `STEADY_ALLOC_BUDGET`, the warm scratch holds more than
+//! `SCRATCH_BYTES_BUDGET` bytes, or the served path's per-arrival count
+//! exceeds `SERVED_ALLOCS_PER_ARRIVAL` — the CI smoke that keeps
+//! allocation and memory regressions out of the serving loop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -44,6 +49,13 @@ use lcakp_workloads::{Family, WorkloadSpec};
 /// budget leaves 4x headroom so only a structural regression — a hoisted
 /// buffer moving back into the query path — trips it.
 const STEADY_ALLOC_BUDGET: u64 = 20;
+
+/// Live bytes the steady-state section's `QueryScratch` holds after its
+/// warm-up query, enforced by `--check`. Pinned at the measured
+/// 2,858,786 (4,394,794 while keys and sort records were `u128`): any
+/// buffer that widens again, or grows past what the query needs, trips
+/// it.
+const SCRATCH_BYTES_BUDGET: u64 = 2_858_786;
 
 /// Served-path allocations per extra arrival, enforced by `--check`.
 /// Measured 5: exactly what one query builds and keeps (the sites
@@ -174,8 +186,12 @@ fn main() {
     let mut rng = root.derive("alloc-audit/sampling", 0).rng();
     let mut scratch = QueryScratch::default();
 
+    let live_before_warm_up = LIVE.load(Relaxed);
     lca.query_with_audit_in(&oracle, &mut rng, ItemId(0), &shared_seed, &mut scratch)
         .expect("warm-up query");
+    // The query's own answer is dropped, so what stays live is what the
+    // scratch holds.
+    let scratch_bytes = LIVE.load(Relaxed) - live_before_warm_up;
 
     let steady_queries = 64u64;
     let steady_start = begin_section();
@@ -258,6 +274,8 @@ fn main() {
                 ("peak_bytes", steady.peak),
                 ("allocations_per_query", steady_per_query),
                 ("budget_per_query", STEADY_ALLOC_BUDGET),
+                ("scratch_bytes", scratch_bytes),
+                ("scratch_bytes_budget", SCRATCH_BYTES_BUDGET),
             ]),
         ),
         (
@@ -279,6 +297,13 @@ fn main() {
         eprintln!(
             "alloc_audit: steady-state allocations per query {steady_per_query} exceeds \
              budget {STEADY_ALLOC_BUDGET}"
+        );
+        failed = true;
+    }
+    if check && scratch_bytes > SCRATCH_BYTES_BUDGET {
+        eprintln!(
+            "alloc_audit: the warm query scratch holds {scratch_bytes} bytes, above the \
+             pinned {SCRATCH_BYTES_BUDGET}"
         );
         failed = true;
     }

@@ -73,11 +73,11 @@ where
         let eps_f = eps.as_f64();
         let q = (eps_f + eps_f * eps_f / 2.0) / residual_fraction;
         let t = (1.0 / q).floor() as usize;
-        let mut efficiencies: Vec<u128> = Vec::new();
+        let mut efficiencies: Vec<u64> = Vec::new();
         for _ in 0..half {
             let (id, item) = oracle.try_sample_weighted(rng)?;
             if norms.nprofit_of(item.profit) <= eps_sq {
-                efficiencies.push(norms.tie_broken_efficiency_key(id, item) as u128);
+                efficiencies.push(norms.tie_broken_efficiency_key(id, item));
             }
         }
         if efficiencies.is_empty() || t == 0 {
@@ -87,9 +87,7 @@ where
             let mut previous = u64::MAX;
             for k in 1..=t {
                 let p = (1.0 - k as f64 * q).max(0.0);
-                let key = u64::try_from(naive_quantile(&efficiencies, p))
-                    .unwrap_or(u64::MAX)
-                    .min(previous);
+                let key = naive_quantile(&efficiencies, p).min(previous);
                 keys.push(key);
                 previous = key;
             }

@@ -64,8 +64,11 @@ pub struct QueryScratch {
     /// keeps its first arrival, so the buffer holds one entry per
     /// distinct large id drawn and is never sorted afterwards.
     large: Vec<(ItemId, Item)>,
-    /// Small-item efficiency keys sampled from Q (lines 6–8).
-    efficiencies: Vec<u128>,
+    /// Small-item efficiency keys sampled from Q (lines 6–8), as the
+    /// `u64` keys [`QuantileScratch::sort`] packs with their positions
+    /// into 64-bit sort records (128-bit when the keys' range and
+    /// positions need more than 64 bits).
+    efficiencies: Vec<u64>,
     /// The sorted keys and rQuantile's working buffers (lines 9–10).
     quantiles: QuantileScratch,
 }
@@ -508,7 +511,7 @@ impl LcaKp {
             if small.is_small(item.profit) {
                 scratch
                     .efficiencies
-                    .push(norms.tie_broken_efficiency_key(id, item) as u128);
+                    .push(norms.tie_broken_efficiency_key(id, item));
             }
         })?;
         if scratch.efficiencies.is_empty() {
@@ -537,7 +540,7 @@ impl LcaKp {
                     params.tau.min(0.5),
                     &seed.derive("lca-kp/rquantile", k as u64),
                 )?,
-                None => naive_quantile(&scratch.efficiencies, p),
+                None => u128::from(naive_quantile(&scratch.efficiencies, p)),
             };
             // Saturating u128 → u64 without unwrap: quantiles above the
             // key domain clamp to the maximum key.

@@ -214,6 +214,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::reference;
+    use crate::scratch::forced_wide;
     use crate::{rmedian, rquantile, Domain, QuantileScratch, RMedianConfig, RQuantileConfig};
     use lcakp_oracle::Seed;
     use proptest::prelude::*;
@@ -227,6 +228,14 @@ mod tests {
         /// One scratch for every case of a test, so a value left over
         /// from an earlier (larger or smaller) case would show.
         static SCRATCH: RefCell<QuantileScratch> = RefCell::new(QuantileScratch::default());
+    }
+
+    /// `sample` as the 64-bit keys a scratch sorts.
+    fn as_keys(sample: &[u128]) -> Vec<u64> {
+        sample
+            .iter()
+            .map(|&value| u64::try_from(value).unwrap())
+            .collect()
     }
 
     /// A uniform fraction in `[0, 1)` from 53 random bits.
@@ -294,12 +303,44 @@ mod tests {
 
             SCRATCH.with(|scratch| {
                 let mut scratch = scratch.borrow_mut();
-                let mut sorted = scratch.sort(&sample, domain).unwrap();
+                let mut sorted = scratch.sort(&as_keys(&sample), domain).unwrap();
                 prop_assert_eq!(&sorted.rquantile(p, tau, &seed), &quantile);
                 prop_assert_eq!(&sorted.rmedian(tau, &seed), &median);
                 prop_assert_eq!(&sorted.rquantile(1.0 - p, tau, &seed), &mirrored);
                 Ok(())
             })?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SortedSample::rquantile` and `rmedian` answer alike whether a
+        /// sample's records are packed in the word its range picks or
+        /// forced into a `u128`.
+        #[test]
+        fn both_record_widths_answer_alike(
+            shape in (1usize..600, 0usize..BITS.len(), 0u8..4),
+            draws in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+        ) {
+            let (len, bits_index, shape) = shape;
+            let (p_bits, tau_bits, entropy) = draws;
+            let domain = Domain::new(BITS[bits_index]).unwrap();
+            let mut rng = ChaCha12Rng::seed_from_u64(entropy);
+            let keys = as_keys(&sample(shape, len, domain, &mut rng));
+            let p = unit(p_bits);
+            let tau = 0.5 * (1.0 - unit(tau_bits));
+            let seed = Seed::from_entropy_u64(entropy.rotate_left(17));
+            let run = || {
+                let mut scratch = QuantileScratch::default();
+                let mut sorted = scratch.sort(&keys, domain).unwrap();
+                (
+                    sorted.rquantile(p, tau, &seed),
+                    sorted.rmedian(tau, &seed),
+                    sorted.rquantile(1.0 - p, tau, &seed),
+                )
+            };
+            prop_assert_eq!(run(), forced_wide::run(run));
         }
     }
 
@@ -322,7 +363,8 @@ mod tests {
         let tau = 1.0 / 180.0;
         let q = 0.185;
         let mut scratch = QuantileScratch::default();
-        let mut sorted = scratch.sort(&keys, domain).unwrap();
+        let narrow = as_keys(&keys);
+        let mut sorted = scratch.sort(&narrow, domain).unwrap();
         for k in 1..=5u64 {
             let p = (1.0 - k as f64 * q).max(0.0);
             let seed = Seed::from_entropy_u64(100 + k);
@@ -347,7 +389,7 @@ mod tests {
             p: 0.3,
             tau,
         };
-        let mut sorted = scratch.sort(&small, domain).unwrap();
+        let mut sorted = scratch.sort(&narrow[..100], domain).unwrap();
         assert_eq!(
             sorted.rquantile(0.3, tau, &seed),
             reference::rquantile(&small, &config, &seed)
@@ -375,7 +417,8 @@ mod tests {
         // scratch's map builds so far, and each slot's pad-count `−∞`
         // count.
         let mut run = |keys: &[u128], shared: &Seed, calls: u64, step: f64| {
-            let mut sorted = scratch.sort(keys, domain).unwrap();
+            let narrow = as_keys(keys);
+            let mut sorted = scratch.sort(&narrow, domain).unwrap();
             for k in 1..=calls {
                 let p = 1.0 - k as f64 * step;
                 let seed = shared.derive("threshold", k);

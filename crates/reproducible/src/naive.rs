@@ -12,7 +12,8 @@
 ///
 /// Deterministic in the sample, but **not** reproducible across fresh
 /// samples: two samples from the same distribution generally produce
-/// different exact values.
+/// different exact values. Any ordered values work: `u128` domain values
+/// or LCA-KP's `u64` efficiency keys.
 ///
 /// # Panics
 ///
@@ -25,7 +26,7 @@
 /// assert_eq!(naive_quantile(&sample, 0.0), 10);
 /// assert_eq!(naive_quantile(&sample, 1.0), 50);
 /// ```
-pub fn naive_quantile(sample: &[u128], p: f64) -> u128 {
+pub fn naive_quantile<T: Ord + Copy>(sample: &[T], p: f64) -> T {
     assert!(
         !sample.is_empty(),
         "naive_quantile requires a nonempty sample"
@@ -60,7 +61,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonempty")]
     fn empty_sample_panics() {
-        naive_quantile(&[], 0.5);
+        naive_quantile::<u128>(&[], 0.5);
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! below and experiment E7, as promised in `DESIGN.md`.
 
 use crate::domain::Domain;
-use crate::scratch::{position_of, record, value_of, QuantileScratch, SortedSample};
+use crate::scratch::{narrow, Layout, QuantileScratch, Records, SortedSample, Word};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 use rand::Rng;
@@ -87,6 +87,8 @@ const GROUPS: usize = BATCHES + 1;
 const MIN_RECURSIVE_LEN: usize = 2 * BATCHES;
 /// Accuracy used for the recursive scale-selection call.
 const SCALE_TAU: f64 = 0.25;
+/// The layout of the scale statistic's `BATCHES / 2` records.
+const SCALE_LAYOUT: Layout = Layout::new(BATCHES / 2, 0);
 
 /// Configuration of a reproducible-median call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,8 +137,9 @@ pub fn rmedian(
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
     check_tau(config.tau)?;
+    let keys = narrow(sample, config.domain)?;
     QuantileScratch::default()
-        .sort(sample, config.domain)?
+        .sort(&keys, config.domain)?
         .rmedian(config.tau, seed)
 }
 
@@ -149,8 +152,45 @@ impl SortedSample<'_> {
     /// [`ReproducibleError::InvalidParameter`] if `tau ∉ (0, 1/2]`.
     pub fn rmedian(&mut self, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
         check_tau(tau)?;
-        let multiset = Multiset::plain(self.sorted);
-        Ok(solve(&multiset, self.domain.bits(), tau, 0.5, seed, 0))
+        Ok(solve_records(
+            self.records,
+            self.layout,
+            Padding::NONE,
+            self.domain.bits(),
+            tau,
+            seed,
+        ))
+    }
+}
+
+/// [`solve`] at the top level over sorted `records` packed under
+/// `layout` and padded by `padding`, in the records' word width.
+pub(crate) fn solve_records(
+    records: Records<'_>,
+    layout: Layout,
+    padding: Padding<'_>,
+    bits: u32,
+    tau: f64,
+    seed: &Seed,
+) -> u128 {
+    fn top<W: Word>(
+        sorted: &[W],
+        layout: Layout,
+        padding: Padding<'_>,
+        bits: u32,
+        tau: f64,
+        seed: &Seed,
+    ) -> u128 {
+        let multiset = Multiset {
+            sorted,
+            layout,
+            padding,
+        };
+        solve(&multiset, bits, tau, 0.5, seed, 0)
+    }
+    match records {
+        Records::Narrow(sorted) => top(sorted, layout, padding, bits, tau, seed),
+        Records::Wide(sorted) => top(sorted, layout, padding, bits, tau, seed),
     }
 }
 
@@ -221,19 +261,13 @@ impl GroupCounts {
     }
 }
 
-/// The multiset rMedian runs over, never materialized: the real sample
-/// shifted up by `offset`, then `lows` copies of `0` and `highs` copies of
-/// `high_code` — rQuantile's `±∞` padding. Positions `0..len()` are laid
-/// out in that order; `groups` names the group of the arrival that lands
-/// at each position, and when it is `None` arrivals come in layout order.
-///
-/// Every padded value sorts at or beyond the ends of the shifted real
-/// values (`0 < x + 1 ≤ high_code` for real `x`), so the sorted multiset
-/// is the lows, then the sorted real sample, then the highs: order
-/// statistics and rank counts are arithmetic over `sorted`.
-pub(crate) struct Multiset<'a> {
-    /// The real values' `(value, position)` records in ascending order.
-    pub(crate) sorted: &'a [u128],
+/// rQuantile's `±∞` padding of a real sample: the real values shifted
+/// up by `offset`, then `lows` copies of `0` and `highs` copies of
+/// `high_code`. Positions are laid out in that order; `groups` names the
+/// group of the arrival that lands at each position, and when it is
+/// `None` arrivals come in layout order.
+#[derive(Clone, Copy)]
+pub(crate) struct Padding<'a> {
     /// Added to every real value (1 under rQuantile's extended domain).
     pub(crate) offset: u128,
     /// Copies of the `−∞` code `0`.
@@ -248,29 +282,70 @@ pub(crate) struct Multiset<'a> {
     pub(crate) groups: Option<(&'a [u8], &'a GroupCounts)>,
 }
 
-impl<'a> Multiset<'a> {
+impl Padding<'_> {
+    /// No padding: the real sample alone, arriving in position order.
+    pub(crate) const NONE: Padding<'static> = Padding {
+        offset: 0,
+        lows: 0,
+        highs: 0,
+        high_code: 0,
+        groups: None,
+    };
+}
+
+/// The multiset rMedian runs over, never materialized: the real values
+/// whose sorted records are `sorted`, read through `layout`, under
+/// `padding`.
+///
+/// Every padded value sorts at or beyond the ends of the shifted real
+/// values (`0 < x + 1 ≤ high_code` for real `x`), so the sorted multiset
+/// is the lows, then the sorted real sample, then the highs: order
+/// statistics and rank counts are arithmetic over `sorted`.
+pub(crate) struct Multiset<'a, W> {
+    /// The real values' `(value, position)` records in ascending order.
+    pub(crate) sorted: &'a [W],
+    /// How the records are packed.
+    pub(crate) layout: Layout,
+    /// The padding around the real values.
+    pub(crate) padding: Padding<'a>,
+}
+
+impl<'a, W: Word> Multiset<'a, W> {
     /// The unpadded sample whose sorted records are `sorted`.
-    fn plain(sorted: &'a [u128]) -> Self {
+    fn plain(sorted: &'a [W], layout: Layout) -> Self {
         Multiset {
             sorted,
-            offset: 0,
-            lows: 0,
-            highs: 0,
-            high_code: 0,
-            groups: None,
+            layout,
+            padding: Padding::NONE,
         }
     }
 
     fn len(&self) -> usize {
-        self.sorted.len() + self.lows + self.highs
+        self.sorted.len() + self.padding.lows + self.padding.highs
+    }
+
+    /// The real value a record carries, shifted by the padding's offset.
+    fn shifted(&self, rec: W) -> u128 {
+        u128::from(self.layout.value(rec)) + self.padding.offset
+    }
+
+    /// `#{x ≤ bound}` over the real values, unshifted.
+    fn reals_at_most(&self, bound: u128) -> usize {
+        match u64::try_from(bound) {
+            Ok(bound) => self
+                .sorted
+                .partition_point(|&rec| self.layout.value(rec) <= bound),
+            Err(_) => self.sorted.len(),
+        }
     }
 
     /// The median of every group, indexed by group.
     fn group_medians(&self) -> [u128; GROUPS] {
-        match self.groups {
+        let Padding { lows, highs, .. } = self.padding;
+        match self.padding.groups {
             Some((groups, counts)) => self.walk_group_medians(counts, |position| groups[position]),
             None => self.walk_group_medians(
-                &GroupCounts::count(self.sorted.len(), self.lows, self.highs, arrival_group),
+                &GroupCounts::count(self.sorted.len(), lows, highs, arrival_group),
                 arrival_group,
             ),
         }
@@ -300,7 +375,7 @@ impl<'a> Multiset<'a> {
                 rank[g] = middle - lows + 1;
                 unresolved += 1;
             } else {
-                medians[g] = self.high_code;
+                medians[g] = self.padding.high_code;
             }
         }
         if unresolved == 0 {
@@ -308,10 +383,10 @@ impl<'a> Multiset<'a> {
         }
         let mut seen = [0usize; GROUPS];
         for &rec in self.sorted {
-            let g = usize::from(group(position_of(rec)));
+            let g = usize::from(group(self.layout.position(rec)));
             seen[g] += 1;
             if seen[g] == rank[g] {
-                medians[g] = value_of(rec) + self.offset;
+                medians[g] = self.shifted(rec);
                 unresolved -= 1;
                 if unresolved == 0 {
                     break;
@@ -323,34 +398,49 @@ impl<'a> Multiset<'a> {
 
     /// The value of 0-based rank `rank` in ascending order.
     fn kth(&self, rank: usize) -> u128 {
-        if rank < self.lows {
+        let Padding {
+            lows, high_code, ..
+        } = self.padding;
+        if rank < lows {
             0
         } else {
-            match self.sorted.get(rank - self.lows) {
-                Some(&rec) => value_of(rec) + self.offset,
-                None => self.high_code,
+            match self.sorted.get(rank - lows) {
+                Some(&rec) => self.shifted(rec),
+                None => high_code,
             }
         }
     }
 
     /// `#{x ≤ v}`.
     fn count_at_most(&self, v: u128) -> usize {
-        let real = match v.checked_sub(self.offset) {
-            Some(bound) => self.sorted.partition_point(|&rec| value_of(rec) <= bound),
-            None => 0,
-        };
-        let highs = if self.high_code <= v { self.highs } else { 0 };
-        self.lows + real + highs
+        let Padding {
+            offset,
+            lows,
+            highs,
+            high_code,
+            ..
+        } = self.padding;
+        let real = v
+            .checked_sub(offset)
+            .map_or(0, |bound| self.reals_at_most(bound));
+        let highs = if high_code <= v { highs } else { 0 };
+        lows + real + highs
     }
 
     /// `#{x < v}`.
     fn count_below(&self, v: u128) -> usize {
-        let lows = if v > 0 { self.lows } else { 0 };
-        let real = match v.checked_sub(self.offset) {
-            Some(bound) => self.sorted.partition_point(|&rec| value_of(rec) < bound),
-            None => 0,
-        };
-        let highs = if self.high_code < v { self.highs } else { 0 };
+        let Padding {
+            offset,
+            lows,
+            highs,
+            high_code,
+            ..
+        } = self.padding;
+        let lows = if v > 0 { lows } else { 0 };
+        let real = v
+            .checked_sub(offset + 1)
+            .map_or(0, |bound| self.reals_at_most(bound));
+        let highs = if high_code < v { highs } else { 0 };
         lows + real + highs
     }
 }
@@ -363,8 +453,8 @@ impl<'a> Multiset<'a> {
 /// larger cells only cost descent steps, which the accuracy guard
 /// bounds).
 // lcakp-lint: recursion-bound(log* bits) reason="each recursive call compresses the domain from 2^bits values to bits+2 scale codes (Algorithm 1's 2^d -> d step), so the depth is the iterated logarithm of the domain size"
-pub(crate) fn solve(
-    multiset: &Multiset<'_>,
+pub(crate) fn solve<W: Word>(
+    multiset: &Multiset<'_, W>,
     bits: u32,
     tau: f64,
     target: f64,
@@ -389,21 +479,21 @@ pub(crate) fn solve(
     let medians = multiset.group_medians();
     let m_hat = medians[HALF_B];
     let batch_medians = &medians[..BATCHES];
-    let mut scales = [0u128; BATCHES / 2];
+    let mut scales = [0u64; BATCHES / 2];
     for (position, (scale, pair)) in scales
         .iter_mut()
         .zip(batch_medians.chunks_exact(2))
         .enumerate()
     {
         let separation = bit_length((pair[0] + shift) ^ (pair[1] + shift));
-        *scale = record(u128::from(separation), position);
+        *scale = SCALE_LAYOUT.record(u64::from(separation), position);
     }
     scales.sort_unstable();
 
     // Recursive reproducible median over the scale domain [0, bits+1] ⊆
     // [0, 2^7): the 2^d → d compression that yields log* depth.
     let selected = solve(
-        &Multiset::plain(&scales),
+        &Multiset::plain(&scales, SCALE_LAYOUT),
         7,
         SCALE_TAU,
         0.75,
@@ -431,7 +521,7 @@ pub(crate) fn solve(
 
 /// Whether `v` is a θ-approximate median of the *empirical* distribution:
 /// `#{x ≤ v} ≥ (1/2 − θ)·n` and `#{x ≥ v} ≥ (1/2 − θ)·n`.
-fn is_empirical_median(multiset: &Multiset<'_>, v: u128, theta: f64) -> bool {
+fn is_empirical_median<W: Word>(multiset: &Multiset<'_, W>, v: u128, theta: f64) -> bool {
     let n = multiset.len() as f64;
     let leq = multiset.count_at_most(v) as f64;
     let geq = n - multiset.count_below(v) as f64;
@@ -441,7 +531,13 @@ fn is_empirical_median(multiset: &Multiset<'_>, v: u128, theta: f64) -> bool {
 
 /// Base case: random-threshold empirical quantile over a constant-size
 /// domain, centered on `target`.
-fn base_case(multiset: &Multiset<'_>, tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
+fn base_case<W: Word>(
+    multiset: &Multiset<'_, W>,
+    tau: f64,
+    target: f64,
+    seed: &Seed,
+    depth: u64,
+) -> u128 {
     let fraction: f64 = seed.derive("rmedian/base-theta", depth).rng().gen();
     let theta = target + (fraction - 0.5) * tau;
     let len = multiset.len();
@@ -652,22 +748,24 @@ mod tests {
         assert!(out <= mask);
     }
 
-    /// The sorted `(value, position)` records of `sample`, as an integer
-    /// sort of the packed records gives them.
-    fn records(sample: &[u128]) -> Vec<u128> {
-        let mut records: Vec<u128> = sample
+    /// The sorted `(value, position)` records of `sample` and their
+    /// layout, as an integer sort of the packed records gives them.
+    fn records(sample: &[u128]) -> (Vec<u64>, Layout) {
+        let min = sample.iter().min().map_or(0, |&min| min as u64);
+        let layout = Layout::new(sample.len(), min);
+        let mut records: Vec<u64> = sample
             .iter()
             .enumerate()
-            .map(|(position, &value)| record(value, position))
+            .map(|(position, &value)| layout.record(value as u64, position))
             .collect();
         records.sort_unstable();
-        records
+        (records, layout)
     }
 
     #[test]
     fn empirical_median_check_is_two_sided() {
-        let sorted = records(&[1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        let plain = Multiset::plain(&sorted);
+        let (sorted, layout) = records(&[1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let plain = Multiset::plain(&sorted, layout);
         assert!(is_empirical_median(&plain, 5, 0.1));
         assert!(is_empirical_median(&plain, 6, 0.1));
         assert!(!is_empirical_median(&plain, 1, 0.1));
@@ -680,8 +778,8 @@ mod tests {
             .into_iter()
             .chain([9, 10])
             .collect::<Vec<_>>();
-        let atom = records(&atom);
-        let atom = Multiset::plain(&atom);
+        let (atom, layout) = records(&atom);
+        let atom = Multiset::plain(&atom, layout);
         assert!(is_empirical_median(&atom, 5, 0.1));
         assert!(!is_empirical_median(&atom, 6, 0.1));
     }
@@ -691,17 +789,20 @@ mod tests {
     #[test]
     fn padded_counts_match_a_materialized_sample() {
         let sample = vec![7u128, 0, 3, 3, 15, 9];
-        let sorted = records(&sample);
+        let (sorted, layout) = records(&sample);
         let high_code = 31;
         for lows in 0..=sample.len() {
             let highs = sample.len() - lows;
             let multiset = Multiset {
                 sorted: &sorted,
-                offset: 1,
-                lows,
-                highs,
-                high_code,
-                groups: None,
+                layout,
+                padding: Padding {
+                    offset: 1,
+                    lows,
+                    highs,
+                    high_code,
+                    groups: None,
+                },
             };
             let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
             padded.extend(std::iter::repeat_n(0, lows));
@@ -729,7 +830,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(3);
         for (n, lows) in [(32, 0), (32, 32), (40, 13), (100, 71), (257, 128)] {
             let sample = uniform_sample(&mut rng, n, 6);
-            let sorted = records(&sample);
+            let (sorted, layout) = records(&sample);
             let high_code = 9;
             let mut padded: Vec<u128> = sample.iter().map(|&x| x + 1).collect();
             padded.extend(std::iter::repeat_n(0, lows));
@@ -755,18 +856,21 @@ mod tests {
             };
             let mut multiset = Multiset {
                 sorted: &sorted,
-                offset: 1,
-                lows,
-                highs: n - lows,
-                high_code,
-                groups: Some((&groups, &counts)),
+                layout,
+                padding: Padding {
+                    offset: 1,
+                    lows,
+                    highs: n - lows,
+                    high_code,
+                    groups: Some((&groups, &counts)),
+                },
             };
             assert_eq!(
                 multiset.group_medians(),
                 gathered_medians(&|arrival| order[arrival]),
                 "n {n}, lows {lows}"
             );
-            multiset.groups = None;
+            multiset.padding.groups = None;
             assert_eq!(
                 multiset.group_medians(),
                 gathered_medians(&|arrival| arrival),

@@ -30,8 +30,8 @@
 //! [`crate::rmedian`]).
 
 use crate::domain::Domain;
-use crate::rmedian::{check_tau, is_base_case, solve, Multiset};
-use crate::scratch::{ArrivalMap, QuantileScratch, SortedSample};
+use crate::rmedian::{check_tau, is_base_case, solve_records, Padding};
+use crate::scratch::{narrow, ArrivalMap, QuantileScratch, SortedSample};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 
@@ -81,8 +81,9 @@ pub fn rquantile(
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
     check_quantile_parameters(config.p, config.tau)?;
+    let keys = narrow(sample, config.domain)?;
     QuantileScratch::default()
-        .sort(sample, config.domain)?
+        .sort(&keys, config.domain)?
         .rquantile(config.p, config.tau, seed)
 }
 
@@ -98,7 +99,7 @@ impl SortedSample<'_> {
         check_quantile_parameters(p, tau)?;
         let extended = self.domain.extended();
 
-        let n = self.sorted.len();
+        let n = self.records.len();
         // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
         let lows = (((1.0 - p) * n as f64).round() as usize).min(n);
         let highs = n - lows;
@@ -124,21 +125,20 @@ impl SortedSample<'_> {
             Some(self.maps[slot].get(shuffle_seed, len, lows, self.order))
         };
 
-        let multiset = Multiset {
-            sorted: self.sorted,
+        let padding = Padding {
             offset: 1,
             lows,
             highs,
             high_code: extended.max_value(),
             groups,
         };
-        let out = solve(
-            &multiset,
+        let out = solve_records(
+            self.records,
+            self.layout,
+            padding,
             extended.bits(),
             tau / 2.0,
-            0.5,
             &seed.derive("rquantile/median", 0),
-            0,
         );
         // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
         // above the real values) to the maximum.

@@ -10,12 +10,20 @@
 //! [`crate::rquantile`] and [`crate::rmedian`] are this path over a fresh
 //! scratch.
 //!
-//! The sort orders *records* `(value << 32) | position`: each value
-//! carries the position it held in the caller's order, so a walk up the
-//! sorted records knows which arrival group every value belongs to (see
-//! [`crate::rmedian`]). It is a stable LSD radix sort over the value's
-//! 11-bit digits, so records of equal values stay in position order and
-//! the result is the ascending order of the records themselves.
+//! The sort orders *records* `((value − min) << s) | position`: each
+//! value carries the position it held in the caller's order, so a walk
+//! up the sorted records knows which arrival group every value belongs to
+//! (see [`crate::rmedian`]). `min` is the sample's least value and `s` the
+//! bit length of `len − 1`, so a record is a `u64` whenever the sample's
+//! range and its positions fit in 64 bits together (~72k keys spanning 39
+//! bits take 56), and a `u128` otherwise (a sample holding both `0` and
+//! `u64::MAX`). One generic sort and one read view ([`Layout`]) serve both
+//! widths. The sort is a stable LSD radix sort over the values' 13-bit
+//! digits: one read of the sample checks the domain, finds the range and
+//! fills all five digit histograms, and a digit every value shares is
+//! skipped, so a 39-bit range takes three passes. Records of equal values
+//! stay in position order, so the result is the ascending order of the
+//! records themselves.
 //!
 //! The scratch also memoizes rQuantile's arrival-group maps: the `k`-th
 //! `rquantile` call after a sort reads map slot `k`, keyed by the call's
@@ -35,30 +43,113 @@ use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 use rand::seq::SliceRandom;
 
-/// Bits of a record below its value, holding the value's position.
-const POSITION_BITS: u32 = 32;
 /// Width of one radix digit.
-const DIGIT_BITS: u32 = 11;
+const DIGIT_BITS: u32 = 13;
 /// Buckets per digit.
 const RADIX: usize = 1 << DIGIT_BITS;
 /// Digits of a value of at most [`MAX_DOMAIN_BITS`] bits.
-const DIGITS: usize = 6;
-const _: () = assert!(DIGITS as u32 * DIGIT_BITS >= MAX_DOMAIN_BITS);
-const _: () = assert!(MAX_DOMAIN_BITS + POSITION_BITS <= u128::BITS);
+const DIGITS: usize = MAX_DOMAIN_BITS.div_ceil(DIGIT_BITS) as usize;
+const _: () = assert!(MAX_DOMAIN_BITS <= u64::BITS);
 
-/// The record of `value` at `position`.
-pub(crate) fn record(value: u128, position: usize) -> u128 {
-    (value << POSITION_BITS) | position as u128
+/// One bucket count per digit value, for every digit.
+type Histograms = [[u32; RADIX]; DIGITS];
+
+/// A machine word that holds packed sort records.
+pub(crate) trait Word: Copy + Ord + Default {
+    /// The record of a value `offset` above the sample's least value, at
+    /// `position`, below which `shift` bits hold the position.
+    fn pack(offset: u64, shift: u32, position: usize) -> Self;
+    /// The offset above the least value a record carries.
+    fn offset(self, shift: u32) -> u64;
+    /// The position a record carries.
+    fn position(self, shift: u32) -> usize;
 }
 
-/// The value a record carries.
-pub(crate) fn value_of(record: u128) -> u128 {
-    record >> POSITION_BITS
+macro_rules! impl_word {
+    ($($word:ty),*) => {$(
+        impl Word for $word {
+            #[inline]
+            fn pack(offset: u64, shift: u32, position: usize) -> Self {
+                (<$word>::from(offset) << shift) | position as $word
+            }
+
+            #[inline]
+            fn offset(self, shift: u32) -> u64 {
+                (self >> shift) as u64
+            }
+
+            #[inline]
+            fn position(self, shift: u32) -> usize {
+                (self & ((1 << shift) - 1)) as usize
+            }
+        }
+    )*};
 }
 
-/// The position a record carries.
-pub(crate) fn position_of(record: u128) -> usize {
-    record as u32 as usize
+impl_word!(u64, u128);
+
+/// How a sample's records are packed: `((value − min) << shift) |
+/// position`, with `shift` the bit length of the sample's last position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    /// The sample's least value.
+    min: u64,
+    /// Bits below a record's value offset, holding its position.
+    shift: u32,
+}
+
+impl Layout {
+    /// The layout of a sample of `len` values whose least value is `min`.
+    pub(crate) const fn new(len: usize, min: u64) -> Self {
+        Layout {
+            min,
+            shift: usize::BITS - len.saturating_sub(1).leading_zeros(),
+        }
+    }
+
+    /// Whether the records of values up to `max` fit in a `u64`: the
+    /// range's bits and the position bits together take at most 64.
+    fn fits_u64(self, max: u64) -> bool {
+        u64::BITS - (max - self.min).leading_zeros() + self.shift <= u64::BITS
+    }
+
+    /// The record of `value` at `position`.
+    #[inline]
+    pub(crate) fn record<W: Word>(self, value: u64, position: usize) -> W {
+        W::pack(value - self.min, self.shift, position)
+    }
+
+    /// The value a record carries.
+    #[inline]
+    pub(crate) fn value<W: Word>(self, record: W) -> u64 {
+        record.offset(self.shift) + self.min
+    }
+
+    /// The position a record carries.
+    #[inline]
+    pub(crate) fn position<W: Word>(self, record: W) -> usize {
+        record.position(self.shift)
+    }
+}
+
+/// A sample's sorted records, in the narrowest word their [`Layout`]
+/// fits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Records<'a> {
+    /// Records of a sample whose range and positions fit in 64 bits.
+    Narrow(&'a [u64]),
+    /// Every other sample's records.
+    Wide(&'a [u128]),
+}
+
+impl Records<'_> {
+    /// The number of records.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Records::Narrow(records) => records.len(),
+            Records::Wide(records) => records.len(),
+        }
+    }
 }
 
 /// Reusable buffers for reproducible quantiles and medians.
@@ -71,28 +162,34 @@ pub(crate) fn position_of(record: u128) -> usize {
 /// another `−∞` count; so a reused scratch gives the same answers as a
 /// fresh one. A map holds one byte per padded position, and the scratch
 /// keeps as many maps as the most `rquantile` calls made on one sort.
+/// The record buffers of each width and the five 8,192-bucket digit
+/// histograms are kept too, so a warm scratch sorts without allocating.
 ///
 /// ```
 /// use lcakp_reproducible::{rquantile, Domain, QuantileScratch, RQuantileConfig, Seed};
 /// # fn main() -> Result<(), lcakp_reproducible::ReproducibleError> {
 /// let domain = Domain::new(16)?;
-/// let sample: Vec<u128> = (0..5_000).map(|i| (i * 977) % 1000).collect();
+/// let sample: Vec<u64> = (0..5_000).map(|i| (i * 977) % 1000).collect();
 /// let mut scratch = QuantileScratch::default();
 /// let mut sorted = scratch.sort(&sample, domain)?;
+/// let wide: Vec<u128> = sample.iter().map(|&value| u128::from(value)).collect();
 /// for (k, p) in [0.25, 0.5, 0.75].into_iter().enumerate() {
 ///     let seed = Seed::from_entropy_u64(k as u64);
 ///     let q = sorted.rquantile(p, 0.05, &seed)?;
-///     assert_eq!(q, rquantile(&sample, &RQuantileConfig { domain, p, tau: 0.05 }, &seed)?);
+///     assert_eq!(q, rquantile(&wide, &RQuantileConfig { domain, p, tau: 0.05 }, &seed)?);
 /// }
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct QuantileScratch {
-    /// The sample's `(value, position)` records in ascending order.
-    sorted: Vec<u128>,
-    /// The radix sort's second buffer.
-    spare: Vec<u128>,
+    /// The sorted records of samples whose records fit in a `u64`.
+    narrow: RecordBuffers<u64>,
+    /// The sorted records of every other sample.
+    wide: RecordBuffers<u128>,
+    /// The radix sort's digit histograms, [`DIGITS`] of them once a sort
+    /// has run.
+    histograms: Vec<[u32; RADIX]>,
     /// rQuantile's shared-seed permutation of the padded positions,
     /// live only while a map is built.
     order: Vec<u32>,
@@ -114,15 +211,36 @@ impl QuantileScratch {
     ///   the domain.
     pub fn sort(
         &mut self,
-        sample: &[u128],
+        sample: &[u64],
         domain: Domain,
     ) -> Result<SortedSample<'_>, ReproducibleError> {
         check_len(sample.len())?;
-        domain.check_sample(sample)?;
-        sort_records(sample, &mut self.sorted, &mut self.spare);
+        if sample.is_empty() {
+            return Err(ReproducibleError::EmptySample);
+        }
+        // Rewrites every bucket; allocates only in a fresh scratch.
+        self.histograms.clear();
+        self.histograms.resize(DIGITS, [0; RADIX]);
+        let Some(histograms) = self.histograms.first_chunk_mut() else {
+            unreachable!("the scratch holds DIGITS histograms");
+        };
+        let (min, max) = scan(sample, histograms);
+        if u128::from(max) > domain.max_value() {
+            return Err(out_of_domain(sample, domain));
+        }
+        let layout = Layout::new(sample.len(), min);
+        let narrow = layout.fits_u64(max);
+        #[cfg(test)]
+        let narrow = narrow && !forced_wide::enabled();
+        let records = if narrow {
+            Records::Narrow(self.narrow.sort(sample, layout, histograms))
+        } else {
+            Records::Wide(self.wide.sort(sample, layout, histograms))
+        };
         Ok(SortedSample {
             domain,
-            sorted: &self.sorted,
+            records,
+            layout,
             order: &mut self.order,
             maps: &mut self.maps,
             calls: 0,
@@ -153,8 +271,8 @@ impl QuantileScratch {
     }
 }
 
-/// Rejects a sample of `len` values whose positions do not all fit the
-/// low [`POSITION_BITS`] bits of a record.
+/// Rejects a sample of `len` values whose positions do not all fit in
+/// 32 bits.
 fn check_len(len: usize) -> Result<(), ReproducibleError> {
     if u32::try_from(len).is_ok() {
         Ok(())
@@ -163,73 +281,137 @@ fn check_len(len: usize) -> Result<(), ReproducibleError> {
     }
 }
 
-/// Writes the records of `sample` into `records` in ascending order,
-/// using `spare` as the second buffer: a stable LSD radix sort over the
-/// values' [`DIGIT_BITS`]-bit digits. The records enter the first pass
-/// in position order, so equal values keep it and the result is exactly
-/// the records sorted as integers. All digit histograms come from one
-/// read of the sample, and a digit that every value shares is skipped.
+/// `sample` as 64-bit keys, once its length and values are checked
+/// against `domain` (whose values fit 64 bits, as
+/// [`MAX_DOMAIN_BITS`] is 64): the input of [`QuantileScratch::sort`]
+/// for the free functions that take `u128` samples.
 ///
-/// Every value must be below `2^64` and the sample at most `u32::MAX`
-/// long.
-pub(crate) fn sort_records(sample: &[u128], records: &mut Vec<u128>, spare: &mut Vec<u128>) {
-    let mut histograms = [[0u32; RADIX]; DIGITS];
+/// # Errors
+///
+/// As [`QuantileScratch::sort`].
+pub(crate) fn narrow(sample: &[u128], domain: Domain) -> Result<Vec<u64>, ReproducibleError> {
+    check_len(sample.len())?;
+    domain.check_sample(sample)?;
+    Ok(sample.iter().map(|&value| value as u64).collect())
+}
+
+/// The least and greatest value of `sample`, read once, with every
+/// value's digits counted into `histograms` (zeroed, one per digit).
+fn scan(sample: &[u64], histograms: &mut Histograms) -> (u64, u64) {
+    let (mut min, mut max) = (u64::MAX, 0);
     for &value in sample {
+        min = min.min(value);
+        max = max.max(value);
         for (d, histogram) in histograms.iter_mut().enumerate() {
             histogram[digit(value, d)] += 1;
         }
     }
-    let in_order = sample
+    (min, max)
+}
+
+/// The error for the first value of `sample` outside `domain`.
+#[cold]
+fn out_of_domain(sample: &[u64], domain: Domain) -> ReproducibleError {
+    let value = sample
         .iter()
-        .enumerate()
-        .map(|(position, &value)| record(value, position));
-    // Both buffers are overwritten whole; resizing keeps a warm
-    // scratch's buffers without writing them.
-    records.resize(sample.len(), 0);
-    spare.resize(sample.len(), 0);
-    let first = sample.first().copied().unwrap_or(0);
-    let mut sorted_any = false;
-    for (d, slots) in histograms.iter_mut().enumerate() {
-        if slots[digit(first, d)] as usize == sample.len() {
-            continue;
-        }
-        // Exclusive prefix sums: each bucket's first slot.
-        let mut next = 0;
-        for count in slots.iter_mut() {
-            next += std::mem::replace(count, next);
-        }
-        if sorted_any {
-            scatter(records.iter().copied(), d, slots, spare);
-        } else {
-            scatter(in_order.clone(), d, slots, spare);
-        }
-        std::mem::swap(records, spare);
-        sorted_any = true;
-    }
-    if !sorted_any {
-        for (slot, rec) in records.iter_mut().zip(in_order) {
-            *slot = rec;
-        }
+        .map(|&value| u128::from(value))
+        .find(|&value| !domain.contains(value))
+        .unwrap_or_default();
+    ReproducibleError::ValueOutOfDomain {
+        value,
+        bits: domain.bits(),
     }
 }
 
 /// Digit `d` of `value`.
-fn digit(value: u128, d: usize) -> usize {
+#[inline]
+fn digit(value: u64, d: usize) -> usize {
     (value >> (d as u32 * DIGIT_BITS)) as usize & (RADIX - 1)
 }
 
-/// One radix pass: moves each record to the next slot of its digit-`d`
-/// bucket, `slots` holding every bucket's next slot.
-fn scatter(
-    records: impl Iterator<Item = u128>,
-    d: usize,
-    slots: &mut [u32; RADIX],
-    out: &mut [u128],
-) {
-    for rec in records {
-        let slot = &mut slots[digit(value_of(rec), d)];
-        out[*slot as usize] = rec;
-        *slot += 1;
+/// The sorted records of one word width and the radix sort's second
+/// buffer.
+#[derive(Debug, Default)]
+struct RecordBuffers<W> {
+    /// The last sample's records in ascending order.
+    sorted: Vec<W>,
+    /// The radix sort's second buffer.
+    spare: Vec<W>,
+}
+
+impl<W: Word> RecordBuffers<W> {
+    /// Writes the records of `sample` under `layout` in ascending order:
+    /// a stable LSD radix sort over the values' [`DIGIT_BITS`]-bit
+    /// digits, `histograms` holding every digit's bucket counts over the
+    /// sample. The records are built as the first pass reads the sample
+    /// in position order, so equal values keep it and the result is
+    /// exactly the records sorted as integers. A digit that every value
+    /// shares is skipped.
+    ///
+    /// The sample must be nonempty and at most `u32::MAX` long, and
+    /// `layout` must fit its range in `W`.
+    fn sort(&mut self, sample: &[u64], layout: Layout, histograms: &mut Histograms) -> &[W] {
+        let (records, spare) = (&mut self.sorted, &mut self.spare);
+        // Both buffers are overwritten whole; resizing keeps a warm
+        // scratch's buffers without writing them.
+        records.resize(sample.len(), W::default());
+        spare.resize(sample.len(), W::default());
+        let first = sample.first().copied().unwrap_or(0);
+        let mut sorted_any = false;
+        for (d, slots) in histograms.iter_mut().enumerate() {
+            if slots[digit(first, d)] as usize == sample.len() {
+                continue;
+            }
+            // Exclusive prefix sums: each bucket's first slot.
+            let mut next = 0;
+            for count in slots.iter_mut() {
+                next += std::mem::replace(count, next);
+            }
+            if sorted_any {
+                for &rec in records.iter() {
+                    let slot = &mut slots[digit(layout.value(rec), d)];
+                    spare[*slot as usize] = rec;
+                    *slot += 1;
+                }
+            } else {
+                for (position, &value) in sample.iter().enumerate() {
+                    let slot = &mut slots[digit(value, d)];
+                    spare[*slot as usize] = layout.record(value, position);
+                    *slot += 1;
+                }
+            }
+            std::mem::swap(records, spare);
+            sorted_any = true;
+        }
+        if !sorted_any {
+            for (position, (slot, &value)) in records.iter_mut().zip(sample).enumerate() {
+                *slot = layout.record(value, position);
+            }
+        }
+        records
+    }
+}
+
+/// A test hook that makes every sort on this thread pack its records in
+/// a `u128`, so tests can run one sample through both widths.
+#[cfg(test)]
+pub(crate) mod forced_wide {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn enabled() -> bool {
+        ENABLED.with(Cell::get)
+    }
+
+    /// Runs `body` with every sort on this thread packing `u128` records.
+    pub(crate) fn run<T>(body: impl FnOnce() -> T) -> T {
+        ENABLED.with(|flag| flag.set(true));
+        let out = body();
+        ENABLED.with(|flag| flag.set(false));
+        out
     }
 }
 
@@ -295,7 +477,9 @@ pub struct SortedSample<'a> {
     /// The domain the sample was validated against.
     pub(crate) domain: Domain,
     /// The sample's `(value, position)` records in ascending order.
-    pub(crate) sorted: &'a [u128],
+    pub(crate) records: Records<'a>,
+    /// How the records are packed.
+    pub(crate) layout: Layout,
     /// Permutation buffer for rQuantile's shuffle.
     pub(crate) order: &'a mut Vec<u32>,
     /// The scratch's memoized arrival-group maps.
@@ -325,21 +509,69 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
-        let rec = record(u128::from(u64::MAX), u32::MAX as usize);
-        assert_eq!(value_of(rec), u128::from(u64::MAX));
-        assert_eq!(position_of(rec), u32::MAX as usize);
+        let layout = Layout::new(1 << 17, 5);
+        for (value, position) in [(5, 0), (5, (1 << 17) - 1), (u64::MAX, 77)] {
+            let wide: u128 = layout.record(value, position);
+            assert_eq!(
+                (layout.value(wide), layout.position(wide)),
+                (value, position)
+            );
+        }
+        let narrow: u64 = layout.record((1 << 47) + 4, (1 << 17) - 1);
+        assert_eq!(narrow, u64::MAX);
+        assert_eq!(layout.value(narrow), (1 << 47) + 4);
+        assert_eq!(layout.position(narrow), (1 << 17) - 1);
+        assert!(layout.fits_u64((1 << 47) + 4));
+        assert!(!layout.fits_u64((1 << 47) + 5));
+        let single = Layout::new(1, 0);
+        assert!(single.fits_u64(u64::MAX));
+        let rec: u64 = single.record(u64::MAX, 0);
+        assert_eq!((single.value(rec), single.position(rec)), (u64::MAX, 0));
+    }
+
+    #[test]
+    fn empty_samples_are_rejected() {
+        let domain = Domain::new(64).unwrap();
+        assert_eq!(
+            QuantileScratch::default().sort(&[], domain).unwrap_err(),
+            ReproducibleError::EmptySample
+        );
+    }
+
+    #[test]
+    fn the_first_value_outside_the_domain_is_reported() {
+        let domain = Domain::new(8).unwrap();
+        assert_eq!(
+            QuantileScratch::default()
+                .sort(&[3, 256, 7, 300], domain)
+                .unwrap_err(),
+            ReproducibleError::ValueOutOfDomain {
+                value: 256,
+                bits: 8
+            }
+        );
+    }
+
+    /// The `(value, position)` pairs `records` carry under `layout`.
+    fn decode<W: Word>(records: &[W], layout: Layout) -> Vec<(u64, usize)> {
+        records
+            .iter()
+            .map(|&rec| (layout.value(rec), layout.position(rec)))
+            .collect()
     }
 
     /// The sample's `(value, position)` pairs in the order the radix sort
-    /// leaves its records, decoded.
-    fn sorted_pairs(sample: &[u64]) -> Vec<(u64, usize)> {
-        let wide: Vec<u128> = sample.iter().map(|&value| u128::from(value)).collect();
-        let (mut records, mut spare) = (vec![7; 3], vec![9; 5]);
-        sort_records(&wide, &mut records, &mut spare);
-        records
-            .iter()
-            .map(|&rec| (value_of(rec) as u64, position_of(rec)))
-            .collect()
+    /// leaves its records, decoded, and whether the records were `u64`.
+    fn sorted_pairs(sample: &[u64]) -> (Vec<(u64, usize)>, bool) {
+        if sample.is_empty() {
+            return (Vec::new(), true);
+        }
+        let mut scratch = QuantileScratch::default();
+        let sorted = scratch.sort(sample, Domain::new(64).unwrap()).unwrap();
+        match sorted.records {
+            Records::Narrow(records) => (decode(records, sorted.layout), true),
+            Records::Wide(records) => (decode(records, sorted.layout), false),
+        }
     }
 
     /// A sample of `len` values of shape `shape`: full-width values with
@@ -377,16 +609,29 @@ mod tests {
         sample
     }
 
-    /// Checks the decoded sort of `sample` against `sort_unstable` of its
-    /// `(value, position)` pairs.
-    fn assert_sorts_pairs(sample: &[u64]) -> Result<(), TestCaseError> {
+    /// Checks the decoded sort of `sample`, in the width its range picks
+    /// and in `u128`, against `sort_unstable` of its `(value, position)`
+    /// pairs, and that shapes 0, 3 and 4 pick the width their range
+    /// needs.
+    fn assert_sorts_pairs(sample: &[u64], shape: u8) -> Result<(), TestCaseError> {
         let mut expected: Vec<(u64, usize)> = sample
             .iter()
             .enumerate()
             .map(|(position, &value)| (value, position))
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(sorted_pairs(sample), expected);
+        let (pairs, narrow) = sorted_pairs(sample);
+        prop_assert_eq!(&pairs, &expected);
+        let (wide_pairs, forced_narrow) = forced_wide::run(|| sorted_pairs(sample));
+        prop_assert_eq!(&wide_pairs, &expected);
+        prop_assert!(!forced_narrow || sample.is_empty());
+        if sample.len() >= 2 {
+            match shape {
+                0 | 4 => prop_assert!(!narrow),
+                3 => prop_assert!(narrow),
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -397,7 +642,7 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(17);
         for shape in 0..5 {
             let sample = sample_of_shape((1 << 17) + 1, shape, &mut rng);
-            assert_sorts_pairs(&sample).unwrap();
+            assert_sorts_pairs(&sample, shape).unwrap();
         }
     }
 
@@ -413,7 +658,7 @@ mod tests {
             entropy in 0u64..=u64::MAX,
         ) {
             let mut rng = ChaCha12Rng::seed_from_u64(entropy);
-            assert_sorts_pairs(&sample_of_shape(len, shape, &mut rng))?;
+            assert_sorts_pairs(&sample_of_shape(len, shape, &mut rng), shape)?;
         }
     }
 }
