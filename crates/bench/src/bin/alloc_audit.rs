@@ -51,10 +51,9 @@ use lcakp_workloads::{Family, WorkloadSpec};
 const STEADY_ALLOC_BUDGET: u64 = 20;
 
 /// Live bytes the steady-state section's `QueryScratch` holds after its
-/// warm-up query, enforced by `--check`. Pinned at the measured
-/// 2,858,786 (4,394,794 while keys and sort records were `u128`): any
-/// buffer that widens again, or grows past what the query needs, trips
-/// it.
+/// warm-up query, enforced by `--check`. Pinned at the measured value
+/// with no headroom: the keys and sort records are 64-bit, and each of
+/// those three buffers back at 128 bits would add ~0.57 MB.
 const SCRATCH_BYTES_BUDGET: u64 = 2_858_786;
 
 /// Served-path allocations per extra arrival, enforced by `--check`.
