@@ -55,11 +55,11 @@ impl Domain {
     }
 
     /// Validates that every sample value lies in the domain.
-    pub fn check_sample(self, sample: &[u128]) -> Result<(), ReproducibleError> {
+    pub fn check_sample<T: Copy + Into<u128>>(self, sample: &[T]) -> Result<(), ReproducibleError> {
         if sample.is_empty() {
             return Err(ReproducibleError::EmptySample);
         }
-        for &value in sample {
+        for value in sample.iter().map(|&value| value.into()) {
             if !self.contains(value) {
                 return Err(ReproducibleError::ValueOutOfDomain {
                     value,
@@ -161,13 +161,13 @@ mod tests {
     #[test]
     fn check_sample_validates() {
         let domain = Domain::new(2).unwrap();
-        assert!(domain.check_sample(&[0, 3, 2]).is_ok());
+        assert!(domain.check_sample(&[0u128, 3, 2]).is_ok());
         assert_eq!(
-            domain.check_sample(&[]),
+            domain.check_sample::<u128>(&[]),
             Err(ReproducibleError::EmptySample)
         );
         assert!(matches!(
-            domain.check_sample(&[4]),
+            domain.check_sample(&[4u128]),
             Err(ReproducibleError::ValueOutOfDomain { value: 4, bits: 2 })
         ));
     }

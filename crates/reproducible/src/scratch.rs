@@ -21,7 +21,9 @@
 //! widths. The sort is a stable LSD radix sort over the values' 13-bit
 //! digits: one read of the sample checks the domain, finds the range and
 //! fills all five digit histograms, and a digit every value shares is
-//! skipped, so a 39-bit range takes three passes. Records of equal values
+//! skipped. The digits are the values' own, not their offsets from `min`,
+//! so keys all below `2^39` take three passes, but a range as wide that
+//! straddles a multiple of `2^39` takes four. Records of equal values
 //! stay in position order, so the result is the ascending order of the
 //! records themselves.
 //!
@@ -215,9 +217,6 @@ impl QuantileScratch {
         domain: Domain,
     ) -> Result<SortedSample<'_>, ReproducibleError> {
         check_len(sample.len())?;
-        if sample.is_empty() {
-            return Err(ReproducibleError::EmptySample);
-        }
         // Rewrites every bucket; allocates only in a fresh scratch.
         self.histograms.clear();
         self.histograms.resize(DIGITS, [0; RADIX]);
@@ -225,8 +224,10 @@ impl QuantileScratch {
             unreachable!("the scratch holds DIGITS histograms");
         };
         let (min, max) = scan(sample, histograms);
-        if u128::from(max) > domain.max_value() {
-            return Err(out_of_domain(sample, domain));
+        if sample.is_empty() || u128::from(max) > domain.max_value() {
+            // Cold: reports the empty sample or its first value outside
+            // the domain.
+            domain.check_sample(sample)?;
         }
         let layout = Layout::new(sample.len(), min);
         let narrow = layout.fits_u64(max);
@@ -281,18 +282,21 @@ fn check_len(len: usize) -> Result<(), ReproducibleError> {
     }
 }
 
-/// `sample` as 64-bit keys, once its length and values are checked
-/// against `domain` (whose values fit 64 bits, as
-/// [`MAX_DOMAIN_BITS`] is 64): the input of [`QuantileScratch::sort`]
-/// for the free functions that take `u128` samples.
+/// `sample` as 64-bit keys: the input of [`QuantileScratch::sort`] for
+/// the free functions that take `u128` samples. A value past 64 bits lies
+/// outside every domain, as [`MAX_DOMAIN_BITS`] is 64.
 ///
 /// # Errors
 ///
-/// As [`QuantileScratch::sort`].
+/// [`ReproducibleError::ValueOutOfDomain`] for the first value of
+/// `sample` outside `domain` when some value does not fit 64 bits.
 pub(crate) fn narrow(sample: &[u128], domain: Domain) -> Result<Vec<u64>, ReproducibleError> {
-    check_len(sample.len())?;
-    domain.check_sample(sample)?;
-    Ok(sample.iter().map(|&value| value as u64).collect())
+    match sample.iter().map(|&value| u64::try_from(value)).collect() {
+        Ok(keys) => Ok(keys),
+        Err(_) => Err(domain
+            .check_sample(sample)
+            .expect_err("a value past 64 bits lies outside every domain")),
+    }
 }
 
 /// The least and greatest value of `sample`, read once, with every
@@ -307,20 +311,6 @@ fn scan(sample: &[u64], histograms: &mut Histograms) -> (u64, u64) {
         }
     }
     (min, max)
-}
-
-/// The error for the first value of `sample` outside `domain`.
-#[cold]
-fn out_of_domain(sample: &[u64], domain: Domain) -> ReproducibleError {
-    let value = sample
-        .iter()
-        .map(|&value| u128::from(value))
-        .find(|&value| !domain.contains(value))
-        .unwrap_or_default();
-    ReproducibleError::ValueOutOfDomain {
-        value,
-        bits: domain.bits(),
-    }
 }
 
 /// Digit `d` of `value`.
@@ -494,6 +484,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
+    use std::cell::RefCell;
 
     #[test]
     fn lengths_past_the_position_bits_are_rejected() {
@@ -529,6 +520,24 @@ mod tests {
         assert_eq!((single.value(rec), single.position(rec)), (u64::MAX, 0));
     }
 
+    /// The longest sample [`check_len`] admits puts its last position in
+    /// all 32 low bits, at both widths.
+    #[test]
+    fn records_round_trip_at_the_last_position() {
+        let last = u32::MAX as usize - 1;
+        let layout = Layout::new(u32::MAX as usize, 9);
+        let top = 9 + u64::from(u32::MAX);
+        assert!(layout.fits_u64(top));
+        assert!(!layout.fits_u64(top + 1));
+        let narrow: u64 = layout.record(top, last);
+        assert_eq!((layout.value(narrow), layout.position(narrow)), (top, last));
+        let wide: u128 = layout.record(u64::MAX, last);
+        assert_eq!(
+            (layout.value(wide), layout.position(wide)),
+            (u64::MAX, last)
+        );
+    }
+
     #[test]
     fn empty_samples_are_rejected() {
         let domain = Domain::new(64).unwrap();
@@ -560,18 +569,34 @@ mod tests {
             .collect()
     }
 
+    thread_local! {
+        /// The scratch every test sort on this thread reuses.
+        static SCRATCH: RefCell<QuantileScratch> = RefCell::new(QuantileScratch::default());
+    }
+
     /// The sample's `(value, position)` pairs in the order the radix sort
     /// leaves its records, decoded, and whether the records were `u64`.
+    /// The sort runs in a scratch whose buffers of both widths hold the
+    /// records of a longer sample, so it must write over all of them.
     fn sorted_pairs(sample: &[u64]) -> (Vec<(u64, usize)>, bool) {
         if sample.is_empty() {
             return (Vec::new(), true);
         }
-        let mut scratch = QuantileScratch::default();
-        let sorted = scratch.sort(sample, Domain::new(64).unwrap()).unwrap();
-        match sorted.records {
-            Records::Narrow(records) => (decode(records, sorted.layout), true),
-            Records::Wide(records) => (decode(records, sorted.layout), false),
-        }
+        let domain = Domain::new(64).unwrap();
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let stale_len = sample.len() as u64 + 7;
+            let descending: Vec<u64> = (0..stale_len).map(|i| stale_len - i).collect();
+            scratch.sort(&descending, domain).unwrap();
+            let mut full_width = descending;
+            full_width[0] = u64::MAX;
+            scratch.sort(&full_width, domain).unwrap();
+            let sorted = scratch.sort(sample, domain).unwrap();
+            match sorted.records {
+                Records::Narrow(records) => (decode(records, sorted.layout), true),
+                Records::Wide(records) => (decode(records, sorted.layout), false),
+            }
+        })
     }
 
     /// A sample of `len` values of shape `shape`: full-width values with
