@@ -8,7 +8,7 @@
 //!      the high-water mark differs run to run);
 //!   2. a steady-state loop of `query_with_audit_in` with one reused
 //!      [`QueryScratch`]: after the warm-up query has sized the scratch
-//!      buffers (including the rQuantile sort and selection buffers),
+//!      buffers (including the rQuantile key, sort and map buffers),
 //!      per-query allocations come only from what the query builds and
 //!      keeps — the threshold keys, the Ĩ item list, and the rule;
 //!   3. the served path: `replay_shard_traffic` (one shard's
@@ -52,9 +52,13 @@ const STEADY_ALLOC_BUDGET: u64 = 20;
 
 /// Live bytes the steady-state section's `QueryScratch` holds after its
 /// warm-up query, enforced by `--check`. Pinned at the measured value
-/// with no headroom: the keys and sort records are 64-bit, and each of
-/// those three buffers back at 128 bits would add ~0.57 MB.
-const SCRATCH_BYTES_BUDGET: u64 = 2_858_786;
+/// with no headroom: the keys are sampled into the 64-bit sort record
+/// buffer, rQuantile's permutation is built in the sort's dead second
+/// buffer, and a map keeps one group byte per real position (plus one
+/// that takes the pads' writes). A separate key or permutation buffer
+/// back in the scratch would add ~0.57 MB, a record buffer back at 128
+/// bits as much, and maps over every padded position ~0.2 MB.
+const SCRATCH_BYTES_BUDGET: u64 = 1_513_076;
 
 /// Served-path allocations per extra arrival, enforced by `--check`.
 /// Measured 5: exactly what one query builds and keeps (the sites

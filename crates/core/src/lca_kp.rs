@@ -8,7 +8,9 @@ use crate::LcaError;
 use lcakp_knapsack::iky::{EpsSequence, Epsilon, TildeInstance};
 use lcakp_knapsack::{Item, ItemId};
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
-use lcakp_reproducible::{naive_quantile, Domain, QuantileScratch, ReproParams, SampleBudget};
+use lcakp_reproducible::{
+    naive_quantile, Domain, QuantileScratch, ReproParams, SampleBudget, SampleKeys, SortedSample,
+};
 use rand::Rng;
 use std::fmt;
 
@@ -48,13 +50,14 @@ pub enum ReproProfile {
 /// Reusable per-worker sampling workspace for [`LcaKp`] queries.
 ///
 /// Algorithm 2 buffers two sample sets per query: the distinct large
-/// items of R (line 2) and the efficiency keys of Q (line 7). The EPS
-/// thresholds (lines 9–10) then run up to ⌈1/ε⌉ rQuantiles over those
-/// keys, which share one sort and the buffers of a [`QuantileScratch`].
-/// A serving loop can hand the same scratch to every query: the buffers
-/// keep their high-water capacity, and a threshold skips its shuffle when
-/// its map's key (shared seed, key count) repeats — on every query after
-/// the first when no sampled item is large, almost never when some are.
+/// items of R (line 2) and the efficiency keys of Q (line 7). The keys
+/// are sampled straight into a [`QuantileScratch`]'s key buffer, where
+/// the EPS thresholds (lines 9–10) sort them once and run up to ⌈1/ε⌉
+/// rQuantiles over that one sort. A serving loop can hand the same
+/// scratch to every query: the buffers keep their high-water capacity,
+/// and a threshold skips its shuffle when its map's key (shared seed, key
+/// count, `−∞` count) repeats — on every query after the first when no
+/// sampled item is large, almost never when some are.
 /// A fresh (empty) scratch gives byte-identical answers: the buffers are
 /// cleared at each use, and a map whose key differs is rebuilt.
 #[derive(Debug, Default)]
@@ -64,12 +67,8 @@ pub struct QueryScratch {
     /// keeps its first arrival, so the buffer holds one entry per
     /// distinct large id drawn and is never sorted afterwards.
     large: Vec<(ItemId, Item)>,
-    /// Small-item efficiency keys sampled from Q (lines 6–8), as the
-    /// `u64` keys [`QuantileScratch::sort`] packs with their positions
-    /// into 64-bit sort records (128-bit when the keys' range and
-    /// positions need more than 64 bits).
-    efficiencies: Vec<u64>,
-    /// The sorted keys and rQuantile's working buffers (lines 9–10).
+    /// The small-item efficiency keys sampled from Q (lines 6–8), their
+    /// sort and rQuantile's working buffers (lines 9–10).
     quantiles: QuantileScratch,
 }
 
@@ -501,20 +500,11 @@ impl LcaKp {
             });
         }
 
-        // Sample Q, drop large items, keep efficiency keys (line 6–8).
-        let norms = oracle.norms();
-        let small = SmallItemFilter::new(self.eps, norms.total_profit);
-        scratch.efficiencies.clear();
-        scratch.efficiencies.reserve(a as usize);
-        // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
-        self.sample_many_with_retry(oracle, rng, a, retries, |id, item| {
-            if small.is_small(item.profit) {
-                scratch
-                    .efficiencies
-                    .push(norms.tie_broken_efficiency_key(id, item));
-            }
-        })?;
-        if scratch.efficiencies.is_empty() {
+        // Sample Q, drop large items, keep efficiency keys (line 6–8),
+        // straight into the buffer the reproducible engine sorts them in.
+        let mut efficiencies = scratch.quantiles.keys();
+        self.sample_efficiency_keys(oracle, rng, a, retries, &mut efficiencies)?;
+        if efficiencies.is_empty() {
             // Degenerate: no small/garbage mass was seen; proceed with no
             // thresholds (the paper's failure event, probability ≤ ε/3).
             return Ok(EpsSequence::empty());
@@ -522,11 +512,9 @@ impl LcaKp {
 
         // Lines 9–10: ẽ_k = rQuantile(E, 1 − kq), made non-increasing.
         let domain = Domain::new(64).map_err(LcaError::from)?;
-        let mut sorted = match self.engine {
-            QuantileEngine::Reproducible => {
-                Some(scratch.quantiles.sort(&scratch.efficiencies, domain)?)
-            }
-            QuantileEngine::Naive => None,
+        let mut efficiencies = match self.engine {
+            QuantileEngine::Reproducible => Efficiencies::Sorted(efficiencies.sort(domain)?),
+            QuantileEngine::Naive => Efficiencies::Sampled(efficiencies),
         };
         // lcakp-lint: allow(D011) reason="the t ≤ ⌈1/ε⌉ threshold keys are the query's output: EpsSequence must own them, so they cannot live in the scratch"
         let mut keys: Vec<u64> = Vec::with_capacity(t);
@@ -534,13 +522,13 @@ impl LcaKp {
         // lcakp-lint: loop-bound(eps-thresholds) reason="one rQuantile per EPS threshold: t ≤ ⌈1/ε⌉ by construction (Algorithm 2 line 9)"
         for k in 1..=t {
             let p = (1.0 - k as f64 * q).max(0.0);
-            let value = match sorted.as_mut() {
-                Some(sorted) => sorted.rquantile(
+            let value = match &mut efficiencies {
+                Efficiencies::Sorted(sorted) => sorted.rquantile(
                     p,
                     params.tau.min(0.5),
                     &seed.derive("lca-kp/rquantile", k as u64),
                 )?,
-                None => u128::from(naive_quantile(&scratch.efficiencies, p)),
+                Efficiencies::Sampled(sampled) => u128::from(naive_quantile(sampled, p)),
             };
             // Saturating u128 → u64 without unwrap: quantiles above the
             // key domain clamp to the maximum key.
@@ -562,6 +550,40 @@ impl LcaKp {
         }
         Ok(seq)
     }
+
+    /// Lines 6–8: draws `a` samples of Q and appends the efficiency key
+    /// of every small one to `keys`, in arrival order.
+    fn sample_efficiency_keys<O, R>(
+        &self,
+        oracle: &O,
+        rng: &mut R,
+        a: u64,
+        retries: &mut u64,
+        keys: &mut Vec<u64>,
+    ) -> Result<(), LcaError>
+    where
+        O: ItemOracle + WeightedSampler,
+        R: Rng + ?Sized,
+    {
+        let norms = oracle.norms();
+        let small = SmallItemFilter::new(self.eps, norms.total_profit);
+        keys.reserve(a as usize);
+        // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
+        self.sample_many_with_retry(oracle, rng, a, retries, |id, item| {
+            if small.is_small(item.profit) {
+                keys.push(norms.tie_broken_efficiency_key(id, item));
+            }
+        })
+    }
+}
+
+/// Algorithm 2's efficiency keys (line 8), as the configured
+/// [`QuantileEngine`] reads them.
+enum Efficiencies<'a> {
+    /// Sorted once, for every reproducible rQuantile of the query.
+    Sorted(SortedSample<'a>),
+    /// In arrival order, for the naive empirical quantile.
+    Sampled(SampleKeys<'a>),
 }
 
 impl LcaKp {

@@ -85,8 +85,9 @@ fn reused_scratch_builds_the_rules_of_a_fresh_one() {
     assert_eq!(estimated, 12);
 }
 
-/// The map of a threshold is keyed by (shared seed, padded length `2n`),
-/// where `n` counts the estimation draws that were not large. Under one
+/// The map of a threshold is keyed by (shared seed, padded length `2n`,
+/// `−∞` count), where `n` counts the estimation draws that were not
+/// large and the `−∞` count follows from `n` and the threshold. Under one
 /// shared seed, an instance with no large items keeps every draw, so `n`
 /// repeats and only the first query builds maps. An instance whose large
 /// items hold part of the profit, yet leave enough residual profit for
@@ -195,7 +196,10 @@ fn reused_scratch_matches_a_fresh_one_under_silent_corruption() {
 /// over the whole 64-bit range, where a key and its position no longer
 /// share one 64-bit sort record. A reused scratch that alternates
 /// between such samples and narrow ones builds the rules a fresh one
-/// builds.
+/// builds. Each side runs under its own shared seed, so the first query
+/// of every visit reshuffles its thresholds' maps: on the wide side in
+/// the dead second buffer of a `u128` sort, in a scratch that last
+/// sorted (and shuffled in) `u64` records.
 #[test]
 fn reused_scratch_switches_record_widths() {
     let narrow = instance(Family::SmallDominated, 400);
@@ -217,25 +221,33 @@ fn reused_scratch_switches_record_widths() {
     let lca = LcaKp::new(Epsilon::new(1, 6).unwrap())
         .unwrap()
         .with_budget(SampleBudget::Calibrated { factor: 0.0001 });
-    let shared = Seed::from_entropy_u64(41);
+    let shared_seeds = [Seed::from_entropy_u64(41), Seed::from_entropy_u64(42)];
 
     let mut reused = QueryScratch::default();
     for query in 0..8u64 {
         // Two queries on each side in turn: 0, 0, 1, 1, 0, 0, …
-        let oracle = &oracles[(query / 2 % 2) as usize];
+        let side = (query / 2 % 2) as usize;
+        let (oracle, shared) = (&oracles[side], &shared_seeds[side]);
         let stream = Seed::from_entropy_u64(1_000 + query);
+        let builds_before = reused.quantile_map_builds();
         let with_reused = lca
-            .build_rule_in(oracle, &mut stream.rng(), &shared, &mut reused)
+            .build_rule_in(oracle, &mut stream.rng(), shared, &mut reused)
             .unwrap();
         let with_fresh = lca
             .build_rule_in(
                 oracle,
                 &mut stream.rng(),
-                &shared,
+                shared,
                 &mut QueryScratch::default(),
             )
             .unwrap();
         assert_eq!(with_reused, with_fresh, "query {query}");
         assert!(with_reused.e_small.is_some(), "query {query}");
+        if query % 2 == 0 {
+            assert!(
+                reused.quantile_map_builds() > builds_before,
+                "query {query} must shuffle"
+            );
+        }
     }
 }

@@ -396,9 +396,8 @@ mod tests {
         );
     }
 
-    /// One reused scratch meets each way a memoized arrival-group map,
-    /// and the pad counts kept with it, can be found or rebuilt, and every
-    /// answer equals the reference.
+    /// One reused scratch meets each way a memoized arrival-group map can
+    /// be found or rebuilt, and every answer equals the reference.
     #[test]
     fn memoized_maps_equal_the_reference_in_every_cache_case() {
         let domain = Domain::new(64).unwrap();
@@ -413,9 +412,8 @@ mod tests {
 
         // Runs `calls` thresholds on one sort, the k-th at p = 1 − k·step
         // under `shared.derive(.., k)` as LCA-KP derives them, checks each
-        // against the reference, and returns the map keys it leaves, the
-        // scratch's map builds so far, and each slot's pad-count `−∞`
-        // count.
+        // against the reference, and returns the map keys it leaves and
+        // the scratch's map builds so far.
         let mut run = |keys: &[u128], shared: &Seed, calls: u64, step: f64| {
             let narrow = as_keys(keys);
             let mut sorted = scratch.sort(&narrow, domain).unwrap();
@@ -430,49 +428,82 @@ mod tests {
                     keys.len()
                 );
             }
-            (
-                scratch.map_keys(),
-                scratch.map_builds(),
-                scratch.pad_count_lows(),
-            )
+            (scratch.map_keys(), scratch.map_builds())
         };
-        let lengths = |keys: &[Option<(Seed, u32)>]| -> Vec<u32> {
+        let lengths = |keys: &[Option<(Seed, u32, usize)>]| -> Vec<u32> {
             keys.iter().map(|key| key.unwrap().1).collect()
         };
 
-        let (cold, builds, cold_lows) = run(&long, &first, 3, 0.15);
+        let (cold, builds) = run(&long, &first, 3, 0.15);
         assert_eq!(lengths(&cold), [6_000; 3]);
         assert_eq!(builds, 3);
-        // A (seed, length) hit: other keys of the same length under the
-        // same shared seed find every map and its pad counts built.
-        assert_eq!(
-            run(&long_again, &first, 3, 0.15),
-            (cold.clone(), 3, cold_lows.clone())
-        );
-        // A (seed, length) hit under another p: no map is rebuilt, but
-        // every slot recounts its pad counts for the new `−∞` count.
-        let (hit, builds, lows) = run(&long_again, &first, 3, 0.2);
-        assert_eq!((hit, builds), (cold.clone(), 3));
-        assert!((0..3).all(|slot| lows[slot].is_some() && lows[slot] != cold_lows[slot]));
-        // The same seed at a new length rebuilds every slot.
-        let (relengthed, builds, _) = run(&short, &first, 3, 0.15);
-        assert_eq!(lengths(&relengthed), [2_000; 3]);
+        // A (seed, length, lows) hit: other keys of the same length under
+        // the same shared seed and p find every map built.
+        assert_eq!(run(&long_again, &first, 3, 0.15), (cold.clone(), 3));
+        // The same seed and length under another p bring other `−∞`
+        // counts: every slot reshuffles.
+        let (relowed, builds) = run(&long_again, &first, 3, 0.2);
         assert_eq!(builds, 6);
+        for (now, before) in relowed.iter().zip(&cold) {
+            let ((seed, len, lows), (seed_before, len_before, lows_before)) =
+                (now.unwrap(), before.unwrap());
+            assert_eq!((seed, len), (seed_before, len_before));
+            assert_ne!(lows, lows_before);
+        }
+        // The same seed at a new length rebuilds every slot.
+        let (relengthed, builds) = run(&short, &first, 3, 0.15);
+        assert_eq!(lengths(&relengthed), [2_000; 3]);
+        assert_eq!(builds, 9);
         // A new seed at the same length rebuilds every slot.
-        let (reseeded, builds, _) = run(&short, &second, 3, 0.15);
+        let (reseeded, builds) = run(&short, &second, 3, 0.15);
         assert_eq!(lengths(&reseeded), [2_000; 3]);
         assert!((0..3).all(|slot| reseeded[slot] != relengthed[slot]));
-        assert_eq!(builds, 9);
+        assert_eq!(builds, 12);
         // More calls than slots: the first three hit, two slots are added.
-        let (grown, builds, _) = run(&short, &second, 5, 0.15);
+        let (grown, builds) = run(&short, &second, 5, 0.15);
         assert_eq!(grown[..3], reseeded[..]);
         assert_eq!(lengths(&grown), [2_000; 5]);
-        assert_eq!(builds, 11);
+        assert_eq!(builds, 14);
         // Fewer calls than slots leave the slots beyond them as they were;
         // the two it uses switch back to the first seed's long maps.
-        let (back, builds, _) = run(&long, &first, 2, 0.15);
+        let (back, builds) = run(&long, &first, 2, 0.15);
         assert_eq!(back[..2], cold[..2]);
         assert_eq!(back[2..], grown[2..]);
-        assert_eq!(builds, 13);
+        assert_eq!(builds, 16);
+    }
+
+    /// One map slot of a reused scratch meets the same padded length
+    /// under the same seed with another `−∞` count, and then the first
+    /// again: each change reshuffles, one more build each, and every
+    /// answer is a fresh scratch's.
+    #[test]
+    fn a_new_low_count_at_the_same_length_rebuilds_the_map() {
+        let domain = Domain::new(64).unwrap();
+        let mut rng = ChaCha12Rng::seed_from_u64(32);
+        let first = as_keys(&sample(2, 2_000, domain, &mut rng));
+        let second = as_keys(&sample(2, 2_000, domain, &mut rng));
+        let (seed, tau) = (Seed::from_entropy_u64(5), 0.02);
+        let mut scratch = QuantileScratch::default();
+        let steps = [
+            (&first, 0.3, 1),
+            (&second, 0.3, 1),
+            (&second, 0.6, 2),
+            (&first, 0.6, 2),
+            (&first, 0.3, 3),
+        ];
+        for (keys, p, builds) in steps {
+            let answer = scratch.sort(keys, domain).unwrap().rquantile(p, tau, &seed);
+            let fresh = QuantileScratch::default()
+                .sort(keys, domain)
+                .unwrap()
+                .rquantile(p, tau, &seed);
+            assert_eq!(answer, fresh, "p = {p}");
+            assert_eq!(scratch.map_builds(), builds, "p = {p}");
+            let lows = ((1.0 - p) * 2_000.0).round() as usize;
+            assert_eq!(
+                scratch.map_keys()[0].map(|key| (key.1, key.2)),
+                Some((4_000, lows))
+            );
+        }
     }
 }

@@ -25,11 +25,12 @@
 //! * [`rquantile`] — Algorithm 1 of the paper: reduce the `p`-quantile to
 //!   a median by padding the sample with `(1−p)·n` copies of `−∞` and
 //!   `p·n` copies of `+∞` over an extended domain.
-//! * [`QuantileScratch`] / [`SortedSample`] — sort a sample once, as
+//! * [`QuantileScratch`] / [`SampleKeys`] / [`SortedSample`] — write a
+//!   sample's keys into reusable buffers, sort them once there, as
 //!   `(value, position)` records, and serve many quantiles and medians
-//!   over it from reusable buffers; the padding is rank arithmetic, the
-//!   shuffle a memoized arrival-group map over positions, never a padded
-//!   copy, and a call's group medians one walk up the sorted records.
+//!   over that sort; the padding is rank arithmetic, the shuffle a
+//!   memoized arrival-group map over positions, never a padded copy, and
+//!   a call's group medians one walk up the sorted records.
 //! * [`naive_quantile`] — the non-reproducible empirical quantile, kept as
 //!   the ablation baseline (experiment E11: the paper's Section 4.1
 //!   observes that using it directly "will lead to inconsistent answers").
@@ -66,4 +67,4 @@ pub use lcakp_oracle::Seed;
 pub use naive::naive_quantile;
 pub use rmedian::{rmedian, RMedianConfig};
 pub use rquantile::{rquantile, RQuantileConfig};
-pub use scratch::{QuantileScratch, SortedSample};
+pub use scratch::{QuantileScratch, SampleKeys, SortedSample};

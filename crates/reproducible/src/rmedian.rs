@@ -49,11 +49,11 @@
 //! arrivals) and the 32 batches of half A (even arrival `a` is in batch
 //! `(a/2) mod 32`). Under rQuantile the arrival order is a shuffle of the
 //! padded positions, held as an arrival-group map (one group byte per
-//! position, see [`crate::QuantileScratch`]); over a plain sample the
-//! group is a function of the position. The sort holds `(value,
+//! real position, see [`crate::QuantileScratch`]); over a plain sample
+//! the group is a function of the position. The sort holds `(value,
 //! position)` records, so each real value's group is known on the spot.
-//! Each group's real, `−∞` and `+∞` members are counted from the map
-//! (rQuantile memoizes these pad counts with the map). A group's median
+//! Each group's real, `−∞` and `+∞` members are counted when the map is
+//! built (rQuantile memoizes these counts with the map). A group's median
 //! is then `0` if its middle rank falls among its lows, `high_code` if it
 //! falls among its highs, and otherwise its `(middle − lows)`-th real
 //! value. One walk up the sorted records counts the values met per group
@@ -137,10 +137,10 @@ pub fn rmedian(
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
     check_tau(config.tau)?;
-    let keys = narrow(sample, config.domain)?;
-    QuantileScratch::default()
-        .sort(&keys, config.domain)?
-        .rmedian(config.tau, seed)
+    let mut scratch = QuantileScratch::default();
+    let mut keys = scratch.keys();
+    narrow(sample, config.domain, &mut keys)?;
+    keys.sort(config.domain)?.rmedian(config.tau, seed)
 }
 
 impl SortedSample<'_> {
@@ -224,12 +224,20 @@ pub(crate) fn arrival_group(arrival: usize) -> u8 {
 }
 
 /// How many of each group's members are real values, `−∞` pads and
-/// `+∞` pads.
+/// `+∞` pads: `members[kind][group]`, with `kind` 0, 1 and 2 in that
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GroupCounts {
-    reals: [usize; GROUPS],
-    lows: [usize; GROUPS],
-    highs: [usize; GROUPS],
+    members: [[usize; GROUPS]; 3],
+}
+
+impl Default for GroupCounts {
+    /// No members in any group.
+    fn default() -> Self {
+        GroupCounts {
+            members: [[0; GROUPS]; 3],
+        }
+    }
 }
 
 impl GroupCounts {
@@ -242,29 +250,33 @@ impl GroupCounts {
         highs: usize,
         group: impl Fn(usize) -> u8,
     ) -> Self {
-        let mut counts = GroupCounts {
-            reals: [0; GROUPS],
-            lows: [0; GROUPS],
-            highs: [0; GROUPS],
-        };
-        let highs_from = reals + lows;
-        for position in 0..reals {
-            counts.reals[usize::from(group(position))] += 1;
-        }
-        for position in reals..highs_from {
-            counts.lows[usize::from(group(position))] += 1;
-        }
-        for position in highs_from..highs_from + highs {
-            counts.highs[usize::from(group(position))] += 1;
+        let mut counts = GroupCounts::default();
+        for position in 0..reals + lows + highs {
+            counts.tally(group(position), position, reals, lows);
         }
         counts
+    }
+
+    /// Counts a member of group `group` at `position` of a layout of
+    /// `reals` real values, then `lows` lows, then the highs. It does not
+    /// branch on the kind, which a shuffled position makes a coin flip.
+    #[inline]
+    pub(crate) fn tally(&mut self, group: u8, position: usize, reals: usize, lows: usize) {
+        let kind = usize::from(position >= reals) + usize::from(position >= reals + lows);
+        self.members[kind][usize::from(group)] += 1;
+    }
+
+    /// Group `g`'s counts of real values, lows and highs.
+    fn of(&self, g: usize) -> (usize, usize, usize) {
+        let [reals, lows, highs] = &self.members;
+        (reals[g], lows[g], highs[g])
     }
 }
 
 /// rQuantile's `±∞` padding of a real sample: the real values shifted
 /// up by `offset`, then `lows` copies of `0` and `highs` copies of
 /// `high_code`. Positions are laid out in that order; `groups` names the
-/// group of the arrival that lands at each position, and when it is
+/// group of the arrival that lands at each real position, and when it is
 /// `None` arrivals come in layout order.
 #[derive(Clone, Copy)]
 pub(crate) struct Padding<'a> {
@@ -276,9 +288,9 @@ pub(crate) struct Padding<'a> {
     pub(crate) highs: usize,
     /// The `+∞` code.
     pub(crate) high_code: u128,
-    /// Arrival group per position ([`arrival_group`] of its arrival) and
-    /// the groups' counts under this padding; `None` when arrival order
-    /// is layout order.
+    /// Arrival group per real position ([`arrival_group`] of its
+    /// arrival) and the groups' counts under this padding; `None` when
+    /// arrival order is layout order.
     pub(crate) groups: Option<(&'a [u8], &'a GroupCounts)>,
 }
 
@@ -367,8 +379,8 @@ impl<'a, W: Word> Multiset<'a, W> {
         let mut rank = [0usize; GROUPS];
         let mut unresolved = 0;
         for g in 0..GROUPS {
-            let (reals, lows) = (counts.reals[g], counts.lows[g]);
-            let middle = (lows + reals + counts.highs[g] - 1) / 2;
+            let (reals, lows, highs) = counts.of(g);
+            let middle = (lows + reals + highs - 1) / 2;
             if middle < lows {
                 medians[g] = 0;
             } else if middle < lows + reals {
@@ -821,9 +833,9 @@ mod tests {
         }
     }
 
-    /// Group medians read from a map (and from layout order) equal the
-    /// medians of the groups gathered from a materialized, shuffled
-    /// padded sample.
+    /// Group medians read from a map of the real positions (and from
+    /// layout order) equal the medians of the groups gathered from a
+    /// materialized, shuffled padded sample.
     #[test]
     fn group_medians_match_gathered_groups() {
         use rand::seq::SliceRandom;
@@ -862,7 +874,7 @@ mod tests {
                     lows,
                     highs: n - lows,
                     high_code,
-                    groups: Some((&groups, &counts)),
+                    groups: Some((&groups[..n], &counts)),
                 },
             };
             assert_eq!(

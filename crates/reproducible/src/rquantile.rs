@@ -18,16 +18,17 @@
 //! shuffle permutes those *positions*, and rMedian's top level needs of
 //! the resulting order only which group (half B, or one of the 32 batches
 //! of half A) each position's arrival falls in. So the shuffle is kept as
-//! an arrival-group map, one byte per position, and memoized in the
-//! [`QuantileScratch`]: it depends only on the shuffle seed and the
-//! length, so a call that repeats both (a fixed shared seed and the same
-//! sample size `n`) skips the shuffle. The draws are those a shuffle of
-//! the padded values would make. The map also keeps each group's counts
-//! of real values, lows and highs for the last `lows` it served, so a
-//! call that repeats `p` as well skips that count. Ranks and counts over
-//! the padded multiset are arithmetic over the once-sorted real sample,
-//! and the group medians come from one walk up it (see
-//! [`crate::rmedian`]).
+//! an arrival-group map, one byte per *real* position (the walk up the
+//! sort meets no other), with each group's counts of real values, lows
+//! and highs, taken while the map is built. The map is memoized in the
+//! [`QuantileScratch`] under its shuffle seed, length and `lows`, so a
+//! call that repeats all three (a fixed shared seed, the same sample size
+//! `n` and the same `p`) skips the shuffle and the count. The permutation
+//! itself lives only while a map is built, packed two `u32` slots to a
+//! word in the sort's dead second buffer. The draws are those a shuffle
+//! of the padded values would make. Ranks and counts over the padded
+//! multiset are arithmetic over the once-sorted real sample, and the
+//! group medians come from one walk up it (see [`crate::rmedian`]).
 
 use crate::domain::Domain;
 use crate::rmedian::{check_tau, is_base_case, solve_records, Padding};
@@ -81,9 +82,10 @@ pub fn rquantile(
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
     check_quantile_parameters(config.p, config.tau)?;
-    let keys = narrow(sample, config.domain)?;
-    QuantileScratch::default()
-        .sort(&keys, config.domain)?
+    let mut scratch = QuantileScratch::default();
+    let mut keys = scratch.keys();
+    narrow(sample, config.domain, &mut keys)?;
+    keys.sort(config.domain)?
         .rquantile(config.p, config.tau, seed)
 }
 
@@ -94,7 +96,7 @@ impl SortedSample<'_> {
     /// # Errors
     ///
     /// As [`rquantile`], less the sample checks already made by
-    /// [`QuantileScratch::sort`].
+    /// [`SampleKeys::sort`](crate::SampleKeys::sort).
     pub fn rquantile(&mut self, p: f64, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
         check_quantile_parameters(p, tau)?;
         let extended = self.domain.extended();
@@ -122,7 +124,7 @@ impl SortedSample<'_> {
                 self.maps.resize_with(slot + 1, ArrivalMap::default);
             }
             let shuffle_seed = seed.derive("rquantile/shuffle", 0);
-            Some(self.maps[slot].get(shuffle_seed, len, lows, self.order))
+            Some(self.maps[slot].get(shuffle_seed, len, lows, &mut self.spare))
         };
 
         let padding = Padding {

@@ -2,9 +2,10 @@
 //! sample every call over the same sample shares.
 //!
 //! Algorithm 2 runs one rQuantile per EPS threshold, all on the *same*
-//! efficiency sample. [`QuantileScratch::sort`] validates and sorts that
-//! sample once; the returned [`SortedSample`] then answers every
-//! [`rquantile`](SortedSample::rquantile) and
+//! efficiency sample. The caller writes that sample's keys straight into
+//! the scratch ([`QuantileScratch::keys`]); [`SampleKeys::sort`] validates
+//! and sorts them once, in place, and the returned [`SortedSample`] then
+//! answers every [`rquantile`](SortedSample::rquantile) and
 //! [`rmedian`](SortedSample::rmedian) call from that one sort, with every
 //! working buffer held in the scratch. The free functions
 //! [`crate::rquantile`] and [`crate::rmedian`] are this path over a fresh
@@ -18,32 +19,39 @@
 //! range and its positions fit in 64 bits together (~72k keys spanning 39
 //! bits take 56), and a `u128` otherwise (a sample holding both `0` and
 //! `u64::MAX`). One generic sort and one read view ([`Layout`]) serve both
-//! widths. The sort is a stable LSD radix sort over the values' 13-bit
-//! digits: one read of the sample checks the domain, finds the range and
-//! fills all five digit histograms, and a digit every value shares is
-//! skipped. The digits are the values' own, not their offsets from `min`,
-//! so keys all below `2^39` take three passes, but a range as wide that
-//! straddles a multiple of `2^39` takes four. Records of equal values
-//! stay in position order, so the result is the ascending order of the
-//! records themselves.
+//! widths. The keys live in the `u64` record buffer itself: the sort's
+//! first pass reads them there and writes their records to the second
+//! buffer of the records' width, so the sample is never copied. The sort
+//! is a stable LSD radix sort over the values' 13-bit digits: one read of
+//! the keys checks the domain, finds the range and fills all five digit
+//! histograms, and a digit every value shares is skipped. The digits are
+//! the values' own, not their offsets from `min`, so keys all below
+//! `2^39` take three passes, but a range as wide that straddles a
+//! multiple of `2^39` takes four. Records of equal values stay in
+//! position order, so the result is the ascending order of the records
+//! themselves.
 //!
 //! The scratch also memoizes rQuantile's arrival-group maps: the `k`-th
 //! `rquantile` call after a sort reads map slot `k`, keyed by the call's
-//! shuffle seed and padded length `2n`. A call skips the Fisher–Yates
-//! shuffle only when both match the slot's last call. An LCA's shared
-//! seed is fixed across its queries, so that happens exactly when the
-//! sample size `n` repeats. In LCA-KP it does on every query after the
-//! first when no sampled item is large, as every estimation draw is then
-//! kept. When large items hold part of the profit, the kept count varies
-//! from query to query and nearly every call rebuilds its map
-//! ([`QuantileScratch::map_builds`] counts the builds). Each slot also
-//! keeps its groups' pad counts for the last `−∞` count asked of it.
+//! shuffle seed, padded length `2n` and `−∞` count. A call skips the
+//! Fisher–Yates shuffle only when all three match the slot's last call.
+//! An LCA's shared seed is fixed across its queries, and a threshold's
+//! `−∞` count follows from its `p` and `n`, so in LCA-KP that happens
+//! when the sample size `n` repeats under the same `p`. Both do on every
+//! query after the first when no sampled item is large, as every
+//! estimation draw is then kept. When large items hold part of the profit, the kept count
+//! varies from query to query and nearly every call rebuilds its map
+//! ([`QuantileScratch::map_builds`] counts the builds). A map holds one
+//! group byte per real position and its groups' pad counts; a build
+//! shuffles the `2n` positions in the sort's second buffer, which is dead
+//! once the sort returns, two `u32` slots to a word.
 
 use crate::domain::{Domain, MAX_DOMAIN_BITS};
 use crate::rmedian::{arrival_group, GroupCounts};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
-use rand::seq::SliceRandom;
+use rand::Rng;
+use std::ops::{Deref, DerefMut};
 
 /// Width of one radix digit.
 const DIGIT_BITS: u32 = 13;
@@ -56,7 +64,8 @@ const _: () = assert!(MAX_DOMAIN_BITS <= u64::BITS);
 /// One bucket count per digit value, for every digit.
 type Histograms = [[u32; RADIX]; DIGITS];
 
-/// A machine word that holds packed sort records.
+/// A machine word that holds packed sort records, or two `u32`
+/// permutation slots in its low 64 bits.
 pub(crate) trait Word: Copy + Ord + Default {
     /// The record of a value `offset` above the sample's least value, at
     /// `position`, below which `shift` bits hold the position.
@@ -65,6 +74,12 @@ pub(crate) trait Word: Copy + Ord + Default {
     fn offset(self, shift: u32) -> u64;
     /// The position a record carries.
     fn position(self, shift: u32) -> usize;
+    /// The word holding `low` in slot 0 and `high` in slot 1.
+    fn slots(low: u32, high: u32) -> Self;
+    /// Slot `half` (0 or 1) of the word.
+    fn slot(self, half: usize) -> u32;
+    /// The word with slot `half` (0 or 1) set to `value`.
+    fn with_slot(self, half: usize, value: u32) -> Self;
 }
 
 macro_rules! impl_word {
@@ -83,6 +98,22 @@ macro_rules! impl_word {
             #[inline]
             fn position(self, shift: u32) -> usize {
                 (self & ((1 << shift) - 1)) as usize
+            }
+
+            #[inline]
+            fn slots(low: u32, high: u32) -> Self {
+                <$word>::from(low) | (<$word>::from(high) << 32)
+            }
+
+            #[inline]
+            fn slot(self, half: usize) -> u32 {
+                (self >> (32 * half)) as u32
+            }
+
+            #[inline]
+            fn with_slot(self, half: usize, value: u32) -> Self {
+                let shift = 32 * half;
+                (self & !(<$word>::from(u32::MAX) << shift)) | (<$word>::from(value) << shift)
             }
         }
     )*};
@@ -154,27 +185,44 @@ impl Records<'_> {
     }
 }
 
+/// The radix sort's second buffer after the sort, one word per record in
+/// the records' width. Its contents are dead, so rQuantile shuffles the
+/// `2n` padded positions of an `n`-record sample there, two `u32` slots
+/// to a word.
+#[derive(Debug)]
+pub(crate) enum Spare<'a> {
+    /// The second buffer of a `u64` sort.
+    Narrow(&'a mut [u64]),
+    /// The second buffer of a `u128` sort.
+    Wide(&'a mut [u128]),
+}
+
 /// Reusable buffers for reproducible quantiles and medians.
 ///
-/// Working buffers are overwritten before they are read. The arrival-group
-/// maps persist with their contents, and so do their pad counts, but
-/// each map is a function of its key (shuffle seed, padded length)
-/// alone and is rebuilt whenever a call brings another key, and its pad
-/// counts are recounted whenever the map is rebuilt or a call brings
-/// another `−∞` count; so a reused scratch gives the same answers as a
-/// fresh one. A map holds one byte per padded position, and the scratch
-/// keeps as many maps as the most `rquantile` calls made on one sort.
-/// The record buffers of each width and the five 8,192-bucket digit
-/// histograms are kept too, so a warm scratch sorts without allocating.
+/// A sample goes in through [`QuantileScratch::keys`], which hands out
+/// the `u64` record buffer, emptied, for the caller to write the keys
+/// into; [`SampleKeys::sort`] sorts them there ([`QuantileScratch::sort`]
+/// does both for a sample held elsewhere). Working buffers are
+/// overwritten before they are read. The arrival-group maps persist with
+/// their contents, but each map is a function of its key (shuffle seed,
+/// padded length, `−∞` count) alone and is rebuilt whenever a call brings
+/// another key, so a reused scratch gives the same answers as a fresh
+/// one. A map holds one group byte per real position, and the scratch
+/// keeps as many maps as the most `rquantile` calls made on one sort; a
+/// map is built in the sort's dead second buffer, so no permutation
+/// buffer is kept. The record buffers of each width and the five
+/// 8,192-bucket digit histograms are kept too, so a warm scratch samples
+/// and sorts without allocating.
 ///
 /// ```
 /// use lcakp_reproducible::{rquantile, Domain, QuantileScratch, RQuantileConfig, Seed};
 /// # fn main() -> Result<(), lcakp_reproducible::ReproducibleError> {
 /// let domain = Domain::new(16)?;
-/// let sample: Vec<u64> = (0..5_000).map(|i| (i * 977) % 1000).collect();
 /// let mut scratch = QuantileScratch::default();
-/// let mut sorted = scratch.sort(&sample, domain)?;
-/// let wide: Vec<u128> = sample.iter().map(|&value| u128::from(value)).collect();
+/// let mut keys = scratch.keys();
+/// keys.extend((0..5_000).map(|i| (i * 977) % 1000));
+/// let mut sorted = keys.sort(domain)?;
+/// let wide: Vec<u128> = (0..5_000).map(|i| (i * 977) % 1000).collect();
 /// for (k, p) in [0.25, 0.5, 0.75].into_iter().enumerate() {
 ///     let seed = Seed::from_entropy_u64(k as u64);
 ///     let q = sorted.rquantile(p, 0.05, &seed)?;
@@ -185,64 +233,101 @@ impl Records<'_> {
 /// ```
 #[derive(Debug, Default)]
 pub struct QuantileScratch {
-    /// The sorted records of samples whose records fit in a `u64`.
+    /// The sorted records of samples whose records fit in a `u64`. Until
+    /// a sort runs, `narrow.sorted` holds the sample's keys instead.
     narrow: RecordBuffers<u64>,
     /// The sorted records of every other sample.
     wide: RecordBuffers<u128>,
     /// The radix sort's digit histograms, [`DIGITS`] of them once a sort
     /// has run.
     histograms: Vec<[u32; RADIX]>,
-    /// rQuantile's shared-seed permutation of the padded positions,
-    /// live only while a map is built.
-    order: Vec<u32>,
     /// One memoized arrival-group map per `rquantile` call index.
     maps: Vec<ArrivalMap>,
 }
 
 impl QuantileScratch {
-    /// Validates `sample` against `domain` and sorts its records into
-    /// the scratch. The returned handle serves any number of quantile and
-    /// median calls over this sample.
+    /// Empties the scratch's key buffer and hands it out: push a sample's
+    /// keys into it in the sample's order, then sort them where they lie
+    /// with [`SampleKeys::sort`].
+    pub fn keys(&mut self) -> SampleKeys<'_> {
+        self.narrow.sorted.clear();
+        SampleKeys { scratch: self }
+    }
+
+    /// Copies `sample` into the key buffer and sorts it: [`keys`](Self::keys)
+    /// and [`SampleKeys::sort`] for a sample held elsewhere.
     ///
     /// # Errors
     ///
-    /// * [`ReproducibleError::SampleTooLarge`] if the sample has more
-    ///   than `u32::MAX` values, so a position does not fit its record;
-    /// * [`ReproducibleError::EmptySample`] for an empty sample;
-    /// * [`ReproducibleError::ValueOutOfDomain`] if a sample value exceeds
-    ///   the domain.
+    /// As [`SampleKeys::sort`].
     pub fn sort(
         &mut self,
         sample: &[u64],
         domain: Domain,
     ) -> Result<SortedSample<'_>, ReproducibleError> {
-        check_len(sample.len())?;
+        let mut keys = self.keys();
+        keys.extend_from_slice(sample);
+        keys.sort(domain)
+    }
+
+    /// [`SampleKeys::sort`] of the keys in `narrow.sorted`.
+    fn sort_keys(&mut self, domain: Domain) -> Result<SortedSample<'_>, ReproducibleError> {
+        let keys = &self.narrow.sorted;
+        let len = keys.len();
+        check_len(len)?;
         // Rewrites every bucket; allocates only in a fresh scratch.
         self.histograms.clear();
         self.histograms.resize(DIGITS, [0; RADIX]);
         let Some(histograms) = self.histograms.first_chunk_mut() else {
             unreachable!("the scratch holds DIGITS histograms");
         };
-        let (min, max) = scan(sample, histograms);
-        if sample.is_empty() || u128::from(max) > domain.max_value() {
+        let (min, max) = scan(keys, histograms);
+        let Some(&first) = keys
+            .first()
+            .filter(|_| u128::from(max) <= domain.max_value())
+        else {
             // Cold: reports the empty sample or its first value outside
             // the domain.
-            domain.check_sample(sample)?;
-        }
-        let layout = Layout::new(sample.len(), min);
+            return Err(domain
+                .check_sample(keys)
+                .expect_err("an empty sample or one past the domain"));
+        };
+        let layout = Layout::new(len, min);
+        // A digit every key shares needs no pass.
+        let sorts_on: [bool; DIGITS] =
+            std::array::from_fn(|d| histograms[d][digit(first, d)] as usize != len);
+        let mut digits = (0..DIGITS).filter(|&d| sorts_on[d]);
+        let first_digit = digits.next();
         let narrow = layout.fits_u64(max);
         #[cfg(test)]
         let narrow = narrow && !forced_wide::enabled();
-        let records = if narrow {
-            Records::Narrow(self.narrow.sort(sample, layout, histograms))
+        // Buffers the sort writes are overwritten whole; resizing keeps a
+        // warm scratch's buffers without writing them.
+        let (records, spare) = if narrow {
+            let buffers = &mut self.narrow;
+            buffers.spare.resize(len, 0);
+            first_pass(
+                &buffers.sorted,
+                layout,
+                first_digit,
+                histograms,
+                &mut buffers.spare,
+            );
+            let (records, spare) = buffers.finish(layout, digits, histograms);
+            (Records::Narrow(records), Spare::Narrow(spare))
         } else {
-            Records::Wide(self.wide.sort(sample, layout, histograms))
+            let buffers = &mut self.wide;
+            buffers.sorted.resize(len, 0);
+            buffers.spare.resize(len, 0);
+            first_pass(keys, layout, first_digit, histograms, &mut buffers.spare);
+            let (records, spare) = buffers.finish(layout, digits, histograms);
+            (Records::Wide(records), Spare::Wide(spare))
         };
         Ok(SortedSample {
             domain,
             records,
             layout,
-            order: &mut self.order,
+            spare,
             maps: &mut self.maps,
             calls: 0,
         })
@@ -250,25 +335,58 @@ impl QuantileScratch {
 
     /// How many arrival-group maps this scratch has built: one per
     /// shuffling `rquantile` call whose slot held another (shuffle seed,
-    /// padded length). The other shuffling calls skipped the shuffle.
+    /// padded length, `−∞` count). The other shuffling calls skipped the
+    /// shuffle.
     pub fn map_builds(&self) -> u64 {
         self.maps.iter().map(|map| map.builds).sum()
     }
 
-    /// The key of every map slot, in slot order.
+    /// The key (shuffle seed, padded length, `−∞` count) of every map
+    /// slot, in slot order.
     #[cfg(test)]
-    pub(crate) fn map_keys(&self) -> Vec<Option<(Seed, u32)>> {
+    pub(crate) fn map_keys(&self) -> Vec<Option<(Seed, u32, usize)>> {
         self.maps.iter().map(|map| map.key).collect()
     }
+}
 
-    /// The `−∞` count of every map slot's memoized pad counts, in slot
-    /// order.
-    #[cfg(test)]
-    pub(crate) fn pad_count_lows(&self) -> Vec<Option<usize>> {
-        self.maps
-            .iter()
-            .map(|map| map.counts.as_ref().map(|&(lows, _)| lows))
-            .collect()
+/// A [`QuantileScratch`]'s key buffer, emptied and handed out by
+/// [`QuantileScratch::keys`]. It dereferences to the `Vec<u64>` a sample's
+/// keys are written into, in the sample's order; [`SampleKeys::sort`] then
+/// sorts them in the scratch without copying them.
+#[derive(Debug)]
+pub struct SampleKeys<'a> {
+    /// The scratch whose `u64` record buffer holds the keys.
+    scratch: &'a mut QuantileScratch,
+}
+
+impl<'a> SampleKeys<'a> {
+    /// Validates the keys against `domain` and sorts their records in the
+    /// scratch. The returned handle serves any number of quantile and
+    /// median calls over this sample.
+    ///
+    /// # Errors
+    ///
+    /// * [`ReproducibleError::SampleTooLarge`] if there are more than
+    ///   `u32::MAX` keys, so a position does not fit its record;
+    /// * [`ReproducibleError::EmptySample`] if there are none;
+    /// * [`ReproducibleError::ValueOutOfDomain`] for the first key that
+    ///   exceeds the domain.
+    pub fn sort(self, domain: Domain) -> Result<SortedSample<'a>, ReproducibleError> {
+        self.scratch.sort_keys(domain)
+    }
+}
+
+impl Deref for SampleKeys<'_> {
+    type Target = Vec<u64>;
+
+    fn deref(&self) -> &Vec<u64> {
+        &self.scratch.narrow.sorted
+    }
+}
+
+impl DerefMut for SampleKeys<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.scratch.narrow.sorted
     }
 }
 
@@ -282,21 +400,31 @@ fn check_len(len: usize) -> Result<(), ReproducibleError> {
     }
 }
 
-/// `sample` as 64-bit keys: the input of [`QuantileScratch::sort`] for
-/// the free functions that take `u128` samples. A value past 64 bits lies
-/// outside every domain, as [`MAX_DOMAIN_BITS`] is 64.
+/// Appends `sample` to `keys` as 64-bit keys: how the free functions that
+/// take `u128` samples fill a scratch's key buffer. A value past 64 bits
+/// lies outside every domain, as [`MAX_DOMAIN_BITS`] is 64.
 ///
 /// # Errors
 ///
 /// [`ReproducibleError::ValueOutOfDomain`] for the first value of
 /// `sample` outside `domain` when some value does not fit 64 bits.
-pub(crate) fn narrow(sample: &[u128], domain: Domain) -> Result<Vec<u64>, ReproducibleError> {
-    match sample.iter().map(|&value| u64::try_from(value)).collect() {
-        Ok(keys) => Ok(keys),
-        Err(_) => Err(domain
-            .check_sample(sample)
-            .expect_err("a value past 64 bits lies outside every domain")),
+pub(crate) fn narrow(
+    sample: &[u128],
+    domain: Domain,
+    keys: &mut Vec<u64>,
+) -> Result<(), ReproducibleError> {
+    keys.reserve(sample.len());
+    for &value in sample {
+        match u64::try_from(value) {
+            Ok(key) => keys.push(key),
+            Err(_) => {
+                return Err(domain
+                    .check_sample(sample)
+                    .expect_err("a value past 64 bits lies outside every domain"))
+            }
+        }
     }
+    Ok(())
 }
 
 /// The least and greatest value of `sample`, read once, with every
@@ -319,6 +447,54 @@ fn digit(value: u64, d: usize) -> usize {
     (value >> (d as u32 * DIGIT_BITS)) as usize & (RADIX - 1)
 }
 
+/// One stable counting pass on digit `d`, whose bucket counts over the
+/// sample `slots` holds: moves every `(value, record)` of `records`, in
+/// order, to the next free slot of its value's bucket in `out`.
+#[inline]
+fn scatter<W: Word>(
+    d: usize,
+    slots: &mut [u32; RADIX],
+    records: impl Iterator<Item = (u64, W)>,
+    out: &mut [W],
+) {
+    // Exclusive prefix sums: each bucket's first slot.
+    let mut next = 0;
+    for count in slots.iter_mut() {
+        next += std::mem::replace(count, next);
+    }
+    for (value, rec) in records {
+        let slot = &mut slots[digit(value, d)];
+        out[*slot as usize] = rec;
+        *slot += 1;
+    }
+}
+
+/// The radix sort's first pass: writes the record of every key of `keys`
+/// under `layout` to `out`, in the order of digit `first_digit` when the
+/// sort has one (stable, so equal digits keep position order), else in
+/// position order. Building the records as the keys are read in position
+/// order makes the sorted result exactly the records in integer order.
+fn first_pass<W: Word>(
+    keys: &[u64],
+    layout: Layout,
+    first_digit: Option<usize>,
+    histograms: &mut Histograms,
+    out: &mut [W],
+) {
+    let records = keys
+        .iter()
+        .enumerate()
+        .map(|(position, &key)| (key, layout.record(key, position)));
+    match first_digit {
+        Some(d) => scatter(d, &mut histograms[d], records, out),
+        None => {
+            for (slot, (_, rec)) in out.iter_mut().zip(records) {
+                *slot = rec;
+            }
+        }
+    }
+}
+
 /// The sorted records of one word width and the radix sort's second
 /// buffer.
 #[derive(Debug, Default)]
@@ -330,55 +506,23 @@ struct RecordBuffers<W> {
 }
 
 impl<W: Word> RecordBuffers<W> {
-    /// Writes the records of `sample` under `layout` in ascending order:
-    /// a stable LSD radix sort over the values' [`DIGIT_BITS`]-bit
-    /// digits, `histograms` holding every digit's bucket counts over the
-    /// sample. The records are built as the first pass reads the sample
-    /// in position order, so equal values keep it and the result is
-    /// exactly the records sorted as integers. A digit that every value
-    /// shares is skipped.
-    ///
-    /// The sample must be nonempty and at most `u32::MAX` long, and
-    /// `layout` must fit its range in `W`.
-    fn sort(&mut self, sample: &[u64], layout: Layout, histograms: &mut Histograms) -> &[W] {
-        let (records, spare) = (&mut self.sorted, &mut self.spare);
-        // Both buffers are overwritten whole; resizing keeps a warm
-        // scratch's buffers without writing them.
-        records.resize(sample.len(), W::default());
-        spare.resize(sample.len(), W::default());
-        let first = sample.first().copied().unwrap_or(0);
-        let mut sorted_any = false;
-        for (d, slots) in histograms.iter_mut().enumerate() {
-            if slots[digit(first, d)] as usize == sample.len() {
-                continue;
-            }
-            // Exclusive prefix sums: each bucket's first slot.
-            let mut next = 0;
-            for count in slots.iter_mut() {
-                next += std::mem::replace(count, next);
-            }
-            if sorted_any {
-                for &rec in records.iter() {
-                    let slot = &mut slots[digit(layout.value(rec), d)];
-                    spare[*slot as usize] = rec;
-                    *slot += 1;
-                }
-            } else {
-                for (position, &value) in sample.iter().enumerate() {
-                    let slot = &mut slots[digit(value, d)];
-                    spare[*slot as usize] = layout.record(value, position);
-                    *slot += 1;
-                }
-            }
-            std::mem::swap(records, spare);
-            sorted_any = true;
+    /// Finishes a radix sort whose [`first_pass`] wrote `spare`: makes it
+    /// the sorted buffer, then runs one pass over each digit of `digits`,
+    /// `histograms` holding every digit's bucket counts over the sample.
+    /// Returns the sorted records and the dead second buffer.
+    fn finish(
+        &mut self,
+        layout: Layout,
+        digits: impl Iterator<Item = usize>,
+        histograms: &mut Histograms,
+    ) -> (&[W], &mut [W]) {
+        std::mem::swap(&mut self.sorted, &mut self.spare);
+        for d in digits {
+            let records = self.sorted.iter().map(|&rec| (layout.value(rec), rec));
+            scatter(d, &mut histograms[d], records, &mut self.spare);
+            std::mem::swap(&mut self.sorted, &mut self.spare);
         }
-        if !sorted_any {
-            for (position, (slot, &value)) in records.iter_mut().zip(sample).enumerate() {
-                *slot = layout.record(value, position);
-            }
-        }
-        records
+        (&self.sorted, &mut self.spare)
     }
 }
 
@@ -405,63 +549,118 @@ pub(crate) mod forced_wide {
     }
 }
 
+/// Slot `i` of `words`, two `u32` slots to a word.
+#[inline]
+fn read_slot<W: Word>(words: &[W], i: usize) -> u32 {
+    words[i / 2].slot(i % 2)
+}
+
+/// Fills slots `0..len` of `words`, two `u32` slots to a word, with the
+/// permutation that `SliceRandom::shuffle` of `(0..len as u32)` leaves
+/// under `rng`, drawing exactly the draws it draws: the same Fisher–Yates
+/// pass, step `i` from `len − 1` down to 1 swapping slot `i` with slot
+/// `gen_range(0..=i)`. Slots `i` and `i − 1` share a word for odd `i`, so
+/// the pass holds that word in a register across both steps and touches
+/// only the drawn slot's word in memory. `words` must hold at least
+/// `len.div_ceil(2)` words, and `len` be at most `u32::MAX`.
+pub(crate) fn shuffle_slots<W: Word, R: Rng + ?Sized>(words: &mut [W], len: usize, rng: &mut R) {
+    let words = &mut words[..len.div_ceil(2)];
+    for (w, word) in words.iter_mut().enumerate() {
+        let low = 2 * w as u32;
+        *word = W::slots(low, low.wrapping_add(1));
+    }
+    for w in (0..words.len()).rev() {
+        let mut word = words[w];
+        // Step `i` swaps slot `i` (half `half` of `word`) with slot `j`.
+        let mut step = |word: &mut W, i: usize, half: usize| {
+            let j = rng.gen_range(0..=i);
+            if j / 2 == w {
+                if j != i {
+                    *word = W::slots(word.slot(1), word.slot(0));
+                }
+            } else {
+                let other = &mut words[j / 2];
+                let at_j = other.slot(j % 2);
+                *other = other.with_slot(j % 2, word.slot(half));
+                *word = word.with_slot(half, at_j);
+            }
+        };
+        if 2 * w + 1 < len {
+            step(&mut word, 2 * w + 1, 1);
+        }
+        if w > 0 {
+            step(&mut word, 2 * w, 0);
+        }
+        words[w] = word;
+    }
+}
+
 /// rQuantile's shared-seed shuffle of the padded positions, stored as
-/// the group of the arrival that lands at each position (see
-/// [`arrival_group`]): all rMedian's top level needs of the order.
+/// the group of the arrival that lands at each real position (see
+/// [`arrival_group`]) and every group's counts of real values, lows and
+/// highs: all rMedian's top level needs of the order.
 #[derive(Debug, Default)]
 pub(crate) struct ArrivalMap {
-    /// The shuffle seed and padded length `groups` was built for.
-    key: Option<(Seed, u32)>,
-    /// `groups[position]` is the group of the arrival at `position`.
+    /// The shuffle seed, padded length and `−∞` count the map was built
+    /// for.
+    key: Option<(Seed, u32, usize)>,
+    /// `groups[position]` is the group of the arrival at real position
+    /// `position`.
     groups: Vec<u8>,
-    /// The groups' pad counts and the `−∞` count they were made for;
-    /// cleared whenever `groups` is rebuilt.
-    counts: Option<(usize, GroupCounts)>,
-    /// Times `groups` was built.
+    /// Each group's counts of real values, lows and highs.
+    counts: GroupCounts,
+    /// Times the map was built.
     builds: u64,
 }
 
 impl ArrivalMap {
-    /// The map of the shuffle of `len` positions under `seed`, rebuilt
-    /// in place (through the permutation buffer `order`) unless it is
-    /// already the one held, and its groups' counts when the first
-    /// `len / 2` positions are real values, the next `lows` are `−∞` and
-    /// the rest `+∞`. The shuffle's draws depend only on `seed` and
-    /// `len`, so this is the arrival order a shuffle of the padded
-    /// values would give.
+    /// The map of the shuffle of `len` positions under `seed`, and its
+    /// groups' counts when the first `len / 2` positions are real values,
+    /// the next `lows` are `−∞` and the rest `+∞`; rebuilt in place, with
+    /// the permutation in `spare`, unless it is already the one held. The
+    /// shuffle's draws depend only on `seed` and `len`, so this is the
+    /// arrival order a shuffle of the padded values would give.
     pub(crate) fn get(
         &mut self,
         seed: Seed,
         len: u32,
         lows: usize,
-        order: &mut Vec<u32>,
+        spare: &mut Spare<'_>,
     ) -> (&[u8], &GroupCounts) {
-        if self.key != Some((seed, len)) {
-            order.clear();
-            order.extend(0..len);
-            order.shuffle(&mut seed.rng());
-            self.groups.clear();
-            self.groups.resize(order.len(), 0);
-            for (arrival, &position) in order.iter().enumerate() {
-                self.groups[position as usize] = arrival_group(arrival);
+        let key = (seed, len, lows);
+        if self.key != Some(key) {
+            match spare {
+                Spare::Narrow(words) => self.build(seed, len as usize, lows, words),
+                Spare::Wide(words) => self.build(seed, len as usize, lows, words),
             }
-            self.key = Some((seed, len));
-            self.counts = None;
+            self.key = Some(key);
             self.builds += 1;
         }
-        let groups = &self.groups;
-        let reals = groups.len() / 2;
-        self.counts = self.counts.take().filter(|&(memo, _)| memo == lows);
-        let (_, counts) = self.counts.get_or_insert_with(|| {
-            let counts = GroupCounts::count(reals, lows, reals - lows, |position| groups[position]);
-            (lows, counts)
-        });
-        (groups, counts)
+        (&self.groups, &self.counts)
+    }
+
+    /// Shuffles the `len` positions under `seed` in `words` and writes
+    /// the group of every real position's arrival and the groups' counts.
+    fn build<W: Word>(&mut self, seed: Seed, len: usize, lows: usize, words: &mut [W]) {
+        shuffle_slots(words, len, &mut seed.rng());
+        let reals = len / 2;
+        // One byte past the real positions takes every pad's write, so
+        // that no write branches on whether its position is real.
+        self.groups.clear();
+        self.groups.resize(reals + 1, 0);
+        self.counts = GroupCounts::default();
+        for arrival in 0..len {
+            let position = read_slot(words, arrival) as usize;
+            let group = arrival_group(arrival);
+            self.groups[position.min(reals)] = group;
+            self.counts.tally(group, position, reals, lows);
+        }
+        self.groups.truncate(reals);
     }
 }
 
 /// A validated sample's sorted records, borrowed from a
-/// [`QuantileScratch`]. Created by [`QuantileScratch::sort`].
+/// [`QuantileScratch`]. Created by [`SampleKeys::sort`].
 #[derive(Debug)]
 pub struct SortedSample<'a> {
     /// The domain the sample was validated against.
@@ -470,8 +669,8 @@ pub struct SortedSample<'a> {
     pub(crate) records: Records<'a>,
     /// How the records are packed.
     pub(crate) layout: Layout,
-    /// Permutation buffer for rQuantile's shuffle.
-    pub(crate) order: &'a mut Vec<u32>,
+    /// The sort's dead second buffer, where maps are shuffled.
+    pub(crate) spare: Spare<'a>,
     /// The scratch's memoized arrival-group maps.
     pub(crate) maps: &'a mut Vec<ArrivalMap>,
     /// `rquantile` calls made on this sort so far: the next call's slot.
@@ -482,7 +681,8 @@ pub struct SortedSample<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
+    use rand::seq::SliceRandom;
+    use rand::{Rng, RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
     use std::cell::RefCell;
 
@@ -559,6 +759,36 @@ mod tests {
                 bits: 8
             }
         );
+    }
+
+    /// The free functions narrow their `u128` samples into a scratch's
+    /// key buffer. A value past 64 bits lies in no domain, and is reported
+    /// as the domain check reports a sample: by the first value outside
+    /// the domain, which may come before it.
+    #[test]
+    fn values_past_64_bits_are_reported_by_the_domain_check() {
+        let mut keys = Vec::new();
+        assert_eq!(
+            narrow(&[3, 300, 1 << 70], Domain::new(8).unwrap(), &mut keys),
+            Err(ReproducibleError::ValueOutOfDomain {
+                value: 300,
+                bits: 8
+            })
+        );
+        let domain = Domain::new(64).unwrap();
+        assert_eq!(
+            narrow(&[5, 1 << 70, 7], domain, &mut keys),
+            Err(ReproducibleError::ValueOutOfDomain {
+                value: 1 << 70,
+                bits: 64
+            })
+        );
+        keys.clear();
+        assert_eq!(
+            narrow(&[5, u128::from(u64::MAX)], domain, &mut keys),
+            Ok(())
+        );
+        assert_eq!(keys, [5, u64::MAX]);
     }
 
     /// The `(value, position)` pairs `records` carry under `layout`.
@@ -671,8 +901,40 @@ mod tests {
         }
     }
 
+    /// The first `len` slots of `len` positions shuffled under `seed` in
+    /// `W` words that held stale slots, and the generator's next word
+    /// after the shuffle.
+    fn packed_shuffle<W: Word>(len: usize, seed: &Seed) -> (Vec<u32>, u64) {
+        let mut words = vec![W::slots(u32::MAX, 7); len.div_ceil(2) + 1];
+        let mut rng = seed.rng();
+        shuffle_slots(&mut words, len, &mut rng);
+        let slots = (0..len).map(|i| read_slot(&words, i)).collect();
+        (slots, rng.next_u64())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Shuffling packed slots, in `u64` and in `u128` words, leaves
+        /// the permutation `SliceRandom::shuffle` leaves `(0..len as u32)`
+        /// under the same seed, and both generators then yield the same
+        /// next word: the two shuffles consumed the same draws. One case
+        /// in six takes a length up to 16, where a word's second slot is
+        /// often the last or unused.
+        #[test]
+        fn packed_shuffle_equals_slice_shuffle(
+            drawn in 0usize..=2_400,
+            entropy in 0u64..=u64::MAX,
+        ) {
+            let len = drawn.checked_sub(2_001).map_or(drawn, |past| past % 17);
+            let seed = Seed::from_entropy_u64(entropy);
+            let mut rng = seed.rng();
+            let mut expected: Vec<u32> = (0..len as u32).collect();
+            expected.shuffle(&mut rng);
+            let expected = (expected, rng.next_u64());
+            prop_assert_eq!(&packed_shuffle::<u64>(len, &seed), &expected);
+            prop_assert_eq!(&packed_shuffle::<u128>(len, &seed), &expected);
+        }
 
         /// The radix sort, decoded, gives the `(value, position)` pairs in
         /// the order `sort_unstable` gives them, for every sample shape.
