@@ -170,6 +170,48 @@ mod tests {
         assert_eq!(oracle.stats().weighted_samples, 10_000);
     }
 
+    /// The estimate of one fixed run: `(family, ε denominator)` at
+    /// n = 300, a 40,000-sample budget and one sampling stream.
+    fn pinned_run(family: Family, den: u64) -> IkyValueEstimate {
+        let norm = WorkloadSpec::new(family, 300, 0x1C)
+            .generate_normalized()
+            .unwrap();
+        let oracle = InstanceOracle::new(&norm);
+        let mut rng = Seed::from_entropy_u64(0x1C1).rng();
+        iky_value_estimate(&oracle, &mut rng, Epsilon::new(1, den).unwrap(), 40_000).unwrap()
+    }
+
+    /// `value` and `tilde_optimum` by bit pattern, so that any change to
+    /// the draws, the large-item set, the EPS or Ĩ's solve shows.
+    #[test]
+    fn estimates_are_pinned_bit_for_bit() {
+        let large = Family::LargeDominated {
+            heavy: 4,
+            heavy_profit: 2_000,
+        };
+        let small = Family::SmallDominated;
+        let uncorr = Family::Uncorrelated { range: 1000 };
+        let similar = Family::SimilarWeights { range: 1000 };
+        let cases = [
+            (small, 4, 0x3fd4_0000_0000_0000, 0x3fe2_0000_0000_0000),
+            (small, 8, 0x3fe1_8000_0000_0000, 0x3fe5_8000_0000_0000),
+            (large, 4, 0x3fe6_dbb5_f0b1_be54, 0x3fee_dbb5_f0b1_be54),
+            (large, 8, 0x3fea_dbb5_f0b1_be54, 0x3fee_dbb5_f0b1_be54),
+            (uncorr, 4, 0x3fd8_0000_0000_0000, 0x3fe4_0000_0000_0000),
+            (uncorr, 8, 0x3fe3_8000_0000_0000, 0x3fe7_8000_0000_0000),
+            (similar, 4, 0x3fd8_0000_0000_0000, 0x3fe4_0000_0000_0000),
+            (similar, 8, 0x3fe2_8000_0000_0000, 0x3fe6_8000_0000_0000),
+        ];
+        for (family, den, value, tilde) in cases {
+            let estimate = pinned_run(family, den);
+            assert_eq!(
+                (estimate.value.to_bits(), estimate.tilde_optimum.to_bits()),
+                (value, tilde),
+                "{family:?} at ε = 1/{den}"
+            );
+        }
+    }
+
     #[test]
     fn value_is_never_negative() {
         let eps = Epsilon::new(1, 2).unwrap();
