@@ -98,6 +98,27 @@ fn summarize(vectors: Vec<Vec<bool>>, queries: usize) -> ConsistencyReport {
     }
 }
 
+/// One run of an audit: answers `items` in order under run `run`'s own
+/// sampling entropy, derived from `entropy_root`, and the shared `seed`.
+fn answer_run<L, O>(
+    lca: &L,
+    oracle: &O,
+    items: &[ItemId],
+    seed: &Seed,
+    run: usize,
+    entropy_root: u64,
+) -> Result<Vec<bool>, LcaError>
+where
+    L: KnapsackLca,
+    O: ItemOracle + WeightedSampler,
+{
+    let mut rng = Seed::from_entropy_u64(entropy_root ^ (run as u64).wrapping_mul(0x9e37)).rng();
+    items
+        .iter()
+        .map(|&item| Ok(lca.query(oracle, &mut rng, item, seed)?.include))
+        .collect()
+}
+
 /// Runs `lca` `runs` times over `items` with fresh per-run sampling
 /// entropy (derived deterministically from `entropy_root`) and a common
 /// shared `seed`, then summarizes agreement.
@@ -117,16 +138,9 @@ where
     L: KnapsackLca,
     O: ItemOracle + WeightedSampler,
 {
-    let mut vectors = Vec::with_capacity(runs);
-    for run in 0..runs {
-        let mut rng =
-            Seed::from_entropy_u64(entropy_root ^ (run as u64).wrapping_mul(0x9e37)).rng();
-        let mut answers = Vec::with_capacity(items.len());
-        for &item in items {
-            answers.push(lca.query(oracle, &mut rng, item, seed)?.include);
-        }
-        vectors.push(answers);
-    }
+    let vectors = (0..runs)
+        .map(|run| answer_run(lca, oracle, items, seed, run, entropy_root))
+        .collect::<Result<_, _>>()?;
     Ok(summarize(vectors, items.len()))
 }
 
@@ -150,30 +164,15 @@ where
     L: KnapsackLca + Sync,
     O: ItemOracle + WeightedSampler + Sync,
 {
-    let results: Vec<Result<Vec<bool>, LcaError>> = std::thread::scope(|scope| {
+    let vectors = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..runs)
-            .map(|run| {
-                scope.spawn(move || {
-                    let mut rng =
-                        Seed::from_entropy_u64(entropy_root ^ (run as u64).wrapping_mul(0x9e37))
-                            .rng();
-                    let mut answers = Vec::with_capacity(items.len());
-                    for &item in items {
-                        answers.push(lca.query(oracle, &mut rng, item, seed)?.include);
-                    }
-                    Ok(answers)
-                })
-            })
+            .map(|run| scope.spawn(move || answer_run(lca, oracle, items, seed, run, entropy_root)))
             .collect();
         handles
             .into_iter()
             .map(|handle| handle.join().expect("audit thread panicked"))
-            .collect()
-    });
-    let mut vectors = Vec::with_capacity(runs);
-    for result in results {
-        vectors.push(result?);
-    }
+            .collect::<Result<_, _>>()
+    })?;
     Ok(summarize(vectors, items.len()))
 }
 

@@ -3,17 +3,15 @@
 //!
 //! Given weighted sampling access, the algorithm of Ito, Kiyoshima and
 //! Yoshida estimates the *value* of an optimal solution (not the solution
-//! itself) to additive `±O(ε)` of the normalized optimum: sample the
-//! large items (Lemma 4.2), estimate an equally partitioning sequence
-//! from a second sample, build Ĩ, and solve Ĩ exactly. Note that unlike
-//! `LCA-KP` it has no consistency requirement, so plain empirical
-//! quantiles suffice here.
+//! itself) to additive `±O(ε)` of the normalized optimum. It is Algorithm
+//! 2's lines 1–18 (large items, an EPS, Ĩ) with empirical quantiles, as it
+//! needs no consistency, run on `LCA-KP`'s own stages; then Ĩ is solved
+//! exactly.
 
+use crate::lca_kp::{tilde_instance, Quantiles, QueryScratch, RetryPolicy, Sampling};
 use crate::LcaError;
-use lcakp_knapsack::iky::{tilde_optimum, EpsSequence, Epsilon, TildeInstance, MU_SHIFT};
-use lcakp_knapsack::{Item, ItemId};
+use lcakp_knapsack::iky::{tilde_optimum, Epsilon, MU_SHIFT};
 use lcakp_oracle::{ItemOracle, WeightedSampler};
-use lcakp_reproducible::naive_quantile;
 use rand::Rng;
 
 /// Output of one run of the IKY12 value-approximation algorithm.
@@ -24,7 +22,8 @@ pub struct IkyValueEstimate {
     pub value: f64,
     /// Raw `OPT(Ĩ)` before the `−ε` correction, normalized.
     pub tilde_optimum: f64,
-    /// Number of weighted samples consumed.
+    /// Number of weighted samples drawn: the EPS estimation's half is
+    /// not drawn when it does not run.
     pub samples: u64,
 }
 
@@ -36,8 +35,9 @@ pub struct IkyValueEstimate {
 ///
 /// # Errors
 ///
-/// Returns [`LcaError`] if Ĩ's exact solver exhausts its node budget
-/// (pathological ε only).
+/// Returns [`LcaError::Oracle`] on the first oracle fault (there are no
+/// retries), and [`LcaError`] if Ĩ's exact solver exhausts its node
+/// budget (pathological ε only).
 pub fn iky_value_estimate<O, R>(
     oracle: &O,
     rng: &mut R,
@@ -48,65 +48,28 @@ where
     O: ItemOracle + WeightedSampler,
     R: Rng + ?Sized,
 {
-    let norms = oracle.norms();
-    let eps_sq = eps.squared();
     let half = (sample_budget / 2).max(1);
+    let before = oracle.stats();
 
-    // Step 1: collect the large items (Lemma 4.2).
-    let mut large: Vec<(ItemId, Item)> = Vec::new();
-    for _ in 0..half {
-        let (id, item) = oracle.try_sample_weighted(rng)?;
-        if norms.nprofit_of(item.profit) > eps_sq {
-            large.push((id, item));
-        }
-    }
-    large.sort_by_key(|&(id, _)| id);
-    large.dedup_by_key(|&mut (id, _)| id);
-    let large_profit: u128 = large.iter().map(|&(_, item)| item.profit as u128).sum();
-    let total_profit = norms.total_profit as u128;
-
-    // Step 2: estimate the EPS from a second sample (empirical
-    // quantiles — reproducibility is not needed for a value estimate).
-    let residual = total_profit - large_profit;
-    let seq = if residual * eps.den() as u128 >= eps.num() as u128 * total_profit {
-        let residual_fraction = residual as f64 / total_profit as f64;
-        let eps_f = eps.as_f64();
-        let q = (eps_f + eps_f * eps_f / 2.0) / residual_fraction;
-        let t = (1.0 / q).floor() as usize;
-        let mut efficiencies: Vec<u64> = Vec::new();
-        for _ in 0..half {
-            let (id, item) = oracle.try_sample_weighted(rng)?;
-            if norms.nprofit_of(item.profit) <= eps_sq {
-                efficiencies.push(norms.tie_broken_efficiency_key(id, item));
-            }
-        }
-        if efficiencies.is_empty() || t == 0 {
-            EpsSequence::empty()
-        } else {
-            let mut keys = Vec::with_capacity(t);
-            let mut previous = u64::MAX;
-            for k in 1..=t {
-                let p = (1.0 - k as f64 * q).max(0.0);
-                let key = naive_quantile(&efficiencies, p).min(previous);
-                keys.push(key);
-                previous = key;
-            }
-            let mut seq = EpsSequence::new(keys).map_err(LcaError::from)?;
-            if let Some(&last) = seq.keys().last() {
-                let num = eps.num() as u128;
-                let den = eps.den() as u128;
-                if (last as u128) * den * den < num * num * (1u128 << 32) {
-                    seq.truncate_last();
-                }
-            }
-            seq
-        }
-    } else {
-        EpsSequence::empty()
+    // Lines 1–18 with half the budget per sample and empirical quantiles.
+    let mut retries = 0;
+    let mut sampling = Sampling {
+        eps,
+        retry: RetryPolicy::none(),
+        retries: &mut retries,
     };
+    let mut scratch = QueryScratch::default();
+    let (tilde, _) = tilde_instance(
+        &mut sampling,
+        oracle,
+        rng,
+        half,
+        |_| Ok(half),
+        Quantiles::Naive,
+        &mut scratch,
+    )?;
 
-    // Step 3: build Ĩ and solve it exactly.
-    let tilde = TildeInstance::build(norms, oracle.capacity(), eps, &large, &seq);
+    // Step 3: solve Ĩ exactly.
     let optimum_mu = tilde_optimum(&tilde).ok_or(LcaError::SampleBudgetTooLarge {
         needed: u64::MAX,
         cap: 0,
@@ -115,7 +78,7 @@ where
     Ok(IkyValueEstimate {
         value: (tilde_value - eps.as_f64()).max(0.0),
         tilde_optimum: tilde_value,
-        samples: 2 * half,
+        samples: oracle.stats().since(before).weighted_samples,
     })
 }
 
@@ -159,15 +122,37 @@ mod tests {
     #[test]
     fn sample_accounting_matches_budget() {
         let eps = Epsilon::new(1, 3).unwrap();
-        let norm = NormalizedInstance::new(
-            Instance::from_pairs((1..=100u64).map(|i| (1 + i % 5, 1 + i % 9)), 100).unwrap(),
-        )
-        .unwrap();
-        let oracle = InstanceOracle::new(&norm);
-        let mut rng = Seed::from_entropy_u64(9).rng();
-        let estimate = iky_value_estimate(&oracle, &mut rng, eps, 10_000).unwrap();
-        assert_eq!(estimate.samples, 10_000);
-        assert_eq!(oracle.stats().weighted_samples, 10_000);
+        let spread: Vec<(u64, u64)> = (1..=100u64).map(|i| (1 + i % 5, 1 + i % 9)).collect();
+        // Two large items hold all but 100/2,100 < ε of the profit, so the
+        // EPS estimation is skipped and its half of the budget not drawn.
+        let heavy: Vec<(u64, u64)> = [(1_000, 1), (1_000, 1)]
+            .into_iter()
+            .chain(std::iter::repeat_n((1, 1), 100))
+            .collect();
+        for (pairs, drawn) in [(spread, 10_000), (heavy, 5_000)] {
+            let norm = NormalizedInstance::new(Instance::from_pairs(pairs, 100).unwrap()).unwrap();
+            let oracle = InstanceOracle::new(&norm);
+            let mut rng = Seed::from_entropy_u64(9).rng();
+            let estimate = iky_value_estimate(&oracle, &mut rng, eps, 10_000).unwrap();
+            assert_eq!(estimate.samples, drawn);
+            assert_eq!(oracle.stats().weighted_samples, drawn);
+        }
+    }
+
+    /// The first oracle fault ends the estimate: there are no retries.
+    #[test]
+    fn the_first_oracle_fault_is_the_error() {
+        use lcakp_oracle::BudgetedOracle;
+        let norm = WorkloadSpec::new(Family::SmallDominated, 200, 3)
+            .generate_normalized()
+            .unwrap();
+        let inner = InstanceOracle::new(&norm);
+        let oracle = BudgetedOracle::new(&inner, 10);
+        let mut rng = Seed::from_entropy_u64(4).rng();
+        let eps = Epsilon::new(1, 4).unwrap();
+        let result = iky_value_estimate(&oracle, &mut rng, eps, 1_000);
+        assert!(matches!(result, Err(LcaError::Oracle(_))), "{result:?}");
+        assert_eq!(inner.stats().weighted_samples, 10);
     }
 
     /// The estimate of one fixed run: `(family, ε denominator)` at

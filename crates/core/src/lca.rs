@@ -2,7 +2,7 @@
 //! decision rule of `LCA-KP`.
 
 use crate::LcaError;
-use lcakp_knapsack::iky::Epsilon;
+use lcakp_knapsack::iky::{Epsilon, SmallItemFilter};
 use lcakp_knapsack::{Item, ItemId, Norms, Selection};
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use rand::Rng;
@@ -172,27 +172,16 @@ impl SolutionRule {
     /// Applies the rule to one item (Algorithm 2 lines 20–24). All
     /// comparisons are exact.
     pub fn decide(&self, norms: Norms, id: ItemId, item: Item) -> LcaAnswer {
-        if item.weight > self.capacity {
+        let reason = if item.weight > self.capacity {
             // No feasible solution contains an oversized item — a purely
             // local check (the LCA knows K and the queried item).
-            return LcaAnswer {
-                include: false,
-                reason: DecisionReason::Oversized,
-            };
-        }
-        let eps_sq = self.eps.squared();
-        if norms.nprofit_of(item.profit) > eps_sq {
+            DecisionReason::Oversized
+        } else if !SmallItemFilter::new(self.eps, norms.total_profit).is_small(item.profit) {
             // Large item: membership in the selected prefix.
             if self.large_selected.contains(&id) {
-                LcaAnswer {
-                    include: true,
-                    reason: DecisionReason::LargeSelected,
-                }
+                DecisionReason::LargeSelected
             } else {
-                LcaAnswer {
-                    include: false,
-                    reason: DecisionReason::LargeNotSelected,
-                }
+                DecisionReason::LargeNotSelected
             }
         } else if let Some(cutoff) = self.e_small {
             // Thresholds live in the tie-broken key order (a deterministic
@@ -200,21 +189,19 @@ impl SolutionRule {
             // `Norms::tie_broken_efficiency_key`), so membership is a
             // plain integer comparison.
             if norms.tie_broken_efficiency_key(id, item) >= cutoff {
-                LcaAnswer {
-                    include: true,
-                    reason: DecisionReason::SmallAboveCutoff,
-                }
+                DecisionReason::SmallAboveCutoff
             } else {
-                LcaAnswer {
-                    include: false,
-                    reason: DecisionReason::SmallBelowCutoff,
-                }
+                DecisionReason::SmallBelowCutoff
             }
         } else {
-            LcaAnswer {
-                include: false,
-                reason: DecisionReason::NoSmallCutoff,
-            }
+            DecisionReason::NoSmallCutoff
+        };
+        LcaAnswer {
+            include: matches!(
+                reason,
+                DecisionReason::LargeSelected | DecisionReason::SmallAboveCutoff
+            ),
+            reason,
         }
     }
 

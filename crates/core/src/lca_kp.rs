@@ -5,7 +5,7 @@ use crate::lca::{KnapsackLca, LcaAnswer, SolutionRule};
 use crate::solution_audit::{DegradationReason, QueryAudit};
 use crate::trivial::degraded_answer;
 use crate::LcaError;
-use lcakp_knapsack::iky::{EpsSequence, Epsilon, TildeInstance};
+use lcakp_knapsack::iky::{EpsSequence, Epsilon, SmallItemFilter, TildeInstance};
 use lcakp_knapsack::{Item, ItemId};
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use lcakp_reproducible::{
@@ -262,15 +262,14 @@ impl LcaKp {
     }
 
     /// Worst-case number of weighted samples one EPS estimation draws:
-    /// `⌈1.5·n_rq/ε⌉`, since the residual fraction passed to
-    /// `estimate_eps` is at least ε whenever estimation runs at all.
+    /// line 6's count `a` at residual ε, since the residual fraction is
+    /// at least ε whenever estimation runs at all.
     /// This is the runtime value the `eps-estimation-samples` symbol in
     /// the lint's probe-budget certificate is bound to when the
     /// certificate is cross-checked against counting oracles.
     pub fn eps_estimation_samples_cap(&self) -> u64 {
-        let params = self.repro_params();
-        let n_rq = self.budget.rquantile_samples(&params);
-        ((1.5 * n_rq as f64) / self.eps.as_f64()).ceil() as u64
+        let n_rq = self.budget.rquantile_samples(&self.repro_params());
+        estimation_samples(n_rq, self.eps.as_f64())
     }
 
     /// Builds the per-query [`SolutionRule`] (Algorithm 2 lines 1–19).
@@ -316,54 +315,6 @@ impl LcaKp {
     {
         let mut retries = 0u64;
         self.build_rule_counted(oracle, rng, seed, &mut retries, scratch)
-    }
-
-    /// Draws `count` weighted samples into `deliver` through the oracle's
-    /// batch call, with bounded retry of transient faults: every sample
-    /// slot gets `1 + max_retries` attempts, and an exhausted slot
-    /// surfaces as [`LcaError::Oracle`].
-    ///
-    /// The `try_sample_weighted` calls are those of a per-slot retry
-    /// loop: a failed batch reports how many samples it delivered, the
-    /// next batch starts at the failed slot, and the attempt count
-    /// carries over only while that slot is still the one failing.
-    fn sample_many_with_retry<O, R, F>(
-        &self,
-        oracle: &O,
-        rng: &mut R,
-        count: u64,
-        retries: &mut u64,
-        mut deliver: F,
-    ) -> Result<(), LcaError>
-    where
-        O: WeightedSampler,
-        R: Rng + ?Sized,
-        F: FnMut(ItemId, Item),
-    {
-        #[cfg(test)]
-        if per_slot_reference::enabled() {
-            return per_slot_reference::sample_each(self, oracle, rng, count, retries, deliver);
-        }
-        let mut remaining = count;
-        let mut attempts = 0u32;
-        // lcakp-lint: loop-bound(batch-count * retry-attempts) reason="every iteration but the last spends one retry, and each of the count slots admits at most max_retries of them"
-        while remaining > 0 {
-            // lcakp-lint: probe-total(batch-count * retry-attempts) reason="amortized over the loop: each slot is drawn at most 1 + max_retries times across all batches, so the batches together make at most count * retry-attempts single draws"
-            let outcome = oracle.try_sample_weighted_many(rng, remaining, &mut deliver);
-            let Err((delivered, error)) = outcome else {
-                return Ok(());
-            };
-            remaining -= delivered;
-            if delivered > 0 {
-                attempts = 0;
-            }
-            if !error.is_retryable() || attempts >= self.retry.max_retries {
-                return Err(LcaError::Oracle(error));
-            }
-            attempts += 1;
-            *retries += 1;
-        }
-        Ok(())
     }
 
     /// One point query of item `id` with bounded retry of transient
@@ -414,47 +365,24 @@ impl LcaKp {
         O: ItemOracle + WeightedSampler,
         R: Rng + ?Sized,
     {
-        let norms = oracle.norms();
-        let small = SmallItemFilter::new(self.eps, norms.total_profit);
-        let total_profit = norms.total_profit as u128;
-
-        // ---- Line 1–3: sample R, keep distinct large items. ----
-        let m = self.coupon_samples();
-        if m > self.max_samples_per_query {
-            return Err(LcaError::SampleBudgetTooLarge {
-                needed: m,
-                cap: self.max_samples_per_query,
-            });
-        }
-        scratch.large.clear();
-        // lcakp-lint: batch-count(coupon-samples) reason="m = coupon_samples() exactly; the symbolic name keeps the certificate readable across call sites"
-        self.sample_many_with_retry(oracle, rng, m, retries, |id, item| {
-            if !small.is_small(item.profit) {
-                insert_first_arrival(&mut scratch.large, id, item);
-            }
-        })?;
-        let large = &scratch.large;
-        let large_profit: u128 = large.iter().map(|&(_, item)| item.profit as u128).sum();
-
-        // ---- Lines 4–17: estimate the EPS when enough profit mass sits
-        // outside the large items. 1 − p(L(Ĩ)) ≥ ε ⇔ (P − S)·den ≥ num·P.
-        let residual = total_profit - large_profit;
-        let seq = if residual * self.eps.den() as u128 >= self.eps.num() as u128 * total_profit {
-            self.estimate_eps(
-                oracle,
-                rng,
-                seed,
-                residual as f64 / total_profit as f64,
-                retries,
-                scratch,
-            )?
-        } else {
-            EpsSequence::empty()
+        // ---- Lines 1–18, with m = coupon_samples(), a(residual) and the
+        // configured engine. ----
+        let m = self.within_sample_cap(self.coupon_samples())?;
+        let params = self.repro_params();
+        let quantiles = match self.engine {
+            QuantileEngine::Reproducible => Quantiles::Reproducible(seed, params.tau.min(0.5)),
+            QuantileEngine::Naive => Quantiles::Naive,
         };
-
-        // ---- Line 18: construct Ĩ. ----
-        let large = &scratch.large;
-        let tilde = TildeInstance::build(norms, oracle.capacity(), self.eps, large, &seq);
+        let a = |residual| {
+            let n_rq = self.budget.rquantile_samples(&params);
+            self.within_sample_cap(estimation_samples(n_rq, residual))
+        };
+        let mut sampling = Sampling {
+            eps: self.eps,
+            retry: self.retry,
+            retries,
+        };
+        let (tilde, seq) = tilde_instance(&mut sampling, oracle, rng, m, a, quantiles, scratch)?;
 
         // ---- Line 19: CONVERT-GREEDY. ----
         let out = convert_greedy(&tilde, &seq);
@@ -468,121 +396,255 @@ impl LcaKp {
         })
     }
 
-    /// Lines 5–15: sample Q, estimate the quantile thresholds, apply the
-    /// `t' = t − 1` adjustment. The reproducible engine sorts the keys
-    /// once and serves all t thresholds from that sort.
-    fn estimate_eps<O, R>(
-        &self,
-        oracle: &O,
-        rng: &mut R,
-        seed: &Seed,
-        residual_fraction: f64,
-        retries: &mut u64,
-        scratch: &mut QueryScratch,
-    ) -> Result<EpsSequence, LcaError>
-    where
-        O: ItemOracle + WeightedSampler,
-        R: Rng + ?Sized,
-    {
-        let eps = self.eps.as_f64();
-        let q = (eps + eps * eps / 2.0) / residual_fraction;
-        let t = (1.0 / q).floor() as usize;
-        if t == 0 {
-            return Ok(EpsSequence::empty());
-        }
-        let params = self.repro_params();
-        let n_rq = self.budget.rquantile_samples(&params);
-        let a = ((1.5 * n_rq as f64) / residual_fraction).ceil() as u64;
-        if a > self.max_samples_per_query {
-            return Err(LcaError::SampleBudgetTooLarge {
-                needed: a,
-                cap: self.max_samples_per_query,
-            });
-        }
-
-        // Sample Q, drop large items, keep efficiency keys (line 6–8),
-        // straight into the buffer the reproducible engine sorts them in.
-        let mut efficiencies = scratch.quantiles.keys();
-        self.sample_efficiency_keys(oracle, rng, a, retries, &mut efficiencies)?;
-        if efficiencies.is_empty() {
-            // Degenerate: no small/garbage mass was seen; proceed with no
-            // thresholds (the paper's failure event, probability ≤ ε/3).
-            return Ok(EpsSequence::empty());
-        }
-
-        // Lines 9–10: ẽ_k = rQuantile(E, 1 − kq), made non-increasing.
-        let domain = Domain::new(64).map_err(LcaError::from)?;
-        let mut efficiencies = match self.engine {
-            QuantileEngine::Reproducible => Efficiencies::Sorted(efficiencies.sort(domain)?),
-            QuantileEngine::Naive => Efficiencies::Sampled(efficiencies),
-        };
-        // lcakp-lint: allow(D011) reason="the t ≤ ⌈1/ε⌉ threshold keys are the query's output: EpsSequence must own them, so they cannot live in the scratch"
-        let mut keys: Vec<u64> = Vec::with_capacity(t);
-        let mut previous = u64::MAX;
-        // lcakp-lint: loop-bound(eps-thresholds) reason="one rQuantile per EPS threshold: t ≤ ⌈1/ε⌉ by construction (Algorithm 2 line 9)"
-        for k in 1..=t {
-            let p = (1.0 - k as f64 * q).max(0.0);
-            let value = match &mut efficiencies {
-                Efficiencies::Sorted(sorted) => sorted.rquantile(
-                    p,
-                    params.tau.min(0.5),
-                    &seed.derive("lca-kp/rquantile", k as u64),
-                )?,
-                Efficiencies::Sampled(sampled) => u128::from(naive_quantile(sampled, p)),
-            };
-            // Saturating u128 → u64 without unwrap: quantiles above the
-            // key domain clamp to the maximum key.
-            let key = (value.min(u128::from(u64::MAX)) as u64).min(previous);
-            // lcakp-lint: allow(D011) reason="appends one of the t ≤ ⌈1/ε⌉ owned threshold keys"
-            keys.push(key);
-            previous = key;
-        }
-
-        // Lines 11–14: drop ẽ_t if it fell below ε² (exact comparison:
-        // key/2³² < ε² ⇔ key·den² < num²·2³²).
-        let mut seq = EpsSequence::new(keys).map_err(LcaError::from)?;
-        if let Some(&last) = seq.keys().last() {
-            let num = self.eps.num() as u128;
-            let den = self.eps.den() as u128;
-            if (last as u128) * den * den < num * num * (1u128 << 32) {
-                seq.truncate_last();
-            }
-        }
-        Ok(seq)
-    }
-
-    /// Lines 6–8: draws `a` samples of Q and appends the efficiency key
-    /// of every small one to `keys`, in arrival order.
-    fn sample_efficiency_keys<O, R>(
-        &self,
-        oracle: &O,
-        rng: &mut R,
-        a: u64,
-        retries: &mut u64,
-        keys: &mut Vec<u64>,
-    ) -> Result<(), LcaError>
-    where
-        O: ItemOracle + WeightedSampler,
-        R: Rng + ?Sized,
-    {
-        let norms = oracle.norms();
-        let small = SmallItemFilter::new(self.eps, norms.total_profit);
-        keys.reserve(a as usize);
-        // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
-        self.sample_many_with_retry(oracle, rng, a, retries, |id, item| {
-            if small.is_small(item.profit) {
-                keys.push(norms.tie_broken_efficiency_key(id, item));
-            }
-        })
+    /// `needed` samples, or [`LcaError::SampleBudgetTooLarge`] past the
+    /// per-query safety cap.
+    fn within_sample_cap(&self, needed: u64) -> Result<u64, LcaError> {
+        let cap = self.max_samples_per_query;
+        (needed <= cap)
+            .then_some(needed)
+            .ok_or(LcaError::SampleBudgetTooLarge { needed, cap })
     }
 }
 
-/// Algorithm 2's efficiency keys (line 8), as the configured
-/// [`QuantileEngine`] reads them.
-enum Efficiencies<'a> {
-    /// Sorted once, for every reproducible rQuantile of the query.
-    Sorted(SortedSample<'a>),
-    /// In arrival order, for the naive empirical quantile.
+/// Where the EPS thresholds' quantiles come from (Algorithm 2 lines
+/// 9–10).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Quantiles<'s> {
+    /// Algorithm 1's rQuantile under the shared seed, at accuracy τ.
+    Reproducible(&'s Seed, f64),
+    /// The empirical quantile.
+    Naive,
+}
+
+/// Algorithm 2's EPS schedule (lines 4–9), in `f64` but for the exact
+/// residual test: the residual fraction `1 − p(L(Ĩ))`, the step
+/// `q = (ε + ε²/2) / residual` of the quantile levels `p_k = 1 − k·q`,
+/// and the threshold count `t = ⌊1/q⌋`.
+struct EpsSchedule {
+    residual: f64,
+    q: f64,
+    t: usize,
+}
+
+impl EpsSchedule {
+    /// The schedule once large items of total profit `large_profit` are
+    /// known, or `None` when there is nothing to estimate: line 17's
+    /// `1 − p(L(Ĩ)) < ε ⇔ (P − S)·den < num·P`, or `t = 0`.
+    fn new(eps: Epsilon, total_profit: u64, large_profit: u128) -> Option<Self> {
+        let total_profit = u128::from(total_profit);
+        let residual = total_profit - large_profit;
+        if residual * u128::from(eps.den()) < u128::from(eps.num()) * total_profit {
+            return None;
+        }
+        let residual = residual as f64 / total_profit as f64;
+        let eps = eps.as_f64();
+        let q = (eps + eps * eps / 2.0) / residual;
+        let t = (1.0 / q).floor() as usize;
+        (t > 0).then_some(EpsSchedule { residual, q, t })
+    }
+}
+
+/// Line 6's sample count `a = ⌈1.5·n_rq / residual⌉` for rQuantiles of
+/// `n_rq` samples each.
+fn estimation_samples(n_rq: u64, residual: f64) -> u64 {
+    ((1.5 * n_rq as f64) / residual).ceil() as u64
+}
+
+/// How one run of Algorithm 2's lines 1–18 draws: its ε, the retries
+/// allowed per sample slot, and the count of retries spent.
+pub(crate) struct Sampling<'r> {
+    pub(crate) eps: Epsilon,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) retries: &'r mut u64,
+}
+
+/// Algorithm 2 lines 1–18: the distinct large items of `m` samples (left
+/// in `scratch`), an EPS from `a(residual)` more samples and `quantiles`,
+/// and the instance Ĩ built from both. Errors are the first oracle fault
+/// left after retries, or those of `a` and the quantile engine.
+pub(crate) fn tilde_instance<O, R, A>(
+    sampling: &mut Sampling<'_>,
+    oracle: &O,
+    rng: &mut R,
+    m: u64,
+    a: A,
+    quantiles: Quantiles<'_>,
+    scratch: &mut QueryScratch,
+) -> Result<(TildeInstance, EpsSequence), LcaError>
+where
+    O: ItemOracle + WeightedSampler,
+    R: Rng + ?Sized,
+    A: FnOnce(f64) -> Result<u64, LcaError>,
+{
+    let norms = oracle.norms();
+    let large_profit = large_items(sampling, oracle, rng, m, &mut scratch.large)?;
+    // Lines 4–17: estimate the EPS when enough profit mass sits outside
+    // the large items.
+    let seq = match EpsSchedule::new(sampling.eps, norms.total_profit, large_profit) {
+        Some(schedule) => {
+            let mut keys = scratch.quantiles.keys();
+            efficiency_keys(sampling, oracle, rng, a(schedule.residual)?, &mut keys)?;
+            eps_thresholds(sampling.eps, &schedule, quantiles, keys)?
+        }
+        None => EpsSequence::empty(),
+    };
+    // Line 18: construct Ĩ.
+    let tilde = TildeInstance::build(norms, oracle.capacity(), sampling.eps, &scratch.large, &seq);
+    Ok((tilde, seq))
+}
+
+/// Lines 1–3: draws `m` samples of R and keeps each distinct large item,
+/// at its first arrival, in `large`; returns their total profit.
+fn large_items<O, R>(
+    sampling: &mut Sampling<'_>,
+    oracle: &O,
+    rng: &mut R,
+    m: u64,
+    large: &mut Vec<(ItemId, Item)>,
+) -> Result<u128, LcaError>
+where
+    O: ItemOracle + WeightedSampler,
+    R: Rng + ?Sized,
+{
+    let small = SmallItemFilter::new(sampling.eps, oracle.norms().total_profit);
+    large.clear();
+    // lcakp-lint: batch-count(coupon-samples) reason="m = coupon_samples() on LCA-KP's query path; the symbolic name keeps the certificate readable across call sites"
+    sample_many_with_retry(sampling, oracle, rng, m, |id, item| {
+        if !small.is_small(item.profit) {
+            insert_first_arrival(large, id, item);
+        }
+    })?;
+    Ok(large.iter().map(|&(_, item)| u128::from(item.profit)).sum())
+}
+
+/// Lines 6–8: draws `a` samples of Q and appends the efficiency key of
+/// every small one to `keys`, in arrival order.
+fn efficiency_keys<O, R>(
+    sampling: &mut Sampling<'_>,
+    oracle: &O,
+    rng: &mut R,
+    a: u64,
+    keys: &mut Vec<u64>,
+) -> Result<(), LcaError>
+where
+    O: ItemOracle + WeightedSampler,
+    R: Rng + ?Sized,
+{
+    let norms = oracle.norms();
+    let small = SmallItemFilter::new(sampling.eps, norms.total_profit);
+    keys.reserve(a as usize);
+    // lcakp-lint: batch-count(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most on LCA-KP's query path; the symbolic name keeps the certificate readable across call sites"
+    sample_many_with_retry(sampling, oracle, rng, a, |id, item| {
+        if small.is_small(item.profit) {
+            keys.push(norms.tie_broken_efficiency_key(id, item));
+        }
+    })
+}
+
+/// Draws `count` weighted samples into `deliver` through the oracle's
+/// batch call, with bounded retry of transient faults: every sample
+/// slot gets `1 + max_retries` attempts, and an exhausted slot
+/// surfaces as [`LcaError::Oracle`].
+///
+/// The `try_sample_weighted` calls are those of a per-slot retry
+/// loop: a failed batch reports how many samples it delivered, the
+/// next batch starts at the failed slot, and the attempt count
+/// carries over only while that slot is still the one failing.
+fn sample_many_with_retry<O, R, F>(
+    sampling: &mut Sampling<'_>,
+    oracle: &O,
+    rng: &mut R,
+    count: u64,
+    mut deliver: F,
+) -> Result<(), LcaError>
+where
+    O: WeightedSampler,
+    R: Rng + ?Sized,
+    F: FnMut(ItemId, Item),
+{
+    #[cfg(test)]
+    if per_slot_reference::enabled() {
+        return per_slot_reference::sample_each(sampling, oracle, rng, count, deliver);
+    }
+    let mut remaining = count;
+    let mut attempts = 0u32;
+    // lcakp-lint: loop-bound(batch-count * retry-attempts) reason="every iteration but the last spends one retry, and each of the count slots admits at most max_retries of them"
+    while remaining > 0 {
+        // lcakp-lint: probe-total(batch-count * retry-attempts) reason="amortized over the loop: each slot is drawn at most 1 + max_retries times across all batches, so the batches together make at most count * retry-attempts single draws"
+        let outcome = oracle.try_sample_weighted_many(rng, remaining, &mut deliver);
+        let Err((delivered, error)) = outcome else {
+            return Ok(());
+        };
+        remaining -= delivered;
+        if delivered > 0 {
+            attempts = 0;
+        }
+        if !error.is_retryable() || attempts >= sampling.retry.max_retries {
+            return Err(LcaError::Oracle(error));
+        }
+        attempts += 1;
+        *sampling.retries += 1;
+    }
+    Ok(())
+}
+
+/// Lines 9–14: the thresholds `ẽ_k = quantile(E, p_k)` for k = 1..=t,
+/// clamped to be non-increasing, with `ẽ_t` dropped when it fell below
+/// ε². The reproducible engine sorts the keys once and serves all t
+/// thresholds from that sort.
+fn eps_thresholds(
+    eps: Epsilon,
+    schedule: &EpsSchedule,
+    quantiles: Quantiles<'_>,
+    keys: SampleKeys<'_>,
+) -> Result<EpsSequence, LcaError> {
+    if keys.is_empty() {
+        // Degenerate: no small/garbage mass was seen; proceed with no
+        // thresholds (the paper's failure event, probability ≤ ε/3).
+        return Ok(EpsSequence::empty());
+    }
+    let domain = Domain::new(64).map_err(LcaError::from)?;
+    let mut efficiencies = match quantiles {
+        Quantiles::Reproducible(seed, tau) => Efficiencies::Sorted(keys.sort(domain)?, seed, tau),
+        Quantiles::Naive => Efficiencies::Sampled(keys),
+    };
+    // lcakp-lint: allow(D011) reason="the t ≤ ⌈1/ε⌉ threshold keys are the query's output: EpsSequence must own them, so they cannot live in the scratch"
+    let mut thresholds: Vec<u64> = Vec::with_capacity(schedule.t);
+    let mut previous = u64::MAX;
+    // lcakp-lint: loop-bound(eps-thresholds) reason="one rQuantile per EPS threshold: t ≤ ⌈1/ε⌉ by construction (Algorithm 2 line 9)"
+    for k in 1..=schedule.t {
+        let p = (1.0 - k as f64 * schedule.q).max(0.0);
+        let value = match &mut efficiencies {
+            Efficiencies::Sorted(sorted, seed, tau) => {
+                sorted.rquantile(p, *tau, &seed.derive("lca-kp/rquantile", k as u64))?
+            }
+            Efficiencies::Sampled(sampled) => u128::from(naive_quantile(sampled, p)),
+        };
+        // Saturating u128 → u64 without unwrap: quantiles above the key
+        // domain clamp to the maximum key.
+        let key = (value.min(u128::from(u64::MAX)) as u64).min(previous);
+        // lcakp-lint: allow(D011) reason="appends one of the t ≤ ⌈1/ε⌉ owned threshold keys"
+        thresholds.push(key);
+        previous = key;
+    }
+
+    // Lines 11–14: drop ẽ_t = previous (t ≥ 1) if it fell below ε²
+    // (exact comparison: key/2³² < ε² ⇔ key·den² < num²·2³²).
+    let mut seq = EpsSequence::new(thresholds).map_err(LcaError::from)?;
+    let (num, den) = (u128::from(eps.num()), u128::from(eps.den()));
+    if u128::from(previous) * den * den < (num * num) << 32 {
+        seq.truncate_last();
+    }
+    Ok(seq)
+}
+
+/// Algorithm 2's efficiency keys (line 8), as a [`Quantiles`] source
+/// reads them.
+enum Efficiencies<'a, 's> {
+    /// Sorted once for every rQuantile of the run, with the shared seed
+    /// and τ.
+    Sorted(SortedSample<'a>, &'s Seed, f64),
+    /// In arrival order, for the empirical quantile.
     Sampled(SampleKeys<'a>),
 }
 
@@ -727,38 +789,6 @@ impl QueryScratch {
     }
 }
 
-/// Algorithm 2's small-item test `p/P ≤ ε²` (lines 2 and 7) for one
-/// query's total profit `P`, as one exact `u128` cross-multiplication:
-/// `p · den² ≤ num² · P` for ε = `num/den`.
-///
-/// Neither side overflows. `p, P < 2⁶⁴` and `num ≤ den ≤
-/// Epsilon::MAX_DEN < 2¹⁶`, so `den², num² < 2³²` and both products are
-/// below `2⁹⁶ < 2¹²⁸`. Both sides are exact integers, so the test agrees
-/// with `Rat`'s 256-bit comparison of `p/P` and `num²/den²` on every
-/// input.
-#[derive(Debug, Clone, Copy)]
-struct SmallItemFilter {
-    /// `den²`.
-    den_sq: u128,
-    /// `num² · P`.
-    bound: u128,
-}
-
-impl SmallItemFilter {
-    fn new(eps: Epsilon, total_profit: u64) -> Self {
-        let (num, den) = (u128::from(eps.num()), u128::from(eps.den()));
-        SmallItemFilter {
-            den_sq: den * den,
-            bound: num * num * u128::from(total_profit),
-        }
-    }
-
-    /// Whether an item of profit `profit` is small: `profit/P ≤ ε²`.
-    fn is_small(self, profit: u64) -> bool {
-        u128::from(profit) * self.den_sq <= self.bound
-    }
-}
-
 /// Adds one large coupon sample to `large`, which stays sorted by id
 /// with each id once. An id already present keeps its first arrival,
 /// exactly as a stable sort followed by `dedup_by_key` keeps it, so the
@@ -798,10 +828,9 @@ mod per_slot_reference {
 
     /// One weighted sample with bounded retry of transient faults.
     fn sample_with_retry<O, R>(
-        lca: &LcaKp,
+        sampling: &mut Sampling<'_>,
         oracle: &O,
         rng: &mut R,
-        retries: &mut u64,
     ) -> Result<(ItemId, Item), LcaError>
     where
         O: WeightedSampler,
@@ -811,9 +840,9 @@ mod per_slot_reference {
         loop {
             match oracle.try_sample_weighted(rng) {
                 Ok(sample) => return Ok(sample),
-                Err(error) if error.is_retryable() && attempts < lca.retry.max_retries => {
+                Err(error) if error.is_retryable() && attempts < sampling.retry.max_retries => {
                     attempts += 1;
-                    *retries += 1;
+                    *sampling.retries += 1;
                 }
                 Err(error) => return Err(LcaError::Oracle(error)),
             }
@@ -821,11 +850,10 @@ mod per_slot_reference {
     }
 
     pub(super) fn sample_each<O, R, F>(
-        lca: &LcaKp,
+        sampling: &mut Sampling<'_>,
         oracle: &O,
         rng: &mut R,
         count: u64,
-        retries: &mut u64,
         mut deliver: F,
     ) -> Result<(), LcaError>
     where
@@ -834,7 +862,7 @@ mod per_slot_reference {
         F: FnMut(ItemId, Item),
     {
         for _ in 0..count {
-            let (id, item) = sample_with_retry(lca, oracle, rng, retries)?;
+            let (id, item) = sample_with_retry(sampling, oracle, rng)?;
             deliver(id, item);
         }
         Ok(())
@@ -1231,57 +1259,6 @@ mod tests {
                 per_slot_reference::run(|| audited_run(&lca, &InstanceOracle::new(&norm), &items));
             assert_eq!(batched, reference);
             assert!(batched.0.iter().all(|(_, audit)| audit.degraded.is_none()));
-        }
-    }
-
-    /// The `u128` small-item test agrees with `Rat`'s exact comparison
-    /// at the boundary `profit · den² = num² · P` and one either side of
-    /// it, and at `u64::MAX` profits and totals.
-    #[test]
-    fn small_item_filter_matches_rat_at_the_boundary() {
-        use lcakp_knapsack::Rat;
-        let max = Epsilon::MAX_DEN;
-        for (num, den) in [
-            (1, 1),
-            (1, 4),
-            (1, 6),
-            (3, 7),
-            (1, max),
-            (max - 1, max),
-            (max, max),
-        ] {
-            let eps = Epsilon::new(num, den).unwrap();
-            let agrees = |profit: u64, total: u64| {
-                let filter = SmallItemFilter::new(eps, total);
-                let exact = Rat::new(u128::from(profit), u128::from(total)) <= eps.squared();
-                assert_eq!(
-                    filter.is_small(profit),
-                    exact,
-                    "ε = {eps}, p = {profit}, P = {total}"
-                );
-            };
-            // P = den² · m puts the boundary at the integer profit num² · m.
-            for m in [1u64, 5, 1 << 20, u64::MAX / (den * den)] {
-                let total = den * den * m;
-                let boundary = num * num * m;
-                for profit in [boundary - 1, boundary, boundary.saturating_add(1)] {
-                    agrees(profit, total);
-                }
-            }
-            // The largest totals and profits, around ⌊num² · P / den²⌋.
-            for total in [u64::MAX, u64::MAX - 1] {
-                let floor = u128::from(num * num) * u128::from(total) / u128::from(den * den);
-                let floor = u64::try_from(floor).unwrap();
-                for profit in [
-                    floor.saturating_sub(1),
-                    floor,
-                    floor.saturating_add(1),
-                    u64::MAX,
-                    0,
-                ] {
-                    agrees(profit, total);
-                }
-            }
         }
     }
 

@@ -29,11 +29,16 @@
 //!    exact efficiency to the cut-off threshold, garbage items by "no"
 //!    (Algorithm 2 lines 20–24 / Algorithm 4).
 //!
+//! Steps 1–3 up to Ĩ (lines 1–18) are written once, as `LCA-KP`'s stages
+//! with the EPS schedule (`q`, `t`, `p_k`, the count `a`); the small-item
+//! test is [`lcakp_knapsack::iky::SmallItemFilter`].
+//!
 //! The crate also provides the trivial baseline LCAs ([`EmptyLca`],
 //! [`FullScanLca`]), a multi-run / multi-thread [`consistency`] auditor
 //! (Definitions 2.3–2.4), full-solution assembly and approximation audits
 //! ([`solution_audit`]), and the IKY12 constant-time *value*
-//! approximation ([`iky_value`]) the algorithm descends from.
+//! approximation ([`iky_value`]) the algorithm descends from: lines 1–18
+//! on the same stages with empirical quantiles, plus an exact solve of Ĩ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //! (Section 4 preliminaries):
 //!
 //! * [`partition`] — the large / small / garbage item partition at
-//!   parameter ε;
+//!   parameter ε, and [`SmallItemFilter`], the one exact small-item test;
 //! * [`eps_seq`] — equally partitioning sequences (Definition 4.3), their
 //!   offline construction and their verification;
 //! * [`itilde`] — the reduced instance Ĩ built from the large items and an
@@ -20,4 +20,4 @@ pub mod partition;
 pub use crate::rat::Epsilon;
 pub use eps_seq::{exact_eps, verify_eps, BucketMass, EpsSequence, EpsVerification};
 pub use itilde::{tilde_optimum, TildeInstance, TildeItem, TildeOrigin, MU_SHIFT};
-pub use partition::{classify_item, ItemClass, Partition};
+pub use partition::{classify_item, ItemClass, Partition, SmallItemFilter};

@@ -51,19 +51,47 @@ impl std::fmt::Display for ItemClass {
 /// # }
 /// ```
 pub fn classify_item(norm: &NormalizedInstance, eps: Epsilon, item: Item) -> ItemClass {
-    let eps_sq = eps.squared();
-    if norm.nprofit_of(item.profit) > eps_sq {
+    if !SmallItemFilter::new(eps, norm.total_profit()).is_small(item.profit) {
         return ItemClass::Large;
     }
     match norm.efficiency_of(item) {
         Efficiency::Infinite => ItemClass::Small,
         Efficiency::Finite(eff) => {
-            if eff >= eps_sq {
+            if eff >= eps.squared() {
                 ItemClass::Small
             } else {
                 ItemClass::Garbage
             }
         }
+    }
+}
+
+/// The small-item test `p/P ≤ ε²` (Algorithm 2 lines 2, 7 and 20) for
+/// total profit `P`, as the exact `u128` test `p · den² ≤ num² · P` for
+/// ε = `num/den`; the workspace's one copy of it. Neither side overflows:
+/// `p, P < 2⁶⁴` and `num, den < 2¹⁶`, so both products are below `2⁹⁶`.
+/// It keeps `den²` and `num² · P`.
+#[derive(Debug, Clone, Copy)]
+pub struct SmallItemFilter {
+    den_sq: u128,
+    bound: u128,
+}
+
+impl SmallItemFilter {
+    /// The test at ε for total profit `total_profit`.
+    #[inline]
+    pub fn new(eps: Epsilon, total_profit: u64) -> Self {
+        let (num, den) = (u128::from(eps.num()), u128::from(eps.den()));
+        SmallItemFilter {
+            den_sq: den * den,
+            bound: num * num * u128::from(total_profit),
+        }
+    }
+
+    /// Whether an item of profit `profit` is small: `profit/P ≤ ε²`.
+    #[inline]
+    pub fn is_small(self, profit: u64) -> bool {
+        u128::from(profit) * self.den_sq <= self.bound
     }
 }
 
@@ -131,6 +159,84 @@ mod tests {
     fn norm(pairs: &[(u64, u64)], capacity: u64) -> NormalizedInstance {
         NormalizedInstance::new(Instance::from_pairs(pairs.iter().copied(), capacity).unwrap())
             .unwrap()
+    }
+
+    /// `SmallItemFilter` against `Rat`'s exact comparison `p/P ≤ ε²`.
+    mod small_item_filter {
+        use super::super::SmallItemFilter;
+        use crate::rat::Epsilon;
+        use crate::Rat;
+        use proptest::prelude::*;
+
+        fn agrees(eps: Epsilon, profit: u64, total: u64) -> Result<(), TestCaseError> {
+            let exact = Rat::new(u128::from(profit), u128::from(total)) <= eps.squared();
+            prop_assert_eq!(
+                SmallItemFilter::new(eps, total).is_small(profit),
+                exact,
+                "ε = {}, p = {}, P = {}",
+                eps,
+                profit,
+                total
+            );
+            Ok(())
+        }
+
+        /// ε = num/den over the whole range `Epsilon` admits: one case in
+        /// four at `den = MAX_DEN`, and one in four each at `num = den`
+        /// and `num = 1`.
+        fn epsilon() -> impl Strategy<Value = Epsilon> {
+            let max = Epsilon::MAX_DEN;
+            (1..=max, 0u8..4, 0..=u64::MAX, 0u8..4).prop_map(move |(den, top, raw, end)| {
+                let den = if top == 0 { max } else { den };
+                let num = match end {
+                    0 => den,
+                    1 => 1,
+                    _ => 1 + raw % den,
+                };
+                Epsilon::new(num, den).unwrap()
+            })
+        }
+
+        /// Any `u64`, with `0` and `u64::MAX` one case in five each.
+        fn edge_or_any() -> impl Strategy<Value = u64> {
+            (0..=u64::MAX, 0u8..5).prop_map(|(value, pick)| match pick {
+                0 => 0,
+                1 => u64::MAX,
+                _ => value,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Random profits and totals, `0` and `u64::MAX` among them.
+            #[test]
+            fn agrees_with_rat_anywhere(
+                eps in epsilon(),
+                profit in edge_or_any(),
+                total in edge_or_any(),
+            ) {
+                agrees(eps, profit, total.max(1))?;
+            }
+
+            /// `P = den² · m` puts the boundary at the integer profit
+            /// `num² · m`, where `p · den² = num² · P` exactly; the test
+            /// also runs one either side of it, and at the largest `m`
+            /// whose total fits in 64 bits.
+            #[test]
+            fn agrees_with_rat_at_the_boundary(
+                eps in epsilon(),
+                raw in 0..=u64::MAX,
+                largest in 0u8..4,
+                offset in -1i64..=1,
+            ) {
+                let (num, den) = (eps.num(), eps.den());
+                let max_m = u64::MAX / (den * den);
+                let m = if largest == 0 { max_m } else { 1 + raw % max_m };
+                let (total, boundary) = (den * den * m, num * num * m);
+                agrees(eps, boundary.saturating_add_signed(offset), total)?;
+            }
+        }
     }
 
     #[test]

@@ -398,12 +398,6 @@ impl NormalizedInstance {
         )
     }
 
-    /// Normalized profit of an arbitrary raw profit value.
-    #[inline]
-    pub fn nprofit_of(&self, profit: u64) -> Rat {
-        Rat::new(profit as u128, self.total_profit as u128)
-    }
-
     /// Normalized weight `ŵᵢ = wᵢ / W`, exact.
     #[inline]
     pub fn nweight(&self, id: ItemId) -> Rat {

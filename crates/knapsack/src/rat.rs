@@ -99,15 +99,6 @@ impl Rat {
         self.num == 0
     }
 
-    /// Lossy conversion to `f64`, for reporting only (never used in
-    /// consistency-critical comparisons).
-    #[inline]
-    // lcakp-lint: allow(D004) reason="lossy reporting conversion, documented as such"
-    pub fn to_f64(self) -> f64 {
-        // lcakp-lint: allow(D004) reason="lossy reporting conversion, documented as such"
-        self.num as f64 / self.den as f64
-    }
-
     /// Exact product of two rationals.
     ///
     /// # Panics
