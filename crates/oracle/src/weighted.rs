@@ -228,7 +228,67 @@ impl AliasTable {
 mod tests {
     use super::*;
     use crate::Seed;
+    use lcakp_workloads::{Family, WorkloadSpec};
     use proptest::prelude::*;
+
+    /// FNV-1a over a table's thresholds, aliases and total, in that
+    /// order, as little-endian bytes.
+    fn digest(table: &AliasTable) -> u64 {
+        let bytes = (table.prob.iter().flat_map(|p| p.to_le_bytes()))
+            .chain(table.alias.iter().flat_map(|a| a.to_le_bytes()))
+            .chain(table.total.to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn workload_profits(family: Family, n: usize, seed: u64) -> Vec<u64> {
+        let norm = WorkloadSpec::new(family, n, seed)
+            .generate_normalized()
+            .unwrap();
+        norm.as_instance()
+            .items()
+            .iter()
+            .map(|item| item.profit)
+            .collect()
+    }
+
+    /// The tables themselves, not just their implied masses: every draw,
+    /// answer and golden downstream reads `prob`, `alias` and `total`, so
+    /// a rebuilt construction must reproduce them bit for bit.
+    #[test]
+    fn tables_are_pinned_bit_for_bit() {
+        let large_dominated = Family::LargeDominated {
+            heavy: 24,
+            heavy_profit: 1 << 20,
+        };
+        let cases = [
+            (
+                "large-dominated",
+                workload_profits(large_dominated, 1 << 16, 5),
+                0xd4d3_889d_9f99_29d0,
+            ),
+            (
+                "uncorrelated",
+                workload_profits(Family::Uncorrelated { range: 1000 }, 1 << 16, 6),
+                0x43c0_0b53_7e9e_c5d0,
+            ),
+            (
+                "small-dominated",
+                workload_profits(Family::SmallDominated, 4096, 7),
+                0x730b_5aaa_765a_92cf,
+            ),
+            (
+                "zeros",
+                vec![0, 7, 0, 0, 3, 0, 12, 0, 0, 5],
+                0x02bc_b25d_18e8_1b4b,
+            ),
+        ];
+        for (name, profits, expected) in cases {
+            let table = AliasTable::new(&profits).unwrap();
+            assert_eq!(digest(&table), expected, "{name}");
+        }
+    }
 
     #[test]
     fn rejects_zero_total() {
