@@ -15,7 +15,11 @@
 //!      `ShardCore` stepping admitted arrivals through the degradation
 //!      ladder) over the same arrivals at two trace lengths. The
 //!      difference, divided by the extra arrivals, is what one more
-//!      served query allocates once the core's buffers are warm.
+//!      served query allocates once the core's buffers are warm;
+//!   4. the oracle build: `InstanceOracle::new` over a fixed
+//!      `LargeDominated` instance of `ORACLE_BUILD_ITEMS` items, on this
+//!      one thread, with its allocations, bytes and peak live bytes
+//!      above the section's entry.
 //!
 //! Every printed field repeats exactly run to run (CI diffs two runs).
 //!
@@ -25,9 +29,11 @@
 //!
 //! `--check` exits nonzero if the steady-state per-query allocation
 //! count exceeds `STEADY_ALLOC_BUDGET`, the warm scratch holds more than
-//! `SCRATCH_BYTES_BUDGET` bytes, or the served path's per-arrival count
-//! exceeds `SERVED_ALLOCS_PER_ARRIVAL` — the CI smoke that keeps
-//! allocation and memory regressions out of the serving loop.
+//! `SCRATCH_BYTES_BUDGET` bytes, the served path's per-arrival count
+//! exceeds `SERVED_ALLOCS_PER_ARRIVAL`, or the oracle build exceeds
+//! `ORACLE_BUILD_ALLOCS` allocations or `ORACLE_BUILD_PEAK_BYTES` peak
+//! bytes — the CI smoke that keeps allocation and memory regressions out
+//! of the serving loop and the oracle's set-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -66,6 +72,20 @@ const SCRATCH_BYTES_BUDGET: u64 = 1_513_076;
 /// the query (dispatch, fault layer, ladder, clock) must allocate
 /// nothing of its own.
 const SERVED_ALLOCS_PER_ARRIVAL: u64 = 5;
+
+/// Items in the oracle-build section's instance.
+const ORACLE_BUILD_ITEMS: usize = 1 << 16;
+
+/// Allocations of `InstanceOracle::new` over that instance, enforced by
+/// `--check`. Pinned at the measured value with no headroom: the alias
+/// table's two vectors and nothing else.
+const ORACLE_BUILD_ALLOCS: u64 = 2;
+
+/// Peak live bytes of the same build above its entry, enforced by
+/// `--check`. Pinned at the measured value with no headroom: 12 bytes per
+/// item (`prob` and `alias`). A profit copy would add 8 bytes per item,
+/// and 128-bit scaled masses 16.
+const ORACLE_BUILD_PEAK_BYTES: u64 = 12 * ORACLE_BUILD_ITEMS as u64;
 
 /// Trace lengths of the served section's two replays.
 const SERVED_SHORT: usize = 16;
@@ -252,6 +272,25 @@ fn main() {
         .saturating_sub(served_short)
         .div_ceil((SERVED_LONG - SERVED_SHORT) as u64);
 
+    // Section 4: the oracle build, on this thread alone so that its peak
+    // repeats run to run. The instance is generated outside the window.
+    let build_norm = WorkloadSpec::new(
+        Family::LargeDominated {
+            heavy: 24,
+            heavy_profit: 1 << 20,
+        },
+        ORACLE_BUILD_ITEMS,
+        0xB11D,
+    )
+    .generate_normalized()
+    .expect("oracle-build workload generates");
+    let live_before_build = LIVE.load(Relaxed);
+    let build_start = begin_section();
+    let build_oracle = InstanceOracle::new(&build_norm);
+    let build = end_section(build_start);
+    drop(build_oracle);
+    let build_peak = build.peak - live_before_build;
+
     let smoke_allocs_milli = per_query_milli(smoke.allocs, smoke_queries);
     let smoke_bytes_milli = per_query_milli(smoke.bytes, smoke_queries);
     let counters = |counts: &[(&'static str, u64)]| {
@@ -292,6 +331,17 @@ fn main() {
                 ("pinned_per_arrival", SERVED_ALLOCS_PER_ARRIVAL),
             ]),
         ),
+        (
+            "oracle_build",
+            counters(&[
+                ("items", ORACLE_BUILD_ITEMS as u64),
+                ("allocations", build.allocs),
+                ("bytes", build.bytes),
+                ("peak_bytes", build_peak),
+                ("pinned_allocations", ORACLE_BUILD_ALLOCS),
+                ("pinned_peak_bytes", ORACLE_BUILD_PEAK_BYTES),
+            ]),
+        ),
     ]);
     println!("{report}");
 
@@ -314,6 +364,21 @@ fn main() {
         eprintln!(
             "alloc_audit: served-path allocations per arrival {served_per_arrival} exceed \
              the pinned {SERVED_ALLOCS_PER_ARRIVAL}"
+        );
+        failed = true;
+    }
+    if check && build.allocs > ORACLE_BUILD_ALLOCS {
+        eprintln!(
+            "alloc_audit: the oracle build made {} allocations, above the pinned \
+             {ORACLE_BUILD_ALLOCS}",
+            build.allocs
+        );
+        failed = true;
+    }
+    if check && build_peak > ORACLE_BUILD_PEAK_BYTES {
+        eprintln!(
+            "alloc_audit: the oracle build peaked at {build_peak} live bytes, above the \
+             pinned {ORACLE_BUILD_PEAK_BYTES}"
         );
         failed = true;
     }

@@ -47,7 +47,7 @@ fn main() {
             let seq = exact_eps(&norm, eps, &partition);
             let verification = verify_eps(&norm, eps, &partition, &seq);
             let tilde = TildeInstance::build_from_instance(&norm, eps, partition.large(), &seq);
-            let Some(opt_mu) = tilde_optimum(&tilde) else {
+            let Ok(opt_mu) = tilde_optimum(&tilde) else {
                 continue;
             };
             let tilde_opt = opt_mu as f64 / (1u128 << MU_SHIFT) as f64;

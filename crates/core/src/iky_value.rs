@@ -36,8 +36,9 @@ pub struct IkyValueEstimate {
 /// # Errors
 ///
 /// Returns [`LcaError::Oracle`] on the first oracle fault (there are no
-/// retries), and [`LcaError`] if Ĩ's exact solver exhausts its node
-/// budget (pathological ε only).
+/// retries), and [`LcaError::Knapsack`] with
+/// [`KnapsackError::SolverBudgetExceeded`](lcakp_knapsack::KnapsackError::SolverBudgetExceeded)
+/// if Ĩ's exact solver exhausts its node budget (pathological ε only).
 pub fn iky_value_estimate<O, R>(
     oracle: &O,
     rng: &mut R,
@@ -70,10 +71,7 @@ where
     )?;
 
     // Step 3: solve Ĩ exactly.
-    let optimum_mu = tilde_optimum(&tilde).ok_or(LcaError::SampleBudgetTooLarge {
-        needed: u64::MAX,
-        cap: 0,
-    })?;
+    let optimum_mu = tilde_optimum(&tilde)?;
     let tilde_value = optimum_mu as f64 / (1u128 << MU_SHIFT) as f64;
     Ok(IkyValueEstimate {
         value: (tilde_value - eps.as_f64()).max(0.0),

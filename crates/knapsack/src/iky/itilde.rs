@@ -26,7 +26,7 @@
 
 use crate::iky::eps_seq::EpsSequence;
 use crate::rat::{cmp_products, Epsilon};
-use crate::{Item, ItemId, NormalizedInstance, Norms};
+use crate::{Item, ItemId, KnapsackError, NormalizedInstance, Norms};
 use std::cmp::Ordering;
 
 /// Number of fractional bits of a micro-unit: values are normalized
@@ -258,8 +258,17 @@ const MAX_TILDE_NODES: u64 = 20_000_000;
 /// the "solve the new instance optimally" step of [IKY12] used to validate
 /// Lemma 4.4 (experiment E9).
 ///
-/// Returns `None` if the node budget is exhausted (pathological ε only).
-pub fn tilde_optimum(tilde: &TildeInstance) -> Option<u64> {
+/// # Errors
+///
+/// Returns [`KnapsackError::SolverBudgetExceeded`] (solver
+/// `"tilde_optimum"`) if the search exhausts its node budget
+/// (pathological ε only).
+pub fn tilde_optimum(tilde: &TildeInstance) -> Result<u64, KnapsackError> {
+    optimum_within(tilde, MAX_TILDE_NODES)
+}
+
+/// [`tilde_optimum`] with a node budget of `max_nodes`.
+fn optimum_within(tilde: &TildeInstance, max_nodes: u64) -> Result<u64, KnapsackError> {
     let order = tilde.greedy_order();
     let items: Vec<TildeItem> = order
         .iter()
@@ -287,6 +296,7 @@ pub fn tilde_optimum(tilde: &TildeInstance) -> Option<u64> {
     struct State {
         best: u128,
         nodes: u64,
+        max_nodes: u64,
     }
 
     fn dfs(
@@ -295,19 +305,23 @@ pub fn tilde_optimum(tilde: &TildeInstance) -> Option<u64> {
         depth: usize,
         remaining: u64,
         value: u128,
-    ) -> Option<()> {
+    ) -> Result<(), KnapsackError> {
         state.nodes += 1;
-        if state.nodes > MAX_TILDE_NODES {
-            return None;
+        if state.nodes > state.max_nodes {
+            return Err(KnapsackError::SolverBudgetExceeded {
+                solver: "tilde_optimum",
+                size: u128::from(state.nodes),
+                max: u128::from(state.max_nodes),
+            });
         }
         if value > state.best {
             state.best = value;
         }
         if depth == items.len() {
-            return Some(());
+            return Ok(());
         }
         if bound(items, depth, remaining, value) <= state.best {
-            return Some(());
+            return Ok(());
         }
         let item = items[depth];
         if item.weight_mu <= remaining {
@@ -322,9 +336,13 @@ pub fn tilde_optimum(tilde: &TildeInstance) -> Option<u64> {
         dfs(items, state, depth + 1, remaining, value)
     }
 
-    let mut state = State { best: 0, nodes: 0 };
+    let mut state = State {
+        best: 0,
+        nodes: 0,
+        max_nodes,
+    };
     dfs(&items, &mut state, 0, tilde.capacity_mu(), 0)?;
-    Some(u64::try_from(state.best).unwrap_or(u64::MAX))
+    Ok(u64::try_from(state.best).unwrap_or(u64::MAX))
 }
 
 #[cfg(test)]
@@ -429,6 +447,21 @@ mod tests {
         // Normalized profit of the big item is 100/102.
         let expected = ((100u128) << MU_SHIFT) / 102;
         assert!(optimum as u128 >= expected);
+    }
+
+    #[test]
+    fn an_exhausted_search_is_a_solver_budget_error() {
+        let norm = norm(vec![(100, 5), (1, 5), (1, 5)], 5);
+        let tilde = build_tilde(&norm, Epsilon::new(1, 2).unwrap());
+        assert!(optimum_within(&tilde, 1_000).is_ok());
+        assert_eq!(
+            optimum_within(&tilde, 1),
+            Err(KnapsackError::SolverBudgetExceeded {
+                solver: "tilde_optimum",
+                size: 2,
+                max: 1,
+            })
+        );
     }
 
     #[test]

@@ -55,9 +55,12 @@ pub fn cmp_efficiency_desc(a: Item, b: Item) -> Ordering {
 
 /// Item ids sorted by the canonical greedy order (ties broken by id
 /// ascending).
+///
+/// The id tie-break makes the order total, so an unstable sort gives the
+/// stable sort's result without its merge buffer of `n/2` ids.
 pub fn efficiency_order(instance: &Instance) -> Vec<ItemId> {
     let mut ids: Vec<ItemId> = (0..instance.len()).map(ItemId).collect();
-    ids.sort_by(|&a, &b| {
+    ids.sort_unstable_by(|&a, &b| {
         cmp_efficiency_desc(instance.item(a), instance.item(b)).then_with(|| a.cmp(&b))
     });
     ids
@@ -178,6 +181,32 @@ pub fn modified_greedy(instance: &Instance) -> SolveOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_UNIT;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The unstable sort gives the stable sort's order. Subset-sum
+        /// items (profit = weight) tie on every efficiency; small values
+        /// repeat whole items, which then differ only by id; wide values
+        /// are random instances.
+        #[test]
+        fn unstable_order_equals_stable_order(
+            raw in proptest::collection::vec((0u64..=MAX_UNIT, 0u64..=MAX_UNIT), 1..200),
+            shape in 0u8..3,
+        ) {
+            let pairs = raw.into_iter().map(|(p, w)| match shape {
+                0 => (w % 1000, w % 1000),
+                1 => (p % 6, w % 6),
+                _ => (p, w),
+            });
+            let instance = Instance::from_pairs(pairs, MAX_UNIT).unwrap();
+            let mut stable: Vec<ItemId> = (0..instance.len()).map(ItemId).collect();
+            stable.sort_by(|&a, &b| {
+                cmp_efficiency_desc(instance.item(a), instance.item(b)).then_with(|| a.cmp(&b))
+            });
+            prop_assert_eq!(efficiency_order(&instance), stable);
+        }
+    }
 
     #[test]
     fn canonical_order_handles_zero_weights() {

@@ -91,14 +91,9 @@ pub struct InstanceOracle<'a> {
 impl<'a> InstanceOracle<'a> {
     /// Builds the oracle (and its alias table) over an instance.
     pub fn new(norm: &'a NormalizedInstance) -> Self {
-        let profits: Vec<u64> = norm
-            .as_instance()
-            .items()
-            .iter()
-            .map(|item| item.profit)
-            .collect();
-        let alias =
-            AliasTable::new(&profits).expect("NormalizedInstance guarantees positive total profit");
+        let profits = norm.as_instance().items().iter().map(|item| item.profit);
+        let alias = AliasTable::from_profits(profits)
+            .expect("NormalizedInstance guarantees positive total profit");
         InstanceOracle {
             norm,
             alias,

@@ -5,6 +5,9 @@
 //! `pᵢ / Σⱼ pⱼ`. The implementation is Vose's alias method with *integer*
 //! thresholds, so the distribution is exact (no floating-point bias):
 //! construction is `O(n)`, each sample is `O(1)` plus two RNG draws.
+//! The table is built in place over profits it reads through an
+//! iterator: its two vectors, 12 bytes per item, are all the build
+//! allocates, and nothing transient of size `n` is made.
 
 use crate::error::OracleError;
 use lcakp_knapsack::{ItemId, KnapsackError};
@@ -97,6 +100,9 @@ pub trait WeightedSampler {
 /// its alias. The invariant `Σᵢ ([i = j]·prob[i] + [alias[i] = j]·(P −
 /// prob[i])) = n·pⱼ·…/…` — i.e. every item's total probability mass across
 /// the table equals `pⱼ/P` exactly — is checked by a property test.
+///
+/// The table is 12 bytes per item (`prob` and `alias`), and building it
+/// ([`from_profits`](Self::from_profits)) allocates nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliasTable {
     /// Threshold per bucket, in units of `total`.
@@ -108,57 +114,89 @@ pub struct AliasTable {
 }
 
 impl AliasTable {
-    /// Builds the table from raw profits.
+    /// Builds the table from raw profits: [`from_profits`](Self::from_profits)
+    /// over the slice.
     ///
     /// # Errors
     ///
-    /// Returns [`KnapsackError::ZeroTotalProfit`] if all profits are zero,
-    /// [`KnapsackError::TooManyItems`] for more than `u32::MAX` items, and
-    /// [`KnapsackError::UnitTooLarge`] if the total profit overflows `u64`.
+    /// As [`from_profits`](Self::from_profits).
     pub fn new(profits: &[u64]) -> Result<Self, KnapsackError> {
-        if profits.len() > u32::MAX as usize {
-            return Err(KnapsackError::TooManyItems {
-                count: profits.len(),
-            });
+        Self::from_profits(profits.iter().copied())
+    }
+
+    /// Builds the table in place from profits read through an iterator,
+    /// which it clones to read them again. The two table vectors are the
+    /// only allocations: 12 bytes per item, nothing transient.
+    ///
+    /// An item is *small* when its mass `pᵢ·n` is below a bucket's `P`,
+    /// and `prob[i]` holds a small item's mass from the start. Vose's two
+    /// worklists become two downward scans over the profits, which
+    /// re-read `pᵢ·n < P` to tell the initially small items from the
+    /// initially large ones: the large list is never pushed after it is
+    /// filled, and a large item that runs out is always the next small
+    /// item popped, so it waits as the one pending item. Only the large
+    /// item being drained holds a mass of `P` or more, and it keeps that
+    /// mass in a local until it runs out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KnapsackError::TooManyItems`] for more than `u32::MAX`
+    /// items, [`KnapsackError::ZeroTotalProfit`] if all profits are zero,
+    /// and [`KnapsackError::UnitTooLarge`] if the total profit overflows
+    /// `u64`, checked in that order.
+    pub fn from_profits<I>(profits: I) -> Result<Self, KnapsackError>
+    where
+        I: DoubleEndedIterator<Item = u64> + ExactSizeIterator + Clone,
+    {
+        let len = profits.len();
+        if len > u32::MAX as usize {
+            return Err(KnapsackError::TooManyItems { count: len });
         }
-        let total_wide: u128 = profits.iter().map(|&p| p as u128).sum();
+        let total_wide: u128 = profits.clone().map(u128::from).sum();
         if total_wide == 0 {
             return Err(KnapsackError::ZeroTotalProfit);
         }
         let total = u64::try_from(total_wide)
             .map_err(|_| KnapsackError::UnitTooLarge { index: usize::MAX })?;
-        let n = profits.len() as u128;
-        // scaled[i] = p_i · n; bucket capacity is `total` each.
-        let mut scaled: Vec<u128> = profits.iter().map(|&p| p as u128 * n).collect();
-        let mut prob = vec![0u64; profits.len()];
-        let mut alias: Vec<u32> = (0..profits.len() as u32).collect();
+        let n = len as u64;
+        // `p·n < P` exactly when `p < ⌈P / n⌉`; a small mass fits `u64`.
+        let threshold = total.div_ceil(n);
+        // A small item's slot holds its mass from the start; a large
+        // item's is written when it runs out.
+        let mut prob: Vec<u64> = Vec::with_capacity(len);
+        prob.extend(
+            (profits.clone()).map(|profit| if profit < threshold { profit * n } else { 0 }),
+        );
+        let mut alias = vec![0u32; len];
 
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (index, &value) in scaled.iter().enumerate() {
-            if value < total as u128 {
-                small.push(index as u32);
-            } else {
-                large.push(index as u32);
+        let scan = |small: bool| {
+            (profits.clone().enumerate().rev())
+                .filter(move |&(_, profit)| (profit < threshold) == small)
+        };
+        let mut smalls = scan(true).map(|(index, _)| index);
+        let mut larges = scan(false);
+        let mut pending = None;
+        let mut unsettled = None;
+        'larges: for (l, profit) in larges.by_ref() {
+            let mut mass = u128::from(profit) * u128::from(n);
+            while mass >= total_wide {
+                let Some(s) = pending.take().or_else(|| smalls.next()) else {
+                    unsettled = Some(l);
+                    break 'larges;
+                };
+                // `s` keeps its own mass; the rest of its bucket comes
+                // from `l`.
+                alias[s] = l as u32;
+                mass -= u128::from(total - prob[s]);
             }
-        }
-
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            // `s` keeps its own mass; the rest of its bucket goes to `l`.
-            prob[s as usize] = u64::try_from(scaled[s as usize])
-                .expect("scaled mass below total fits u64 after bucket fill");
-            alias[s as usize] = l;
-            scaled[l as usize] -= total as u128 - scaled[s as usize];
-            if scaled[l as usize] < total as u128 {
-                large.pop();
-                small.push(l);
-            }
+            prob[l] = mass as u64;
+            pending = Some(l);
         }
         // Leftovers (numerically full buckets) own their whole bucket.
-        for &index in small.iter().chain(large.iter()) {
-            prob[index as usize] = total;
-            alias[index as usize] = index;
+        let larges = unsettled.into_iter().chain(larges.map(|(index, _)| index));
+        for index in pending.into_iter().chain(smalls).chain(larges) {
+            prob[index] = total;
+            alias[index] = index as u32;
         }
 
         Ok(AliasTable { prob, alias, total })
@@ -221,6 +259,70 @@ impl AliasTable {
     /// Total mass `P`.
     pub fn total(&self) -> u64 {
         self.total
+    }
+}
+
+/// The worklist build the table shipped with, kept verbatim as the
+/// reference the in-place build is pinned against.
+#[cfg(test)]
+mod reference {
+    use super::AliasTable;
+    use lcakp_knapsack::KnapsackError;
+
+    /// Builds the table from raw profits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KnapsackError::ZeroTotalProfit`] if all profits are zero,
+    /// [`KnapsackError::TooManyItems`] for more than `u32::MAX` items, and
+    /// [`KnapsackError::UnitTooLarge`] if the total profit overflows `u64`.
+    pub fn new(profits: &[u64]) -> Result<AliasTable, KnapsackError> {
+        if profits.len() > u32::MAX as usize {
+            return Err(KnapsackError::TooManyItems {
+                count: profits.len(),
+            });
+        }
+        let total_wide: u128 = profits.iter().map(|&p| p as u128).sum();
+        if total_wide == 0 {
+            return Err(KnapsackError::ZeroTotalProfit);
+        }
+        let total = u64::try_from(total_wide)
+            .map_err(|_| KnapsackError::UnitTooLarge { index: usize::MAX })?;
+        let n = profits.len() as u128;
+        // scaled[i] = p_i · n; bucket capacity is `total` each.
+        let mut scaled: Vec<u128> = profits.iter().map(|&p| p as u128 * n).collect();
+        let mut prob = vec![0u64; profits.len()];
+        let mut alias: Vec<u32> = (0..profits.len() as u32).collect();
+
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (index, &value) in scaled.iter().enumerate() {
+            if value < total as u128 {
+                small.push(index as u32);
+            } else {
+                large.push(index as u32);
+            }
+        }
+
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            // `s` keeps its own mass; the rest of its bucket goes to `l`.
+            prob[s as usize] = u64::try_from(scaled[s as usize])
+                .expect("scaled mass below total fits u64 after bucket fill");
+            alias[s as usize] = l;
+            scaled[l as usize] -= total as u128 - scaled[s as usize];
+            if scaled[l as usize] < total as u128 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        // Leftovers (numerically full buckets) own their whole bucket.
+        for &index in small.iter().chain(large.iter()) {
+            prob[index as usize] = total;
+            alias[index as usize] = index;
+        }
+
+        Ok(AliasTable { prob, alias, total })
     }
 }
 
@@ -342,6 +444,59 @@ mod tests {
                 (observed - expected).abs() < 5.0 * expected.sqrt() + 50.0,
                 "item {index}: observed {observed}, expected {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn too_many_items_is_reported_first() {
+        // Zero profits and a total past `u64::MAX` alike: the count is
+        // checked before any profit is read.
+        for profit in [0, u64::MAX] {
+            let profits = std::iter::repeat_n(profit, u32::MAX as usize + 1);
+            assert_eq!(
+                AliasTable::from_profits(profits),
+                Err(KnapsackError::TooManyItems {
+                    count: u32::MAX as usize + 1
+                })
+            );
+        }
+    }
+
+    /// Profit vectors of 1–64 items, in six shapes: small values with
+    /// many zeros and ties; one item holding all the mass (quotient
+    /// `n`); heavy tails; totals up to `u64::MAX`; totals exactly at
+    /// it; and totals past it.
+    fn profit_vectors() -> impl Strategy<Value = Vec<u64>> {
+        let raw = proptest::collection::vec((0u64..=u64::MAX, 0u32..64), 1..65);
+        (0u8..6, raw, 0usize..64).prop_map(|(shape, raw, at)| {
+            let mut profits: Vec<u64> = raw
+                .iter()
+                .map(|&(x, shift)| match shape {
+                    0 => x % 8,
+                    1 => 0,
+                    2 => x >> shift,
+                    3 | 4 => x / 64,
+                    _ => x,
+                })
+                .collect();
+            let len = profits.len();
+            match shape {
+                1 => profits[at % len] = raw[0].0.max(1),
+                4 => profits[0] = u64::MAX - profits[1..].iter().sum::<u64>(),
+                _ => {}
+            }
+            profits
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The in-place build equals the worklist build it replaced:
+        /// the same thresholds, aliases and total, or the same error.
+        #[test]
+        fn in_place_build_equals_the_reference(profits in profit_vectors()) {
+            prop_assert_eq!(AliasTable::new(&profits), reference::new(&profits));
         }
     }
 

@@ -75,7 +75,7 @@ proptest! {
         let partition = Partition::compute(&norm, eps);
         let seq = exact_eps(&norm, eps, &partition);
         let tilde = TildeInstance::build_from_instance(&norm, eps, partition.large(), &seq);
-        let Some(opt_mu) = tilde_optimum(&tilde) else { return Ok(()); };
+        let Ok(opt_mu) = tilde_optimum(&tilde) else { return Ok(()); };
         let tilde_opt = opt_mu as f64 / (1u128 << MU_SHIFT) as f64;
         let optimum = solvers::dp_by_weight(norm.as_instance()).unwrap().value;
         let normalized_opt = optimum as f64 / norm.total_profit() as f64;
