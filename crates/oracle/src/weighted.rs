@@ -102,7 +102,7 @@ pub trait WeightedSampler {
 /// the table equals `pⱼ/P` exactly — is checked by a property test.
 ///
 /// The table is 12 bytes per item (`prob` and `alias`), and building it
-/// ([`from_profits`](Self::from_profits)) allocates nothing else.
+/// allocates nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliasTable {
     /// Threshold per bucket, in units of `total`.
@@ -114,12 +114,15 @@ pub struct AliasTable {
 }
 
 impl AliasTable {
-    /// Builds the table from raw profits: [`from_profits`](Self::from_profits)
-    /// over the slice.
+    /// Builds the table from raw profits, in place: the table's two
+    /// vectors, 12 bytes per item, are all the build allocates.
     ///
     /// # Errors
     ///
-    /// As [`from_profits`](Self::from_profits).
+    /// Returns [`KnapsackError::TooManyItems`] for more than `u32::MAX`
+    /// items, [`KnapsackError::ZeroTotalProfit`] if all profits are zero,
+    /// and [`KnapsackError::UnitTooLarge`] if the total profit overflows
+    /// `u64`, checked in that order.
     pub fn new(profits: &[u64]) -> Result<Self, KnapsackError> {
         Self::from_profits(profits.iter().copied())
     }
@@ -138,13 +141,8 @@ impl AliasTable {
     /// item being drained holds a mass of `P` or more, and it keeps that
     /// mass in a local until it runs out.
     ///
-    /// # Errors
-    ///
-    /// Returns [`KnapsackError::TooManyItems`] for more than `u32::MAX`
-    /// items, [`KnapsackError::ZeroTotalProfit`] if all profits are zero,
-    /// and [`KnapsackError::UnitTooLarge`] if the total profit overflows
-    /// `u64`, checked in that order.
-    pub fn from_profits<I>(profits: I) -> Result<Self, KnapsackError>
+    /// Errors as [`new`](Self::new).
+    pub(crate) fn from_profits<I>(profits: I) -> Result<Self, KnapsackError>
     where
         I: DoubleEndedIterator<Item = u64> + ExactSizeIterator + Clone,
     {
@@ -165,13 +163,15 @@ impl AliasTable {
         // item's is written when it runs out.
         let mut prob: Vec<u64> = Vec::with_capacity(len);
         prob.extend(
-            (profits.clone()).map(|profit| if profit < threshold { profit * n } else { 0 }),
+            profits
+                .clone()
+                .map(|p| if p < threshold { p * n } else { 0 }),
         );
         let mut alias = vec![0u32; len];
 
         let scan = |small: bool| {
-            (profits.clone().enumerate().rev())
-                .filter(move |&(_, profit)| (profit < threshold) == small)
+            let indexed = profits.clone().enumerate().rev();
+            indexed.filter(move |&(_, profit)| (profit < threshold) == small)
         };
         let mut smalls = scan(true).map(|(index, _)| index);
         let mut larges = scan(false);
@@ -336,7 +336,8 @@ mod tests {
     /// FNV-1a over a table's thresholds, aliases and total, in that
     /// order, as little-endian bytes.
     fn digest(table: &AliasTable) -> u64 {
-        let bytes = (table.prob.iter().flat_map(|p| p.to_le_bytes()))
+        let prob = table.prob.iter().flat_map(|p| p.to_le_bytes());
+        let bytes = prob
             .chain(table.alias.iter().flat_map(|a| a.to_le_bytes()))
             .chain(table.total.to_le_bytes());
         bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
@@ -463,8 +464,8 @@ mod tests {
     }
 
     /// Profit vectors of 1–64 items, in six shapes: small values with
-    /// many zeros and ties; one item holding all the mass (quotient
-    /// `n`); heavy tails; totals up to `u64::MAX`; totals exactly at
+    /// many zeros and ties; one item holding all the mass (`p·n = n·P`,
+    /// drained by every other bucket); heavy tails; totals up to `u64::MAX`; totals exactly at
     /// it; and totals past it.
     fn profit_vectors() -> impl Strategy<Value = Vec<u64>> {
         let raw = proptest::collection::vec((0u64..=u64::MAX, 0u32..64), 1..65);
