@@ -19,7 +19,10 @@
 //!   4. the oracle build: `InstanceOracle::new` over a fixed
 //!      `LargeDominated` instance of `ORACLE_BUILD_ITEMS` items, on this
 //!      one thread, with its allocations, bytes and peak live bytes
-//!      above the section's entry.
+//!      above the section's entry;
+//!   5. the greedy critical item: `fractional_optimum` over a fixed
+//!      `LargeDominated` instance of `CRITICAL_ITEM_ITEMS` items, on this
+//!      one thread, with the same three figures.
 //!
 //! Every printed field repeats exactly run to run (CI diffs two runs).
 //!
@@ -32,8 +35,10 @@
 //! `SCRATCH_BYTES_BUDGET` bytes, the served path's per-arrival count
 //! exceeds `SERVED_ALLOCS_PER_ARRIVAL`, or the oracle build exceeds
 //! `ORACLE_BUILD_ALLOCS` allocations or `ORACLE_BUILD_PEAK_BYTES` peak
-//! bytes — the CI smoke that keeps allocation and memory regressions out
-//! of the serving loop and the oracle's set-up.
+//! bytes, or the critical item exceeds `CRITICAL_ITEM_ALLOCS` allocations
+//! or `CRITICAL_ITEM_PEAK_BYTES` peak bytes — the CI smoke that keeps
+//! allocation and memory regressions out of the serving loop, the
+//! oracle's set-up and the greedy substrate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -42,6 +47,7 @@ use lcakp_bench::experiment_root;
 use lcakp_canon::object;
 use lcakp_core::{LcaKp, QueryScratch, ResponseTier};
 use lcakp_knapsack::iky::Epsilon;
+use lcakp_knapsack::solvers::fractional::fractional_optimum;
 use lcakp_knapsack::ItemId;
 use lcakp_oracle::InstanceOracle;
 use lcakp_reproducible::SampleBudget;
@@ -86,6 +92,21 @@ const ORACLE_BUILD_ALLOCS: u64 = 2;
 /// item (`prob` and `alias`). A profit copy would add 8 bytes per item,
 /// and 128-bit scaled masses 16.
 const ORACLE_BUILD_PEAK_BYTES: u64 = 12 * ORACLE_BUILD_ITEMS as u64;
+
+/// Items in the critical-item section's instance.
+const CRITICAL_ITEM_ITEMS: usize = 1 << 20;
+
+/// Allocations of `fractional_optimum` over that instance, enforced by
+/// `--check`. Pinned at the measured value with no headroom: the pivots,
+/// their buckets and the last window's ids.
+const CRITICAL_ITEM_ALLOCS: u64 = 3;
+
+/// Peak live bytes of the same call above its entry, enforced by
+/// `--check`. Pinned at the measured value with no headroom: room for 512
+/// pivots and 513 buckets of 24 bytes each, and 4 bytes per id of the
+/// last window (1,082 ids here). The sorted efficiency order this replaced
+/// held 8 bytes per item, 8 MiB here.
+const CRITICAL_ITEM_PEAK_BYTES: u64 = 28_928;
 
 /// Trace lengths of the served section's two replays.
 const SERVED_SHORT: usize = 16;
@@ -291,6 +312,24 @@ fn main() {
     drop(build_oracle);
     let build_peak = build.peak - live_before_build;
 
+    // Section 5: the greedy critical item, on this thread alone. The
+    // instance is generated outside the window.
+    let critical_instance = WorkloadSpec::new(
+        Family::LargeDominated {
+            heavy: 24,
+            heavy_profit: 1 << 20,
+        },
+        CRITICAL_ITEM_ITEMS,
+        0xB11D,
+    )
+    .generate()
+    .expect("critical-item workload generates");
+    let live_before_critical = LIVE.load(Relaxed);
+    let critical_start = begin_section();
+    std::hint::black_box(fractional_optimum(&critical_instance));
+    let critical = end_section(critical_start);
+    let critical_peak = critical.peak - live_before_critical;
+
     let smoke_allocs_milli = per_query_milli(smoke.allocs, smoke_queries);
     let smoke_bytes_milli = per_query_milli(smoke.bytes, smoke_queries);
     let counters = |counts: &[(&'static str, u64)]| {
@@ -342,6 +381,17 @@ fn main() {
                 ("pinned_peak_bytes", ORACLE_BUILD_PEAK_BYTES),
             ]),
         ),
+        (
+            "critical_item",
+            counters(&[
+                ("items", CRITICAL_ITEM_ITEMS as u64),
+                ("allocations", critical.allocs),
+                ("bytes", critical.bytes),
+                ("peak_bytes", critical_peak),
+                ("pinned_allocations", CRITICAL_ITEM_ALLOCS),
+                ("pinned_peak_bytes", CRITICAL_ITEM_PEAK_BYTES),
+            ]),
+        ),
     ]);
     println!("{report}");
 
@@ -379,6 +429,21 @@ fn main() {
         eprintln!(
             "alloc_audit: the oracle build peaked at {build_peak} live bytes, above the \
              pinned {ORACLE_BUILD_PEAK_BYTES}"
+        );
+        failed = true;
+    }
+    if check && critical.allocs > CRITICAL_ITEM_ALLOCS {
+        eprintln!(
+            "alloc_audit: the critical item made {} allocations, above the pinned \
+             {CRITICAL_ITEM_ALLOCS}",
+            critical.allocs
+        );
+        failed = true;
+    }
+    if check && critical_peak > CRITICAL_ITEM_PEAK_BYTES {
+        eprintln!(
+            "alloc_audit: the critical item peaked at {critical_peak} live bytes, above the \
+             pinned {CRITICAL_ITEM_PEAK_BYTES}"
         );
         failed = true;
     }

@@ -25,15 +25,16 @@ pub enum KnapsackError {
     /// The total weight of the instance is zero, so weight normalization is
     /// undefined.
     ZeroTotalWeight,
-    /// A solver's working-set bound was exceeded (e.g. `n * capacity` for the
-    /// weight-indexed dynamic program). The payload is a human-readable
-    /// description of the violated bound.
+    /// A solver's budget was exceeded. What the budget counts depends on
+    /// the solver: table cells for the dynamic programs (`n · (K + 1)` for
+    /// the weight-indexed one), items for brute force and meet in the
+    /// middle, and search nodes for branch and bound and `tilde_optimum`.
     SolverBudgetExceeded {
-        /// Name of the solver that refused to run.
+        /// Name of the solver that refused to run or stopped.
         solver: &'static str,
-        /// The size that exceeded the solver's budget.
+        /// The count that exceeded the solver's budget.
         size: u128,
-        /// The solver's maximum supported size.
+        /// The solver's budget, in the same unit.
         max: u128,
     },
     /// An approximation parameter was outside its valid range (e.g. ε = 0).
@@ -58,7 +59,7 @@ impl fmt::Display for KnapsackError {
             KnapsackError::ZeroTotalWeight => write!(f, "total weight is zero"),
             KnapsackError::SolverBudgetExceeded { solver, size, max } => write!(
                 f,
-                "{solver} working set {size} exceeds its supported maximum {max}"
+                "{solver} exceeded its budget: {size} against a limit of {max}"
             ),
             KnapsackError::InvalidEpsilon { value } => {
                 write!(f, "approximation parameter {value} is outside (0, 1]")
@@ -95,6 +96,20 @@ mod tests {
             assert!(!text.is_empty());
             assert!(text.chars().next().unwrap().is_lowercase());
         }
+    }
+
+    #[test]
+    fn budget_message_names_no_unit() {
+        // The count is cells, items or search nodes depending on the solver.
+        let err = KnapsackError::SolverBudgetExceeded {
+            solver: "branch_and_bound",
+            size: 10_000_001,
+            max: 10_000_000,
+        };
+        assert_eq!(
+            err.to_string(),
+            "branch_and_bound exceeded its budget: 10000001 against a limit of 10000000"
+        );
     }
 
     #[test]

@@ -16,6 +16,15 @@ pub const MAX_ITEMS: usize = 1 << 24;
 /// Number of fractional bits in an efficiency key.
 pub(crate) const EFF_KEY_SHIFT: u32 = 32;
 
+/// The splitmix64 finalizer: a cheap, deterministic, well-mixed hash of
+/// a word (here of item ids, which makes it a pure function of the id).
+pub(crate) fn splitmix64(word: u64) -> u64 {
+    let mut hash = word.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    hash ^ (hash >> 31)
+}
+
 /// A Knapsack instance: a list of items and a capacity (the weight limit
 /// `K` of the paper).
 ///
@@ -264,13 +273,7 @@ impl Norms {
             return base;
         }
         let mask = (1u64 << Self::TIE_BITS) - 1;
-        // splitmix64 finalizer over the id — cheap, deterministic, well
-        // mixed.
-        let mut hash = (id.index() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        hash ^= hash >> 31;
-        (base & !mask) | (hash & mask)
+        (base & !mask) | (splitmix64(id.index() as u64) & mask)
     }
 
     /// Ordering of an item's exact efficiency versus the threshold

@@ -4,15 +4,22 @@
 //! The fractional optimum upper-bounds the 0/1 optimum; it is used as the
 //! pruning bound in branch and bound and as a reference line in the
 //! approximation experiments.
+//!
+//! It is Dantzig's bound: the items before the critical item (the first
+//! of the efficiency order that does not fit) plus the fitting fraction
+//! of the critical item. So it is computed from the critical item alone,
+//! in expected `O(n)` time and without ordering the items (see
+//! [`crate::solvers::greedy_prefix`], which shares the search).
 
-use crate::solvers::greedy::efficiency_order;
+use crate::solvers::greedy::{critical_item, CRITICAL_TAIL};
 use crate::{Instance, Rat};
 
 /// Exact value of the fractional relaxation, as a rational.
 ///
 /// Items are taken in the canonical efficiency order; the first item that
-/// does not fully fit is taken fractionally. Items heavier than the whole
-/// capacity still contribute fractionally (the relaxation allows it).
+/// does not fully fit (the critical item) is taken fractionally. Items
+/// heavier than the whole capacity still contribute fractionally (the
+/// relaxation allows it).
 ///
 /// ```
 /// use lcakp_knapsack::{Instance, Rat};
@@ -25,21 +32,23 @@ use crate::{Instance, Rat};
 /// # }
 /// ```
 pub fn fractional_optimum(instance: &Instance) -> Rat {
-    let order = efficiency_order(instance);
-    let mut whole_value: u128 = 0;
-    let mut remaining: u128 = instance.capacity() as u128;
-    for id in order {
-        let item = instance.item(id);
-        if item.weight as u128 <= remaining {
-            remaining -= item.weight as u128;
-            whole_value += item.profit as u128;
-        } else {
+    fractional_optimum_within(instance, CRITICAL_TAIL)
+}
+
+/// [`fractional_optimum`] with a selection tail of `tail` ids.
+pub(crate) fn fractional_optimum_within(instance: &Instance, tail: usize) -> Rat {
+    let critical = critical_item(instance, |_| true, tail);
+    let whole_value = critical.before.profit as u128;
+    match critical.cutoff {
+        Some(id) => {
             // Fractional part: p · remaining / w, exact.
+            let item = instance.item(id);
+            let remaining = (instance.capacity() - critical.before.weight) as u128;
             let num = whole_value * item.weight as u128 + item.profit as u128 * remaining;
-            return Rat::new(num, item.weight as u128);
+            Rat::new(num, item.weight as u128)
         }
+        None => Rat::from_int(whole_value),
     }
-    Rat::from_int(whole_value)
 }
 
 /// Floor of the fractional optimum — a convenient integer upper bound on

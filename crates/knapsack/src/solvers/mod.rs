@@ -14,10 +14,10 @@
 //! | [`branch_and_bound`] | exact | pruned DFS, node cap |
 //! | [`meet_in_the_middle`] | exact | `2^(n/2)` subsets, `n ≤ 40` |
 //! | [`brute_force`] | exact | `2^n` subsets, `n ≤ 25` |
-//! | [`greedy_prefix`] | heuristic | `n log n` |
-//! | [`modified_greedy`] | 1/2-approx | `n log n` |
+//! | [`greedy_prefix`] | heuristic | expected `n` |
+//! | [`modified_greedy`] | 1/2-approx | expected `n` |
 //! | [`fptas`] | (1−ε)-approx | `n³/ε` cells |
-//! | [`fractional::fractional_optimum`] | LP relaxation | `n log n` |
+//! | [`fractional::fractional_optimum`] | LP relaxation | expected `n` |
 
 mod bb;
 mod brute;
